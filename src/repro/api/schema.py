@@ -32,9 +32,9 @@ declared exactly once, in :data:`OPTION_FIELDS`.  Everything else —
 Deprecation policy: ``repro-api/v1`` payloads only ever *gain* optional
 fields with defaults; removing or retyping a field bumps the schema to
 ``/v2`` and v1 payloads keep parsing for at least one minor release.
-Legacy keyword arguments on ``tmap``/``async_tmap``/``map_network``
-emit :class:`DeprecationWarning` and are translated through this
-schema (see ``docs/api.md``).
+``tmap``/``async_tmap``/``map_network`` take a
+:class:`~repro.mapping.mapper.MappingOptions` and no per-knob keywords
+(see ``docs/api.md``).
 """
 
 from __future__ import annotations

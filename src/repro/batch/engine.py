@@ -174,7 +174,6 @@ class BatchReport:
                 "cones": record.get("cones"),
                 "matches": record.get("matches"),
                 "filter_invocations": record.get("filter_invocations"),
-                "cache": {"hits": 0, "misses": 0, "hit_rate": 0.0},
             }
             if "verify" in record:
                 entry["verify"] = record["verify"]

@@ -122,20 +122,6 @@ def signature(table: int, nvars: int) -> tuple[int, tuple[tuple[int, int], ...]]
     return ones_count(table, nvars), tuple(pairs)
 
 
-def np_signature(table: int, nvars: int) -> tuple:
-    """Output-polarity-folded permutation-invariant signature.
-
-    Equal for any two tables related by an input permutation and/or an
-    output complementation — the NPN-style bucket key the hazard cache
-    uses to group structurally distinct implementations of related
-    functions before comparing exact structural fingerprints.
-    """
-    return min(
-        signature(table, nvars),
-        signature(table_mask(nvars) & ~table, nvars),
-    )
-
-
 def symmetric_vars(table: int, a: int, b: int, nvars: int) -> bool:
     """True iff the function is invariant under swapping inputs a and b."""
     perm = list(range(nvars))

@@ -265,16 +265,8 @@ def _cmd_map_remote(args: argparse.Namespace, request: MapRequest) -> int:
             f"(budget ran out at {response.deadline_site})"
         )
     if args.explain is not None and response.explain is not None:
-        explain_path = args.explain or f"{response.design}_explain.json"
-        write_explain(explain_path, response.explain)
-        summary = validate_explain_payload(response.explain)
-        print(
-            f"explain: {summary['candidates']} decisions over "
-            f"{summary['cones']} cones "
-            f"({summary['rejected_hazard']} hazard-rejected, "
-            f"{summary['waived_dont_care']} waived) "
-            f"written to {explain_path}"
-        )
+        _write_explain(args.explain or f"{response.design}_explain.json",
+                       response.explain)
     if response.verify is not None:
         print(
             f"verification: equivalent={response.verify['equivalent']} "
@@ -358,99 +350,51 @@ def _cmd_map(args: argparse.Namespace) -> int:
             f"area={result.area:.0f} delay={result.delay:.2f} "
             f"cpu={result.elapsed:.2f}s"
         )
-    if response.fallback:
-        print(
-            f"deadline fallback: {response.fallback} "
-            f"(budget ran out at {response.deadline_site})"
-        )
-    if result is None:
-        mapped = read_blif_text(response.blif)
-        if tracer is not None:
-            tracer.assert_well_formed()
-            write_trace(args.trace, tracer, metrics=metrics)
-            print(f"trace written to {args.trace}")
-        if args.explain is not None and response.explain is not None:
-            explain_path = args.explain or f"{network.name}_explain.json"
-            write_explain(explain_path, response.explain)
-            print(f"explain log written to {explain_path}")
-        if args.metrics:
-            print("metrics:")
-            for line in _format_metrics(metrics):
-                print(f"  {line}")
-        if args.verify:
-            report = verify_mapping(network, mapped)
+        if response.fallback:
             print(
-                f"verification: equivalent={report.equivalent} "
-                f"hazard_safe={report.hazard_safe}"
+                f"deadline fallback: {response.fallback} "
+                f"(budget ran out at {response.deadline_site})"
             )
-            for violation in report.violations[:5]:
-                print(f"  ! {violation}")
-            if not report.ok:
-                return 1
-        if args.certify:
-            from .conformance.certifier import certify_mapping
-
-            certificate = certify_mapping(
-                network, mapped, load_library(args.library), metrics=metrics
+        print(f"cells: {result.cell_usage()}")
+        if result.annotation_report is not None:
+            report = result.annotation_report
+            line = (
+                f"annotation: {report.source} in {report.elapsed:.2f}s "
+                f"({report.hazardous}/{report.cells} cells hazardous)"
             )
-            if not _report_certificate("certify", certificate):
-                return 1
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(response.blif)
-            print(f"mapped network written to {args.output}")
-        return 0
-    print(f"cells: {result.cell_usage()}")
-    if result.annotation_report is not None:
-        report = result.annotation_report
-        line = (
-            f"annotation: {report.source} in {report.elapsed:.2f}s "
-            f"({report.hazardous}/{report.cells} cells hazardous)"
-        )
-        if report.warm and report.cold_elapsed is not None:
-            line += f"; cold pass was {report.cold_elapsed:.2f}s"
-        print(line)
-    stats = result.stats
-    print(
-        f"covering: {stats.cones} cones in {stats.cone_seconds:.2f}s "
-        f"({result.workers} worker{'s' if result.workers != 1 else ''})"
-    )
-    if stats.filter_invocations or stats.cache_hits or stats.cache_misses:
+            if report.warm and report.cold_elapsed is not None:
+                line += f"; cold pass was {report.cold_elapsed:.2f}s"
+            print(line)
+        stats = result.stats
         print(
-            f"hazard cache: {stats.cache_hits} hits, {stats.cache_misses} misses "
-            f"({stats.analysis_cache_hits}/{stats.analysis_cache_misses} analyses, "
-            f"{stats.subset_cache_hits}/{stats.subset_cache_misses} filter verdicts; "
-            f"{stats.filter_invocations} filter invocations)"
+            f"covering: {stats.cones} cones in {stats.cone_seconds:.2f}s "
+            f"({result.workers} worker{'s' if result.workers != 1 else ''})"
         )
-    if result.stats.hazardous_matches:
-        print(
-            f"hazard filter: {result.stats.hazardous_matches} screened, "
-            f"{result.stats.hazard_rejections} rejected, "
-            f"{result.stats.hazard_accepts} accepted, "
-            f"{result.stats.dc_waivers} waived by don't-cares"
-        )
+        if stats.hazardous_matches:
+            print(
+                f"hazard filter: {stats.hazardous_matches} screened, "
+                f"{stats.hazard_rejections} rejected, "
+                f"{stats.hazard_accepts} accepted, "
+                f"{stats.dc_waivers} waived by don't-cares"
+            )
     if tracer is not None:
         tracer.assert_well_formed()
-        write_trace(args.trace, tracer, metrics=result.metrics)
+        write_trace(args.trace, tracer, metrics=metrics)
         print(f"trace written to {args.trace}")
-    if args.explain is not None:
-        assert result.explain is not None
-        explain_path = args.explain or f"{network.name}_explain.json"
-        write_explain(explain_path, result.explain)
-        summary = result.explain.summary()
-        print(
-            f"explain: {summary['candidates']} decisions over "
-            f"{summary['cones']} cones "
-            f"({summary['rejected_hazard']} hazard-rejected, "
-            f"{summary['waived_dont_care']} waived) "
-            f"written to {explain_path}"
-        )
+    if args.explain is not None and response.explain is not None:
+        _write_explain(args.explain or f"{network.name}_explain.json",
+                       response.explain)
     if args.metrics:
         print("metrics:")
-        for line in _format_metrics(result.metrics):
+        for line in _format_metrics(metrics):
             print(f"  {line}")
+    # A fresh map keeps its cell bindings, which the certifier checks;
+    # a replayed response has only its BLIF.
+    mapped = result.mapped if result is not None else read_blif_text(
+        response.blif
+    )
     if args.verify:
-        report = verify_mapping(network, result.mapped)
+        report = verify_mapping(network, mapped)
         print(
             f"verification: equivalent={report.equivalent} "
             f"hazard_safe={report.hazard_safe}"
@@ -463,17 +407,28 @@ def _cmd_map(args: argparse.Namespace) -> int:
         from .conformance.certifier import certify_mapping
 
         certificate = certify_mapping(
-            network, result.mapped, result.library, metrics=metrics
+            network, mapped, load_library(args.library), metrics=metrics
         )
         if not _report_certificate("certify", certificate):
             return 1
     if args.output:
-        from .io import write_blif
-
         with open(args.output, "w") as handle:
-            write_blif(result.mapped, handle)
+            handle.write(response.blif)
         print(f"mapped network written to {args.output}")
     return 0
+
+
+def _write_explain(path: str, payload: dict) -> None:
+    """Write an explain payload (validated on write); print its summary."""
+    write_explain(path, payload)
+    summary = payload["summary"]
+    print(
+        f"explain: {summary['candidates']} decisions over "
+        f"{summary['cones']} cones "
+        f"({summary['rejected_hazard']} hazard-rejected, "
+        f"{summary['waived_dont_care']} waived) "
+        f"written to {path}"
+    )
 
 
 def _report_certificate(label: str, certificate) -> bool:
@@ -892,8 +847,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             verdict = " verify=ok" if entry["verify"]["ok"] else " verify=FAILED"
         print(
             f"  {name}: {entry['map_seconds']:.2f}s area={entry['area']:.0f} "
-            f"cells={entry['cells']} "
-            f"cache_hit_rate={entry['cache']['hit_rate']:.2f}{verdict}"
+            f"cells={entry['cells']}{verdict}"
         )
 
     print(f"perf: mapping onto {args.library} (workers={args.workers})")

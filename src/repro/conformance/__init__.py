@@ -1,8 +1,8 @@
 """Independent conformance checking for mapped networks.
 
 ``repro.conformance`` is the eval gate of the mapping stack: a checker
-that shares *no code* with the mapper's matching/covering/hazard-cache
-machinery (see docs/conformance.md for the trust model) and proves, for
+that shares *no code* with the mapper's matching/covering machinery
+(see docs/conformance.md for the trust model) and proves, for
 any mapped netlist, the paper's two contracts — functional equivalence
 and Theorem 3.2 hazard containment — emitting a version-stamped
 ``repro-cert/v1`` certificate with per-transition evidence digests.

@@ -25,9 +25,9 @@ using only ground-truth machinery:
   same way, one per section-4 record kind where possible.
 
 Trust model (enforced by ``tests/conformance/test_certifier.py``): this
-module imports nothing from ``mapping/cover.py``, ``mapping/match.py``,
-``mapping/verify.py``, or ``hazards/cache.py`` — the code that decides
-what the mapper emits never decides whether the emission is accepted.
+module imports nothing from ``mapping/cover.py``, ``mapping/match.py``
+or ``mapping/verify.py`` — the code that decides what the mapper emits
+never decides whether the emission is accepted.
 
 Every run emits a :class:`Certificate` whose ``to_dict`` payload is
 stamped ``schema: repro-cert/v1`` and carries per-output SHA-256

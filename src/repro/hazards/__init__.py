@@ -9,14 +9,6 @@ from .analyzer import (
     hazards_subset,
     static1_census,
 )
-from .cache import (
-    CacheStats,
-    HazardCache,
-    analysis_fingerprint,
-    clear_global_cache,
-    global_cache,
-    lsop_fingerprint,
-)
 from .dynamic import (
     exhibits_mic_dynamic,
     find_mic_dyn_haz_2level,
@@ -72,9 +64,7 @@ from .witness import (
 
 __all__ = [
     "ALL_KINDS",
-    "CacheStats",
     "HazardAnalysis",
-    "HazardCache",
     "HazardSummary",
     "HazardWitness",
     "MicDynamicHazard",
@@ -86,16 +76,12 @@ __all__ = [
     "TransitionKind",
     "TransitionVerdict",
     "WitnessReplay",
-    "analysis_fingerprint",
     "analysis_witnesses",
     "analyze_cover",
     "analyze_expression",
     "classify_transition",
-    "clear_global_cache",
     "find_subset_violation",
     "glitch_schedule",
-    "global_cache",
-    "lsop_fingerprint",
     "dynamic_fhf",
     "enumerate_hazards",
     "exhibits_mic_dynamic",

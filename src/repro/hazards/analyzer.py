@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .witness import HazardWitness
@@ -71,10 +71,6 @@ class HazardAnalysis:
     mic_dynamic: list[MicDynamicHazard] = field(default_factory=list)
     sic_dynamic: list[SicDynamicHazard] = field(default_factory=list)
     verdicts: Optional[list[TransitionVerdict]] = None
-    #: Canonical structural key, filled in lazily by the hazard cache.
-    fingerprint: Optional[tuple] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def has_hazards(self) -> bool:
@@ -139,8 +135,7 @@ def analyze_cover(
 
     ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`) counts
     the call and times it under ``hazard.cover_analyses`` /
-    ``hazard.analysis_seconds`` — the per-analysis cost the hazard
-    cache amortizes.
+    ``hazard.analysis_seconds``.
     """
     start = _time.perf_counter() if metrics is not None else 0.0
     if names is None:
@@ -217,25 +212,17 @@ def _map_point(point: int, mapping: Sequence[int], old_nvars: int) -> int:
     return result
 
 
-#: Signature of the pluggable event-lattice replay used by the filter.
-TransitionCheck = Callable[[LabeledSop, int, int], bool]
-
-
 def hazards_subset(
     cell: HazardAnalysis,
     target: HazardAnalysis,
     mapping: Optional[Sequence[int]] = None,
     mode: str = "exact",
-    transition_check: TransitionCheck = transition_has_hazard,
 ) -> bool:
     """Section 3.2.2 filter: ``hazards(cell) ⊆ hazards(target)``?
 
     ``mapping`` renames cell variable ``i`` to target variable
     ``mapping[i]`` (the Boolean match's pin binding); identity when
     omitted.  See the module docstring for the two modes.
-    ``transition_check`` lets callers (the hazard cache) substitute a
-    memoized event-lattice replay; it must be extensionally equal to
-    :func:`repro.hazards.multilevel.transition_has_hazard`.
     """
     if mapping is None:
         mapping = list(range(cell.nvars))
@@ -246,11 +233,11 @@ def hazards_subset(
             for verdict in verdicts:
                 start = _map_point(verdict.start, mapping, cell.nvars)
                 end = _map_point(verdict.end, mapping, cell.nvars)
-                if not transition_check(target.lsop, start, end):
+                if not transition_has_hazard(target.lsop, start, end):
                     return False
             return True
         # Too large to enumerate — fall through to the record filter.
-    return _paper_filter(cell, target, mapping, transition_check)
+    return _paper_filter(cell, target, mapping)
 
 
 def _condition_exhibited(records, var: int, condition: Cover, nvars: int) -> bool:
@@ -276,7 +263,6 @@ def _paper_filter(
     cell: HazardAnalysis,
     target: HazardAnalysis,
     mapping: list[int],
-    transition_check: TransitionCheck = transition_has_hazard,
 ) -> bool:
     """The record-list filter, per hazard class (paper section 3.2.2)."""
     nvars = target.nvars
@@ -303,7 +289,7 @@ def _paper_filter(
             return False
     for dyn in cell.mic_dynamic:
         mapped = dyn.remap(mapping, nvars)
-        if not transition_check(target.lsop, mapped.start, mapped.end):
+        if not transition_has_hazard(target.lsop, mapped.start, mapped.end):
             return False
     return True
 
@@ -332,7 +318,6 @@ def find_subset_violation(
     target: HazardAnalysis,
     mapping: Optional[Sequence[int]] = None,
     mode: str = "exact",
-    transition_check: TransitionCheck = transition_has_hazard,
 ) -> Optional[SubsetViolation]:
     """First hazard of ``cell`` that ``target`` does not share.
 
@@ -353,21 +338,20 @@ def find_subset_violation(
             for verdict in verdicts:
                 start = _map_point(verdict.start, mapping, cell.nvars)
                 end = _map_point(verdict.end, mapping, cell.nvars)
-                if not transition_check(target.lsop, start, end):
+                if not transition_has_hazard(target.lsop, start, end):
                     witness = witness_for_verdict(verdict, cell)
                     return SubsetViolation(
                         witness.kind, witness.detail, witness, start, end
                     )
             return None
         # Too large to enumerate — fall through to the record walk.
-    return _paper_violation(cell, target, mapping, transition_check)
+    return _paper_violation(cell, target, mapping)
 
 
 def _paper_violation(
     cell: HazardAnalysis,
     target: HazardAnalysis,
     mapping: list[int],
-    transition_check: TransitionCheck = transition_has_hazard,
 ) -> Optional[SubsetViolation]:
     """Record-list walk mirroring :func:`_paper_filter`, returning the
     first offending record instead of a bare verdict."""
@@ -413,7 +397,7 @@ def _paper_violation(
             return violation_from(sic)
     for dyn in cell.mic_dynamic:
         mapped = dyn.remap(mapping, nvars)
-        if not transition_check(target.lsop, mapped.start, mapped.end):
+        if not transition_has_hazard(target.lsop, mapped.start, mapped.end):
             return violation_from(dyn)
     return None
 

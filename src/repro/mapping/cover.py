@@ -11,11 +11,16 @@ the subnetwork it replaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Optional
 
-from ..hazards.analyzer import HazardAnalysis, find_subset_violation
-from ..hazards.cache import HazardCache, global_cache
+from ..hazards.analyzer import (
+    HazardAnalysis,
+    analyze_expression,
+    find_subset_violation,
+    hazards_subset,
+)
+from ..hazards.multilevel import transition_has_hazard
 from ..library.library import Library
 from ..network.netlist import Netlist
 from ..network.partition import Cone
@@ -39,21 +44,17 @@ class MappingError(Exception):
 class CoverStats:
     """Bookkeeping for the runtime analysis of Tables 2 and 4.
 
-    Beyond match/filter counts this carries the performance-layer
-    telemetry: hazard-cache hit/miss counters (cluster analyses and
-    filter verdicts), total filter invocations, and per-cone wall time
-    (``cones`` / ``cone_seconds``; ``cone_seconds`` sums per-cone work,
-    so with parallel covering it exceeds wall-clock).
+    Match and filter counts plus per-cone wall time (``cones`` /
+    ``cone_seconds``; ``cone_seconds`` sums per-cone work, so with
+    parallel covering it exceeds wall-clock).
 
-    ``CoverStats`` is the thread-confined per-cone accumulator and the
-    backward-compatible view; the canonical run-level sink is a
-    :class:`repro.obs.metrics.MetricsRegistry` (``MappingResult.metrics``)
-    populated from the merged stats via :meth:`to_registry`.  The work
-    counters (everything but the timing field and the hit/miss *split*)
-    are deterministic for a given design/library and identical for any
-    worker count; the cache hit/miss split can shift between workers
-    when two threads race the same cold key, but each hit+miss *sum* is
-    stable (asserted in ``tests/mapping/test_stats_merge.py``).
+    ``CoverStats`` is the thread-confined per-cone accumulator; the
+    run-level sink is the :class:`repro.obs.metrics.MetricsRegistry`
+    (``MappingResult.metrics``), which absorbs the merged stats as
+    ``cover.*`` counters.  Every counter in :attr:`COUNTER_FIELDS` is a
+    pure function of design, library and options, so it is identical
+    for any worker count and any earlier run in the same process
+    (asserted in ``tests/mapping/test_stats_merge.py``).
     """
 
     clusters: int = 0
@@ -63,67 +64,22 @@ class CoverStats:
     hazard_accepts: int = 0
     dc_waivers: int = 0
     filter_invocations: int = 0
-    analysis_cache_hits: int = 0
-    analysis_cache_misses: int = 0
-    subset_cache_hits: int = 0
-    subset_cache_misses: int = 0
     cones: int = 0
     cone_seconds: float = 0.0
 
-    #: Integer work/cache counters, i.e. every field except the timing
-    #: sum ``cone_seconds``.  ``merge``, the registry bridges, and the
-    #: parallel-aggregation tests all iterate this one tuple so a new
-    #: counter cannot be silently left out of any of them.
-    COUNTER_FIELDS = (
-        "clusters",
-        "matches",
-        "hazardous_matches",
-        "hazard_rejections",
-        "hazard_accepts",
-        "dc_waivers",
-        "filter_invocations",
-        "analysis_cache_hits",
-        "analysis_cache_misses",
-        "subset_cache_hits",
-        "subset_cache_misses",
-        "cones",
-    )
+    #: Every field but the ``cone_seconds`` timing sum; filled in from
+    #: the dataclass fields after the class, so no counter can be left out.
+    COUNTER_FIELDS: ClassVar[tuple[str, ...]] = ()
 
     def merge(self, other: "CoverStats") -> None:
-        for name in self.COUNTER_FIELDS:
+        for item in fields(self):
+            name = item.name
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.cone_seconds += other.cone_seconds
 
-    @property
-    def cache_hits(self) -> int:
-        return self.analysis_cache_hits + self.subset_cache_hits
 
-    @property
-    def cache_misses(self) -> int:
-        return self.analysis_cache_misses + self.subset_cache_misses
-
-    # -- metrics-registry bridge ----------------------------------------
-    def to_registry(self, registry, prefix: str = "cover.") -> None:
-        """Publish these counters into a metrics registry (the canonical
-        run-level sink); equivalent to ``registry.absorb_cover_stats``."""
-        registry.absorb_cover_stats(self, prefix=prefix)
-
-    @classmethod
-    def from_registry(cls, registry, prefix: str = "cover.") -> "CoverStats":
-        """Reconstruct a stats view from ``cover.*`` registry counters.
-
-        The thin backward-compatibility window onto the registry: a
-        round trip through :meth:`to_registry` preserves every field.
-        """
-        stats = cls()
-        for name in cls.COUNTER_FIELDS:
-            metric = registry.get(prefix + name)
-            if metric is not None:
-                setattr(stats, name, int(metric.value))
-        metric = registry.get(prefix + "cone_seconds")
-        if metric is not None:
-            stats.cone_seconds = float(metric.value)
-        return stats
+CoverStats.COUNTER_FIELDS = tuple(
+    item.name for item in fields(CoverStats) if item.name != "cone_seconds"
+)
 
 
 @dataclass
@@ -158,7 +114,6 @@ def cover_cone(
     filter_mode: str = "exact",
     stats: Optional[CoverStats] = None,
     dont_cares=None,
-    cache: Optional[HazardCache] = None,
     tracer=None,
     explain=None,
 ) -> ConeCover:
@@ -172,10 +127,9 @@ def cover_cone(
     rejected hazardous cell gets a second chance: hazards no specified
     burst can excite are waived (paper section 6's extension).
 
-    Cluster analyses and filter verdicts go through ``cache`` (the
-    process-wide :func:`repro.hazards.cache.global_cache` by default) so
-    repeated structures — within a cone, across cones, and across whole
-    mapping runs — hit warm results; hits/misses land in ``stats``.
+    Each cluster is analysed at most once per cone, on its first
+    hazardous match; the filter itself is a pure function of (cell,
+    cluster, pin binding) and runs on every hazardous match.
 
     ``tracer`` (a :class:`repro.obs.tracer.Tracer`) records the two
     phases of the cone — cluster enumeration (section 3.1.3's candidate
@@ -193,8 +147,6 @@ def cover_cone(
     """
     if stats is None:
         stats = CoverStats()
-    if cache is None:
-        cache = global_cache()
     if tracer is None:
         tracer = NULL_TRACER
     with tracer.span("enumerate_clusters") as enum_span:
@@ -205,21 +157,15 @@ def cover_cone(
         )
 
     # Per-cone memo: repeated hazardous matches on one cluster reuse the
-    # analysis without rebuilding the expression or re-querying the
-    # shared cache (hit/miss counters fire once per distinct cluster).
+    # analysis instead of re-running the section-4 algorithms.
     analysis_memo: dict[tuple[str, tuple[str, ...]], HazardAnalysis] = {}
 
     def cluster_analysis(cluster: Cluster, expr) -> HazardAnalysis:
         key = (cluster.root, cluster.leaves)
         analysis = analysis_memo.get(key)
-        if analysis is not None:
-            return analysis
-        analysis, hit = cache.expression_analysis(expr, cluster.leaves)
-        if hit:
-            stats.analysis_cache_hits += 1
-        else:
-            stats.analysis_cache_misses += 1
-        analysis_memo[key] = analysis
+        if analysis is None:
+            analysis = analyze_expression(expr, cluster.leaves)
+            analysis_memo[key] = analysis
         return analysis
 
     best: dict[str, tuple[float, Optional[Selection]]] = {
@@ -250,20 +196,16 @@ def cover_cone(
                     analysis = cluster_analysis(cluster, expr)
                     assert match.cell.analysis is not None
                     stats.filter_invocations += 1
-                    accepted, hit = cache.hazards_subset(
+                    accepted = hazards_subset(
                         match.cell.analysis,
                         analysis,
                         mapping=list(match.binding),
                         mode=filter_mode,
                     )
-                    if hit:
-                        stats.subset_cache_hits += 1
-                    else:
-                        stats.subset_cache_misses += 1
                     waived = False
                     if not accepted and dont_cares is not None:
                         accepted = _accept_with_dont_cares(
-                            dont_cares, match, cluster, analysis, stats, cache
+                            dont_cares, match, cluster, analysis, stats
                         )
                         waived = accepted
                     if record is not None:
@@ -341,9 +283,8 @@ def _record_rejection(record, match, analysis, filter_mode: str) -> None:
     """Attach the offending hazard + witness to a rejected candidate.
 
     Runs only on actual rejections with explain enabled, so it can
-    afford the uncached :func:`find_subset_violation` walk — a pure
-    function of (cell, cluster, binding), hence identical for any worker
-    count or cache state.
+    afford the :func:`find_subset_violation` walk — a pure function of
+    (cell, cluster, binding), hence identical for any worker count.
     """
     record.outcome = REJECTED_HAZARD
     violation = find_subset_violation(
@@ -356,9 +297,7 @@ def _record_rejection(record, match, analysis, filter_mode: str) -> None:
         record.reason = violation_reason(violation, analysis.names)
 
 
-def _accept_with_dont_cares(
-    dont_cares, match, cluster, analysis, stats, cache: Optional[HazardCache] = None
-) -> bool:
+def _accept_with_dont_cares(dont_cares, match, cluster, analysis, stats) -> bool:
     """Second-chance screening under hazard don't-cares (section 6).
 
     The cell's exhaustive hazardous-transition list is filtered down to
@@ -368,8 +307,6 @@ def _accept_with_dont_cares(
     """
     from .dontcare import waive_irrelevant_hazards
 
-    if cache is None:
-        cache = global_cache()
     assert match.cell.analysis is not None
     verdicts = match.cell.analysis.ensure_verdicts()
     if verdicts is None:
@@ -384,7 +321,7 @@ def _accept_with_dont_cares(
     if waived == 0:
         return False  # nothing waived: the plain filter already said no
     for start, end in relevant:
-        if not cache.transition_has_hazard(analysis.lsop, start, end):
+        if not transition_has_hazard(analysis.lsop, start, end):
             return False
     stats.dc_waivers += waived
     return True

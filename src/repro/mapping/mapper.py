@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..deadline import Deadline
@@ -56,8 +55,8 @@ class MappingOptions:
     ``workers`` controls parallel cone covering: ``1`` (default) covers
     cones serially, ``0`` auto-sizes to the CPU count, and any other
     value is a thread-pool width.  Results are deterministic regardless
-    of worker count — cones are independent given the shared hazard
-    cache, and results are merged in cone order.
+    of worker count — cones are independent, and results are merged in
+    cone order.
 
     ``annotation_cache_dir`` is forwarded to
     :meth:`repro.library.library.Library.annotate_hazards` so the
@@ -141,61 +140,17 @@ class MappingResult:
         }
 
 
-#: Historical aliases for option keywords the pre-``repro.api`` surface
-#: accepted in various spellings.
-_LEGACY_ALIASES = {"depth": "max_depth"}
-
-
-def _legacy_options(
-    options: Optional[MappingOptions], legacy: dict, caller: str
-) -> MappingOptions:
-    """Translate deprecated per-knob keywords into ``MappingOptions``.
-
-    The supported names are exactly the ``MappingOptions`` fields (plus
-    a few historical aliases); anything else is a ``TypeError``, and
-    any use at all warns — new code should pass a
-    :class:`repro.api.MapRequest` through :func:`repro.api.execute_map`
-    or build ``MappingOptions`` explicitly.
-    """
-    if not legacy:
-        return options or MappingOptions()
-    if options is not None:
-        raise TypeError(
-            f"{caller}() takes either an options object or legacy keyword "
-            "options, not both"
-        )
-    known = {f.name for f in fields(MappingOptions)}
-    normalized = {_LEGACY_ALIASES.get(key, key): value
-                  for key, value in legacy.items()}
-    unknown = sorted(set(normalized) - known)
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword argument(s): "
-            f"{', '.join(unknown)}"
-        )
-    warnings.warn(
-        f"passing mapping options to {caller}() as keywords "
-        f"({', '.join(sorted(legacy))}) is deprecated; pass a "
-        "repro.api.MapRequest to repro.api.execute_map, or a "
-        "MappingOptions object",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return MappingOptions(**normalized)
-
-
 def tmap(
     network: Netlist,
     library: Library,
     options: Optional[MappingOptions] = None,
-    **legacy,
 ) -> MappingResult:
     """Synchronous technology mapping (the CERES-style baseline).
 
     Uses the simplifying decomposition and ignores hazards entirely —
     hence unsafe for fundamental-mode asynchronous designs (Figure 3).
     """
-    options = _legacy_options(options, legacy, "tmap")
+    options = options or MappingOptions()
     tracer = options.tracer or NULL_TRACER
     metrics = options.metrics if options.metrics is not None else MetricsRegistry()
     start = time.perf_counter()
@@ -222,7 +177,6 @@ def async_tmap(
     network: Netlist,
     library: Library,
     options: Optional[MappingOptions] = None,
-    **legacy,
 ) -> MappingResult:
     """Asynchronous technology mapping (the paper's contribution).
 
@@ -230,7 +184,7 @@ def async_tmap(
     and screens hazardous-cell matches, so the mapped network has no
     logic hazard absent from the source (Theorem 3.2).
     """
-    options = _legacy_options(options, legacy, "async_tmap")
+    options = options or MappingOptions()
     tracer = options.tracer or NULL_TRACER
     metrics = options.metrics if options.metrics is not None else MetricsRegistry()
     start = time.perf_counter()
@@ -293,7 +247,6 @@ def map_network(
     library: Union[str, Library],
     options: Optional[MappingOptions] = None,
     mode: str = "async",
-    **legacy,
 ) -> MappingResult:
     """Map one design onto one library — the single-job entry point.
 
@@ -315,7 +268,6 @@ def map_network(
         library = load_library(library)
     if mode not in ("async", "sync"):
         raise ValueError(f"unknown mapping mode {mode!r}")
-    options = _legacy_options(options, legacy, "map_network")
     mapper = async_tmap if mode == "async" else tmap
     return mapper(design, library, options)
 
@@ -327,17 +279,8 @@ def _map_decomposed(
     options: MappingOptions,
     hazard_filter: bool,
     mode: str,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> MappingResult:
-    if metrics is None:
-        metrics = (
-            options.metrics if options.metrics is not None else MetricsRegistry()
-        )
-    if hazard_filter and not library.annotated:
-        library.annotate_hazards(
-            exhaustive=options.exhaustive_annotation,
-            cache_dir=options.annotation_cache_dir,
-        )
     dont_cares = None
     if hazard_filter and options.input_bursts:
         from .dontcare import HazardDontCares
@@ -397,9 +340,10 @@ def _map_decomposed(
 
     try:
         if workers > 1 and len(cones) > 1:
-            # Cones are independent and the hazard cache is thread-safe;
-            # pool.map preserves cone order, so the merged result is
-            # identical to the serial one.
+            # Cones are independent: they share only the annotated
+            # library, whose indexes are built above; pool.map preserves
+            # cone order, so the merged result is identical to the
+            # serial one.
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(cover_one, cones))
         else:

@@ -1,22 +1,19 @@
 """Counters, gauges, and histograms for the mapping pipeline.
 
-A :class:`MetricsRegistry` is the canonical sink for the pipeline's
-numeric telemetry.  It absorbs and supersedes the ad-hoc counter bag
-the mapper grew in the performance PR — ``CoverStats`` remains the
-backward-compatible per-cone accumulator (plain attributes are the
-right shape for a single-threaded hot loop), but the merged run-level
-numbers land here, alongside phase timings and cache statistics, under
-stable dotted names:
+A :class:`MetricsRegistry` is the one sink for the pipeline's numeric
+telemetry.  ``CoverStats`` is only the per-cone accumulator (plain
+attributes are the right shape for a single-threaded hot loop); the
+merged run-level numbers land here, alongside phase timings and cache
+statistics, under stable dotted names:
 
 * ``cover.*``       — the merged :class:`~repro.mapping.cover.CoverStats`
-  counters (``cover.matches``, ``cover.analysis_cache_hits``, …);
+  counters (``cover.matches``, ``cover.filter_invocations``, …);
 * ``map.*``         — run-level quality/timing gauges (``map.area``,
   ``map.elapsed_seconds``, ``map.cones``);
 * ``annotate.*``    — library-annotation timing and cold/warm source;
 * ``anncache.*``    — on-disk annotation-cache I/O timings;
-* ``hazard.*``      — hazard-analysis call counts and durations;
-* ``hazard_cache.*`` — memo-cache hit/miss mirrors (opt-in via
-  :meth:`repro.hazards.cache.HazardCache.bind_metrics`).
+* ``hazard.*``      — hazard-analysis call counts and durations, from
+  callers that pass a registry to ``analyze_expression``/``analyze_cover``.
 
 Thread safety: instrument creation takes the registry lock; each
 instrument guards its own updates, so worker threads may update shared
@@ -29,6 +26,7 @@ result once per run, keeping disabled/enabled overhead far under the
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import threading
 from typing import Optional, Union
 
@@ -238,29 +236,15 @@ class MetricsRegistry:
                         if current is None or better(current, theirs):
                             setattr(mine, attr, theirs)
 
-    # -- bridges from the legacy stat bags -------------------------------
     def absorb_cover_stats(self, stats, prefix: str = "cover.") -> None:
         """Fold a merged :class:`~repro.mapping.cover.CoverStats` in.
 
-        Integer fields become counters; ``cone_seconds`` (a duration
-        sum, not a count) becomes a ``cover.cone_seconds`` counter too
-        so repeated runs accumulate, mirroring ``CoverStats.merge``.
+        Every field becomes a counter — ``cone_seconds`` (a duration
+        sum, not a count) too, so repeated runs accumulate, mirroring
+        ``CoverStats.merge``.
         """
-        for name in stats.COUNTER_FIELDS:
-            self.counter(prefix + name).inc(getattr(stats, name))
-        self.counter(prefix + "cone_seconds").inc(stats.cone_seconds)
-
-    def absorb_cache_stats(self, stats, prefix: str = "hazard_cache.") -> None:
-        """Fold a :class:`~repro.hazards.cache.CacheStats` snapshot in."""
-        for name in (
-            "analysis_hits",
-            "analysis_misses",
-            "subset_hits",
-            "subset_misses",
-            "transition_hits",
-            "transition_misses",
-        ):
-            self.counter(prefix + name).inc(getattr(stats, name))
+        for item in dataclasses.fields(stats):
+            self.counter(prefix + item.name).inc(getattr(stats, item.name))
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self)} instruments)"

@@ -2,15 +2,15 @@
 
 Replays the paper's Table-5 experiment — async-map every burst-mode
 benchmark onto one library — and records, per benchmark, the wall time,
-hazard-cache hit rates, mapped area/cell counts, and the
-``verify_mapping`` verdict.  The snapshot (schema
+mapped area/cell counts, covering work (cones, matches, hazard-filter
+invocations), and the ``verify_mapping`` verdict.  The snapshot (schema
 ``repro-bench-mapping/v1``) is what ``benchmarks/check_regression.py``
 diffs against the committed baseline: quality fields must match
 exactly; timings may drift within a tolerance.
 
 The library is annotated once up front (the Table-2 initialization
-cost, reported separately as ``annotate_seconds``) and the global
-hazard cache is cleared before each benchmark, so per-benchmark numbers
+cost, reported separately as ``annotate_seconds``); no mapping state
+carries over from one benchmark to the next, so per-benchmark numbers
 are independent of catalog order.
 """
 
@@ -20,7 +20,6 @@ import time
 from typing import Optional, Sequence
 
 from ..burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
-from ..hazards.cache import clear_global_cache
 from ..library.library import Library
 from ..library.standard import load_library
 from ..mapping.mapper import MappingOptions, MappingResult, async_tmap
@@ -36,7 +35,6 @@ SMOKE_BENCHMARKS = ("chu-ad-opt", "vanbek-opt")
 def benchmark_entry(result: MappingResult, verify: bool) -> dict:
     """One benchmark's snapshot row from its mapping result."""
     stats = result.stats
-    total_lookups = stats.cache_hits + stats.cache_misses
     entry = {
         "map_seconds": round(result.elapsed, 4),
         "area": result.area,
@@ -46,13 +44,6 @@ def benchmark_entry(result: MappingResult, verify: bool) -> dict:
         "cones": stats.cones,
         "matches": stats.matches,
         "filter_invocations": stats.filter_invocations,
-        "cache": {
-            "hits": stats.cache_hits,
-            "misses": stats.cache_misses,
-            "hit_rate": round(stats.cache_hits / total_lookups, 4)
-            if total_lookups
-            else 0.0,
-        },
     }
     if verify:
         report = verify_mapping(result.source, result.mapped)
@@ -89,7 +80,6 @@ def run_perf(
     rows: dict[str, dict] = {}
     for name in names:
         network = synthesize_benchmark(name).netlist(name)
-        clear_global_cache()
         options = MappingOptions(
             max_depth=max_depth,
             workers=workers,
@@ -101,7 +91,6 @@ def run_perf(
         rows[name] = entry
         if progress is not None:
             progress(name, entry)
-    clear_global_cache()
 
     return {
         "schema": BENCH_SCHEMA,

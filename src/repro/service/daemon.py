@@ -19,6 +19,12 @@ Operational contracts:
   inherit the service default; overruns degrade inside the facade to
   the trivial depth-1 cover (``fallback="trivial-cover"``), never to an
   error.
+* **Bounded input** — a request body must declare a non-negative
+  integer ``Content-Length`` (else ``400``) of at most
+  :data:`MAX_BODY_BYTES` (else ``413``, body unread), and a client that
+  stalls for :data:`SOCKET_TIMEOUT_SECONDS` — a body shorter than it
+  declared, say — loses its connection instead of holding a handler
+  thread.
 * **Graceful drain** — SIGTERM/SIGINT flips the service to draining
   (new requests get ``503``), waits for in-flight requests to finish,
   then stops the listener and writes the trace/metrics artifacts.
@@ -75,6 +81,14 @@ from ..testing.faults import FaultPlan
 
 #: Seconds a 429'd client is told to back off before retrying.
 RETRY_AFTER_SECONDS = 1
+
+#: Largest request body the daemon reads; a longer declared length is
+#: answered 413 without reading the body.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Seconds a handler blocks on one socket read or write before it drops
+#: the connection.
+SOCKET_TIMEOUT_SECONDS = 30.0
 
 #: Endpoint path -> the request kind it accepts.
 ENDPOINT_KINDS = {
@@ -499,6 +513,7 @@ class MappingService:
 def _make_handler(service: MappingService):
     class _Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        timeout = SOCKET_TIMEOUT_SECONDS
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib name
             pass  # the tracer is the access log
@@ -532,8 +547,31 @@ def _make_handler(service: MappingService):
             )
             self._reply(status, body, headers)
 
+        def _body_length(self) -> Optional[int]:
+            """The declared body length, or ``None`` once it has been
+            answered 400/413."""
+            declared = self.headers.get("Content-Length")
+            if declared is None:
+                if "Transfer-Encoding" not in self.headers:
+                    return 0
+                status, error = 400, "a request body needs a Content-Length"
+            elif not (declared.isascii() and declared.strip().isdigit()):
+                status, error = 400, f"bad Content-Length {declared!r}"
+            elif int(declared) > MAX_BODY_BYTES:
+                status = 413
+                error = f"request body over {MAX_BODY_BYTES} bytes"
+            else:
+                return int(declared)
+            service.metrics.counter(
+                "service.errors" if status == 400 else "service.rejected.413"
+            ).inc()
+            self._reply(status, {"error": error}, {})
+            return None
+
         def do_POST(self) -> None:  # noqa: N802 - stdlib dispatch name
-            length = int(self.headers.get("Content-Length") or 0)
+            length = self._body_length()
+            if length is None:
+                return
             raw = self.rfile.read(length) if length else b""
             try:
                 payload = json.loads(raw.decode("utf-8")) if raw else None
@@ -587,8 +625,10 @@ def serve(config: Optional[ServiceConfig] = None) -> int:
 
 __all__ = [
     "ENDPOINT_KINDS",
+    "MAX_BODY_BYTES",
     "MappingService",
     "RETRY_AFTER_SECONDS",
+    "SOCKET_TIMEOUT_SECONDS",
     "ServiceConfig",
     "serve",
 ]

@@ -23,7 +23,6 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent.parent / "src"))
 
 from repro.burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
-from repro.hazards.cache import clear_global_cache
 from repro.library.standard import load_library
 from repro.mapping.mapper import MappingOptions, async_tmap
 from repro.mapping.verify import verify_mapping
@@ -48,7 +47,6 @@ def golden_entry(result, report) -> dict:
 def main() -> int:
     library = load_library(LIBRARY)
     library.annotate_hazards()
-    clear_global_cache()
     golden: dict[str, dict] = {}
     for name in TABLE5_ORDER:
         network = synthesize_benchmark(name).netlist(name)

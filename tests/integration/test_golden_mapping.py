@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro.burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
-from repro.hazards.cache import clear_global_cache
 from repro.library.standard import load_library
 from repro.mapping.mapper import MappingOptions, async_tmap
 from repro.mapping.verify import verify_mapping
@@ -34,7 +33,6 @@ def cmos3():
     library = load_library(GOLDEN["library"])
     if not library.annotated:
         library.annotate_hazards()
-    clear_global_cache()
     return library
 
 

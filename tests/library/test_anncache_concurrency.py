@@ -53,7 +53,7 @@ def test_concurrent_writers_never_tear_the_payload(tmp_path):
         for proc in writers:
             proc.join(timeout=60)
     assert all(proc.exitcode == 0 for proc in writers)
-    # Fork-inherited warm hazard caches can make the writers finish
+    # Fork-inherited warm library state can make the writers finish
     # before the loop's first lap; the published payload must still be
     # whole afterwards.
     json.loads(path.read_text())

@@ -20,7 +20,6 @@ import json
 
 import pytest
 
-from repro.hazards.cache import clear_global_cache
 from repro.hazards.witness import HazardWitness, replay_witness
 from repro.mapping.mapper import MappingOptions, async_tmap
 from repro.network.netlist import Netlist
@@ -53,7 +52,6 @@ EQUATIONS = {
 
 
 def run_explained(mini_library, equations, workers=1, name="net"):
-    clear_global_cache()
     net = Netlist.from_equations(equations, name=name)
     return async_tmap(
         net, mini_library, MappingOptions(explain=True, workers=workers)
@@ -62,7 +60,6 @@ def run_explained(mini_library, equations, workers=1, name="net"):
 
 class TestExplainRecording:
     def test_disabled_by_default(self, mini_library):
-        clear_global_cache()
         net = Netlist.from_equations(MUX_CONSENSUS)
         result = async_tmap(net, mini_library, MappingOptions())
         assert result.explain is None

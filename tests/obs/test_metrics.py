@@ -102,10 +102,6 @@ class TestCoverStatsBridge:
             hazard_rejections=1,
             hazard_accepts=1,
             filter_invocations=2,
-            analysis_cache_hits=5,
-            analysis_cache_misses=4,
-            subset_cache_hits=1,
-            subset_cache_misses=1,
             cones=2,
             cone_seconds=0.25,
         )
@@ -118,15 +114,6 @@ class TestCoverStatsBridge:
             assert registry.counter("cover." + name).value == getattr(stats, name)
         assert registry.counter("cover.cone_seconds").value == pytest.approx(0.25)
 
-    def test_round_trip_through_registry(self):
-        registry = MetricsRegistry()
-        stats = self._stats()
-        stats.to_registry(registry)
-        back = CoverStats.from_registry(registry)
-        for name in CoverStats.COUNTER_FIELDS:
-            assert getattr(back, name) == getattr(stats, name)
-        assert back.cone_seconds == pytest.approx(stats.cone_seconds)
-
     def test_repeated_absorb_accumulates_like_merge(self):
         registry = MetricsRegistry()
         stats = self._stats()
@@ -135,6 +122,8 @@ class TestCoverStatsBridge:
         merged = CoverStats()
         merged.merge(stats)
         merged.merge(stats)
-        back = CoverStats.from_registry(registry)
         for name in CoverStats.COUNTER_FIELDS:
-            assert getattr(back, name) == getattr(merged, name)
+            assert registry.get("cover." + name).value == getattr(merged, name)
+        assert registry.get("cover.cone_seconds").value == pytest.approx(
+            merged.cone_seconds
+        )

@@ -36,7 +36,6 @@ def snapshot(**overrides) -> dict:
                 "cones": 4,
                 "matches": 14,
                 "filter_invocations": 0,
-                "cache": {"hits": 0, "misses": 0, "hit_rate": 0.0},
                 "verify": {"equivalent": True, "hazard_safe": True, "ok": True},
             },
             "vanbek-opt": {
@@ -48,7 +47,6 @@ def snapshot(**overrides) -> dict:
                 "cones": 6,
                 "matches": 16,
                 "filter_invocations": 0,
-                "cache": {"hits": 0, "misses": 0, "hit_rate": 0.0},
                 "verify": {"equivalent": True, "hazard_safe": True, "ok": True},
             },
         },

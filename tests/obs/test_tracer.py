@@ -17,7 +17,6 @@ import threading
 
 import pytest
 
-from repro.hazards.cache import clear_global_cache
 from repro.mapping.mapper import MappingOptions, async_tmap, tmap
 from repro.network.netlist import Netlist
 from repro.obs.tracer import (
@@ -172,7 +171,6 @@ class TestShape:
 
 class TestMappingTraces:
     def _map(self, library, workers: int, equations=EQUATIONS) -> Tracer:
-        clear_global_cache()
         tracer = Tracer()
         net = Netlist.from_equations(equations)
         async_tmap(net, library, MappingOptions(tracer=tracer, workers=workers))
@@ -211,7 +209,6 @@ class TestMappingTraces:
         assert trace_shape(serial) == trace_shape(threaded)
 
     def test_concurrent_runs_do_not_leak_spans(self, mini_library):
-        clear_global_cache()
         tracers = {"one": Tracer(), "two": Tracer()}
         nets = {
             "one": Netlist.from_equations(EQUATIONS),

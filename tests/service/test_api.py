@@ -1,4 +1,4 @@
-"""Contract tests for the ``repro-api/v1`` schema and its shims.
+"""Contract tests for the ``repro-api/v1`` schema.
 
 Round-trip: every request/response type survives ``to_payload`` →
 ``from_payload`` unchanged.  Tamper: a wrong schema stamp, an unknown
@@ -12,7 +12,6 @@ miss one of the derived surfaces.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -186,29 +185,6 @@ class TestBatchJobCorrespondence:
 
 
 class TestLegacyKeywordShims:
-    def test_legacy_keywords_warn_and_apply(self, mini_library):
-        from repro.burstmode.benchmarks import synthesize_benchmark
-        from repro.mapping.mapper import MappingOptions, map_network
-
-        network = synthesize_benchmark("dme").netlist("dme")
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = map_network(network, mini_library, depth=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            modern = map_network(
-                network, mini_library, MappingOptions(max_depth=2)
-            )
-        assert legacy.area == modern.area
-        assert legacy.cell_usage() == modern.cell_usage()
-
-    def test_options_and_keywords_conflict(self, mini_library):
-        from repro.burstmode.benchmarks import synthesize_benchmark
-        from repro.mapping.mapper import MappingOptions, tmap
-
-        network = synthesize_benchmark("dme").netlist("dme")
-        with pytest.raises(TypeError, match="not both"):
-            tmap(network, mini_library, MappingOptions(), max_depth=2)
-
     def test_unknown_keyword_rejected(self, mini_library):
         from repro.burstmode.benchmarks import synthesize_benchmark
         from repro.mapping.mapper import async_tmap
