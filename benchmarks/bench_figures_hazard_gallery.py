@@ -10,6 +10,7 @@ from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 from repro.boolean.expr import parse
 from repro.boolean.paths import label_cover, label_expression
+from repro.conformance import certify_mapping
 from repro.hazards.dynamic import exhibits_mic_dynamic, find_mic_dyn_haz_2level
 from repro.hazards.multilevel import find_mic_dyn_haz_multilevel
 from repro.hazards.oracle import classify_transition
@@ -18,7 +19,6 @@ from repro.hazards.static0 import find_static0_hazards
 from repro.hazards.static1 import exhibits_static1, find_static1_hazards
 from repro.hazards.transition import dynamic_fhf, transition_space
 from repro.mapping.mapper import async_tmap, tmap
-from repro.mapping.verify import verify_mapping
 from repro.network.netlist import Netlist
 from repro.reporting import render_table
 
@@ -63,10 +63,10 @@ def test_figure2c_dynamic(benchmark):
 
 def test_figure3_boolean_match_loses_redundant_cube(mini_library, benchmark):
     net = Netlist.from_equations({"f": "s*a + s'*b + a*b"})
-    sync_report = verify_mapping(net, tmap(net, mini_library).mapped)
-    async_report = verify_mapping(net, async_tmap(net, mini_library).mapped)
-    assert sync_report.equivalent and not sync_report.hazard_safe
-    assert async_report.ok
+    sync_cert = certify_mapping(net, tmap(net, mini_library).mapped)
+    async_cert = certify_mapping(net, async_tmap(net, mini_library).mapped)
+    assert sync_cert.equivalent and not sync_cert.hazard_safe
+    assert async_cert.certified
     record("3", "sync Boolean match drops the consensus cube; async keeps it")
     benchmark.pedantic(lambda: async_tmap(net, mini_library), rounds=1, iterations=1)
 

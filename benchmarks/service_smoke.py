@@ -2,7 +2,7 @@
 """CI smoke for the serving daemon: boot, mixed traffic, counted drain.
 
 Boots ``python -m repro serve`` as a real subprocess, drives a mixed
-request workload (map / map+verify / explain / verify) through the
+request workload (map / map+verify / explain / certify) through the
 client, and asserts:
 
 * every response is well-formed and verifies;
@@ -30,9 +30,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import (  # noqa: E402
+    CertifyRequest,
     ExplainRequest,
     MapRequest,
-    VerifyRequest,
 )
 from repro.service.client import ServiceClient  # noqa: E402
 
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         client = ServiceClient(banner.split()[-1])
         client.wait_ready(timeout=15)
 
-        # Mixed workload: 3 maps (one verified), 1 explain, 1 verify.
+        # Mixed workload: 3 maps (one verified), 1 explain, 1 certify.
         plain = client.map(MapRequest(design="dme", library=args.library))
         warm = client.map(MapRequest(design="dme", library=args.library))
         checked = client.map(
@@ -85,8 +85,8 @@ def main(argv=None) -> int:
         explained = client.explain(
             ExplainRequest(design="chu-ad-opt", library=args.library)
         )
-        verdict = client.verify(
-            VerifyRequest(design="dme", mapped_blif=plain.blif)
+        verdict = client.certify(
+            CertifyRequest(design="dme", mapped_blif=plain.blif)
         )
 
         _expect("map status", plain.status, "ok")
@@ -96,8 +96,8 @@ def main(argv=None) -> int:
             _fail(f"verified map failed: {checked.verify!r}")
         if not explained.rendered:
             _fail("explain response rendered no report lines")
-        if not verdict.ok:
-            _fail(f"verify endpoint verdict: {verdict!r}")
+        if not verdict.certified:
+            _fail(f"certify endpoint verdict: {verdict!r}")
 
         metrics = client.metrics()["metrics"]
 
@@ -110,7 +110,7 @@ def main(argv=None) -> int:
             "service.requests.explain", counter("service.requests.explain"), 1
         )
         _expect(
-            "service.requests.verify", counter("service.requests.verify"), 1
+            "service.requests.certify", counter("service.requests.certify"), 1
         )
         _expect("service.errors", counter("service.errors"), 0)
         _expect(
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
             process.wait(timeout=10)
 
     print(
-        "service smoke passed: 5 requests (3 map / 1 explain / 1 verify), "
+        "service smoke passed: 5 requests (3 map / 1 explain / 1 certify), "
         "counters exact, 1 annotation, clean drain"
     )
     return 0

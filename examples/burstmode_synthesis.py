@@ -12,8 +12,9 @@ controller:
 Run:  python examples/burstmode_synthesis.py
 """
 
-from repro import BurstModeSpec, async_tmap, load_library, synthesize, verify_mapping
+from repro import BurstModeSpec, async_tmap, load_library, synthesize
 from repro.boolean.paths import label_expression
+from repro.conformance import certify_mapping
 from repro.hazards.oracle import classify_transition
 
 
@@ -50,9 +51,9 @@ def main() -> None:
     print(f"\nmapped onto {library.name}: area={result.area:.0f} "
           f"delay={result.delay:.2f}ns cells={result.cell_usage()}")
 
-    report = verify_mapping(network, result.mapped)
-    print(f"functional equivalence: {report.equivalent}, "
-          f"hazard-safe: {report.hazard_safe}")
+    certificate = certify_mapping(network, result.mapped, library)
+    print(f"functional equivalence: {certificate.equivalent}, "
+          f"hazard-safe: {certificate.hazard_safe}")
 
     print("\nspecified input bursts, replayed on the mapped gates:")
     for target in synthesis.equations:

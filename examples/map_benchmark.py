@@ -10,8 +10,9 @@ e.g.  python examples/map_benchmark.py dme CMOS3
 
 import sys
 
-from repro import async_tmap, load_library, tmap, verify_mapping
+from repro import async_tmap, load_library, tmap
 from repro.burstmode import CATALOG, synthesize_benchmark
+from repro.conformance import certify_mapping
 
 
 def main() -> None:
@@ -45,10 +46,9 @@ def main() -> None:
             print(f"  hazard filter: {result.stats.hazardous_matches} screened, "
                   f"{result.stats.hazard_rejections} rejected, "
                   f"{result.stats.hazard_accepts} accepted")
-        if len(network.inputs) <= 10:
-            report = verify_mapping(network, result.mapped)
-            print(f"  equivalent={report.equivalent} "
-                  f"hazard_safe={report.hazard_safe}")
+        certificate = certify_mapping(network, result.mapped, library)
+        print(f"  equivalent={certificate.equivalent} "
+              f"hazard_safe={certificate.hazard_safe}")
 
 
 if __name__ == "__main__":

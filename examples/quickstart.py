@@ -7,7 +7,8 @@ the asynchronous mapper, then verifies which flow kept the design safe.
 Run:  python examples/quickstart.py
 """
 
-from repro import Netlist, async_tmap, minimal_teaching_library, tmap, verify_mapping
+from repro import Netlist, async_tmap, minimal_teaching_library, tmap
+from repro.conformance import certify_mapping
 
 
 def main() -> None:
@@ -23,16 +24,16 @@ def main() -> None:
     print("design: f = s*a + s'*b + a*b  (hazard-free source)")
     print()
     for result in (sync_result, async_result):
-        report = verify_mapping(design, result.mapped)
+        certificate = certify_mapping(design, result.mapped, library)
         print(f"{result.mode:>5} mapper: area={result.area:4.0f} "
               f"delay={result.delay:.2f}  cells={result.cell_usage()}")
-        print(f"       equivalent={report.equivalent} "
-              f"hazard_safe={report.hazard_safe}")
-        for violation in report.violations[:2]:
+        print(f"       equivalent={certificate.equivalent} "
+              f"hazard_safe={certificate.hazard_safe}")
+        for violation in certificate.violations[:2]:
             print(f"       ! {violation}")
         print()
 
-    assert verify_mapping(design, async_result.mapped).ok
+    assert certify_mapping(design, async_result.mapped, library).certified
     print("the asynchronous mapper preserved hazard-freedom; "
           "the synchronous one did not.")
 

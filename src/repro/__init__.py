@@ -26,16 +26,21 @@ Production surfaces on top of the core:
 * :mod:`repro.batch` — the fault-tolerant batch engine;
 * :mod:`repro.service` — the persistent mapping daemon (``repro
   serve``) and its HTTP client;
+* :mod:`repro.conformance` — the independent certifier behind every
+  equivalence + Theorem 3.2 verdict (``repro map --verify``,
+  ``repro certify``, ``/v1/certify``);
 * :mod:`repro.obs` — tracing, metrics, benchmark snapshots, and the
   regression gate.
 
 Quickstart::
 
-    from repro import Netlist, async_tmap, load_library, verify_mapping
+    from repro import Netlist, async_tmap, load_library
+    from repro.conformance import certify_mapping
 
     net = Netlist.from_equations({"f": "s*a + s'*b + a*b"})
-    result = async_tmap(net, load_library("CMOS3"))
-    assert verify_mapping(net, result.mapped).ok
+    library = load_library("CMOS3")
+    result = async_tmap(net, library)
+    assert certify_mapping(net, result.mapped, library).certified
 
 Or through the versioned facade (what the CLI and service speak)::
 
@@ -67,7 +72,6 @@ from .mapping import (
     MappingResult,
     async_tmap,
     tmap,
-    verify_mapping,
 )
 from .network import Netlist, async_tech_decomp, partition, tech_decomp
 
@@ -105,5 +109,4 @@ __all__ = [
     "synthesize",
     "tech_decomp",
     "tmap",
-    "verify_mapping",
 ]

@@ -11,6 +11,10 @@ The request/response contract (``repro-api/v1``) lives in
     assert response.verify["ok"]
     open("dme.blif", "w").write(response.blif)
 
+``verify=True`` attaches the verdict of
+:func:`repro.conformance.certify_mapping` at its defaults — the same
+checker ``repro certify`` and ``execute_certify`` run.
+
 The CLI (``repro map``/``batch``/``explain``), the batch engine's
 workers, and the HTTP service (``repro serve``) all route through this
 module, so the response for a given request is byte-identical no matter
@@ -25,7 +29,6 @@ from .facade import (  # noqa: F401
     execute_certify,
     execute_explain,
     execute_map,
-    execute_verify,
     netlist_blif,
     read_blif_text,
     request_netlist,
@@ -51,8 +54,6 @@ from .schema import (  # noqa: F401
     OPTION_FIELDS,
     OPTION_NAMES,
     OptionField,
-    VerifyRequest,
-    VerifyResponse,
     add_option_arguments,
     option_values_from_args,
     parse_request,
@@ -77,15 +78,12 @@ __all__ = [
     "OPTION_FIELDS",
     "OPTION_NAMES",
     "OptionField",
-    "VerifyRequest",
-    "VerifyResponse",
     "add_option_arguments",
     "clear_library_cache",
     "execute_batch",
     "execute_certify",
     "execute_explain",
     "execute_map",
-    "execute_verify",
     "netlist_blif",
     "read_blif_text",
     "option_values_from_args",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import io
 import threading
-import time
 from dataclasses import replace
 from typing import Optional, Union
 
@@ -39,8 +38,6 @@ from .schema import (
     ExplainResponse,
     MapRequest,
     MapResponse,
-    VerifyRequest,
-    VerifyResponse,
 )
 
 #: Depth the trivial-cover fallback maps at when a deadline fires:
@@ -100,7 +97,7 @@ def loaded_libraries() -> list[str]:
 
 
 def request_netlist(
-    request: Union[MapRequest, ExplainRequest, VerifyRequest, CertifyRequest],
+    request: Union[MapRequest, ExplainRequest, CertifyRequest],
 ) -> Netlist:
     """Resolve a request's design — catalog name or inline network."""
     if request.design is not None:
@@ -272,7 +269,12 @@ def run_map(
         )
         result = map_network(net, lib, fallback_options, mode=request.mode)
     response = _response_from_result(
-        request, result, fallback=fallback, deadline_site=deadline_site
+        request,
+        result,
+        fallback=fallback,
+        deadline_site=deadline_site,
+        metrics=metrics,
+        tracer=tracer,
     )
     if result_cache is not None and fallback is None:
         # Fallback responses are deadline artifacts, not the mapping of
@@ -316,24 +318,44 @@ def execute_map(
     return response
 
 
+def certify_verdict(result, *, metrics=None, tracer=None) -> dict:
+    """The ``verify`` verdict of a mapping: the certifier's, at its defaults.
+
+    ``ok`` is ``certificate.certified``, so besides equivalence and
+    Theorem 3.2 containment it covers the interface and the cell
+    bindings the in-memory netlist still carries.
+    """
+    from ..conformance.certifier import certify_mapping
+
+    certificate = certify_mapping(
+        result.source,
+        result.mapped,
+        result.library,
+        metrics=metrics,
+        tracer=tracer,
+    )
+    return {
+        "equivalent": certificate.equivalent,
+        "hazard_safe": certificate.hazard_safe,
+        "ok": certificate.certified,
+    }
+
+
 def _response_from_result(
     request: MapRequest,
     result,
     *,
     fallback: Optional[str],
     deadline_site: Optional[str],
+    metrics=None,
+    tracer=None,
 ) -> MapResponse:
     blif = netlist_blif(result.mapped)
     verify_verdicts = None
     if request.verify:
-        from ..mapping.verify import verify_mapping
-
-        report = verify_mapping(result.source, result.mapped)
-        verify_verdicts = {
-            "equivalent": bool(report.equivalent),
-            "hazard_safe": bool(report.hazard_safe),
-            "ok": bool(report.ok),
-        }
+        verify_verdicts = certify_verdict(
+            result, metrics=metrics, tracer=tracer
+        )
     explain_payload = None
     if request.explain and result.explain is not None:
         explain_payload = result.explain.to_dict()
@@ -402,27 +424,6 @@ def execute_explain(
     )
 
 
-def execute_verify(request: VerifyRequest) -> VerifyResponse:
-    """Verify a mapped BLIF against its source design."""
-    from ..io import read_blif
-    from ..mapping.verify import verify_mapping
-
-    source = request_netlist(request)
-    try:
-        mapped = read_blif(io.StringIO(request.mapped_blif))
-    except Exception as exc:
-        raise ApiError(f"bad mapped_blif: {exc}") from exc
-    report = verify_mapping(source, mapped)
-    return VerifyResponse(
-        equivalent=bool(report.equivalent),
-        hazard_safe=bool(report.hazard_safe),
-        ok=bool(report.ok),
-        outputs_checked=report.outputs_checked,
-        transitions_checked=report.transitions_checked,
-        violations=tuple(report.violations),
-    )
-
-
 def execute_certify(
     request: CertifyRequest,
     *,
@@ -432,8 +433,8 @@ def execute_certify(
 ) -> CertifyResponse:
     """Independently certify a mapped BLIF against its source design.
 
-    Resolution follows :func:`execute_verify` exactly (same catalog /
-    inline-network / BLIF path); the check itself runs in
+    The source resolves like a map request's (catalog name or inline
+    network); the check itself runs in
     :mod:`repro.conformance.certifier`, which shares no code with the
     mapper's matching/covering machinery.
     """
@@ -545,7 +546,6 @@ __all__ = [
     "execute_certify",
     "execute_explain",
     "execute_map",
-    "execute_verify",
     "netlist_blif",
     "read_blif_text",
     "request_netlist",

@@ -13,8 +13,10 @@ plain-JSON payload stamped ``schema: repro-api/v1``:
   product through the fault-tolerant batch engine;
 * :class:`ExplainRequest` / :class:`ExplainResponse` — a mapping run
   with the witness-backed decision log rendered per cone;
-* :class:`VerifyRequest` / :class:`VerifyResponse` — equivalence and
-  hazard-safety verification of a mapped BLIF against its source.
+* :class:`CertifyRequest` / :class:`CertifyResponse` — independent
+  certification (equivalence + Theorem 3.2 hazard containment) of a
+  mapped BLIF against its source.  The same certifier fills the
+  ``verify`` verdict of a map when ``verify`` is set.
 
 ``from_payload`` is strict: a wrong or missing ``schema`` stamp, an
 unknown field, or a mistyped value raises :class:`ApiError` instead of
@@ -32,6 +34,8 @@ declared exactly once, in :data:`OPTION_FIELDS`.  Everything else —
 Deprecation policy: ``repro-api/v1`` payloads only ever *gain* optional
 fields with defaults; removing or retyping a field bumps the schema to
 ``/v2`` and v1 payloads keep parsing for at least one minor release.
+The one removal inside v1 is the ``verify`` request kind: a caller
+sends the same fields as kind ``certify`` to ``/v1/certify``.
 ``tmap``/``async_tmap``/``map_network`` take a
 :class:`~repro.mapping.mapper.MappingOptions` and no per-knob keywords
 (see ``docs/api.md``).
@@ -324,7 +328,6 @@ def parse_request(payload: Mapping) -> "_Payload":
             MapRequest,
             BatchRequest,
             ExplainRequest,
-            VerifyRequest,
             CertifyRequest,
         )
     }
@@ -529,38 +532,15 @@ class ExplainRequest(_Payload):
 
 
 @dataclass(frozen=True)
-class VerifyRequest(_Payload):
-    """Verify a mapped BLIF against its source design.
-
-    ``design`` names a catalog benchmark (or ``network`` carries the
-    source inline); ``mapped_blif`` is the netlist to check for
-    functional equivalence and hazard safety (Theorem 3.2).
-    """
-
-    kind = "verify"
-
-    mapped_blif: str
-    design: Optional[str] = None
-    network: Optional[dict] = None
-
-    def __post_init__(self) -> None:
-        if not self.mapped_blif:
-            raise ApiError("mapped_blif is required")
-        if (self.design is None) == (self.network is None):
-            raise ApiError("exactly one of design or network is required")
-        _validate_network(self.network)
-
-
-@dataclass(frozen=True)
 class CertifyRequest(_Payload):
     """Independently certify a mapped BLIF against its source design.
 
-    Same resolution shape as :class:`VerifyRequest` — ``design`` names a
-    catalog benchmark or ``network`` carries the source inline — but the
-    check runs in :mod:`repro.conformance`, which shares no code with
-    the mapper's match/cover/cache machinery.  ``library`` additionally
-    enables the cell-binding check for netlists whose gates carry cell
-    references (BLIF round-trips drop them, so it is optional).
+    ``design`` names a catalog benchmark or ``network`` carries the
+    source inline, as on :class:`MapRequest`; the check runs in
+    :mod:`repro.conformance`, which shares no code with the mapper's
+    match/cover machinery.  ``library`` additionally enables the
+    cell-binding check for netlists whose gates carry cell references
+    (BLIF round-trips drop them, so it is optional).
     """
 
     kind = "certify"
@@ -598,9 +578,10 @@ class MapResponse(_Payload):
     batch journal, the service tests, and resumable runs all compare.
     ``fallback`` is ``"trivial-cover"`` when a deadline overran and the
     run degraded to the depth-1 cover (``deadline_site`` says where the
-    budget ran out).  ``verify`` is the three-verdict dict
-    (``equivalent`` / ``hazard_safe`` / ``ok``) when verification was
-    requested; ``explain`` the ``repro-explain/v1`` payload.
+    budget ran out).  ``verify`` is the certifier's three-verdict dict
+    (``equivalent`` / ``hazard_safe`` / ``ok``, where ``ok`` means
+    certified) when verification was requested; ``explain`` the
+    ``repro-explain/v1`` payload.
     """
 
     kind = "map_response"
@@ -683,23 +664,6 @@ class ExplainResponse(_Payload):
 
 
 @dataclass(frozen=True)
-class VerifyResponse(_Payload):
-    """Equivalence + hazard-safety verdicts with violation detail."""
-
-    kind = "verify_response"
-
-    equivalent: bool
-    hazard_safe: bool
-    ok: bool
-    outputs_checked: int
-    transitions_checked: int
-    violations: tuple = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "violations", tuple(self.violations))
-
-
-@dataclass(frozen=True)
 class CertifyResponse(_Payload):
     """The ``repro-cert/v1`` verdict plus its headline fields.
 
@@ -747,8 +711,6 @@ __all__ = [
     "OPTION_NAMES",
     "BATCH_OPTION_NAMES",
     "OptionField",
-    "VerifyRequest",
-    "VerifyResponse",
     "add_option_arguments",
     "option_values_from_args",
     "parse_request",

@@ -436,11 +436,13 @@ class _Engine:
         self._progress(record)
 
     def _journal_result(self, record: dict) -> None:
+        # The netlist and explain log live in the artifact files; the
+        # verdict and cell usage stay, so a resumed job reports both.
         if self.writer is not None:
             slim = {
                 key: value
                 for key, value in record.items()
-                if key not in ("blif", "explain", "cell_usage", "verify")
+                if key not in ("blif", "explain")
             }
             self.writer.write_result(slim)
 

@@ -75,8 +75,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..api.schema import MapRequest
     from ..library.library import Library
 
-#: Bump when the key derivation or the stored payload layout changes.
-RESULT_CACHE_VERSION = 1
+#: Bump when the key derivation, the stored payload layout, or the
+#: meaning of a stored field changes.  Version 2: the ``verify`` verdict
+#: comes from the certifier, so no earlier verdict is replayed as one.
+RESULT_CACHE_VERSION = 2
 
 #: Version stamp carried inside every on-disk entry.
 RESULT_SCHEMA = "repro-result-cache/v1"

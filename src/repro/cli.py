@@ -11,8 +11,8 @@ Commands mirror the paper's workflows:
   don't-cares, and verify the result;
 * ``certify`` — independently re-check mapped networks against their
   source designs (BDD/truth-table equivalence + replayed hazard
-  transitions) and emit ``repro-cert/v1`` certificates; also available
-  as ``map --certify`` and ``batch --certify``;
+  transitions) and emit ``repro-cert/v1`` certificates; ``map --verify``
+  and ``batch --verify`` attach the same checker's verdict to a map;
 * ``explain`` — render the per-cone decision report of a
   ``repro-explain/v1`` log (or map a catalog benchmark on the fly);
 * ``batch``   — map a whole catalog of (design, library) jobs through
@@ -52,7 +52,6 @@ from typing import Optional, Sequence
 from .api import (
     ApiError,
     BatchRequest,
-    CertifyRequest,
     ExplainRequest,
     MapRequest,
     add_option_arguments,
@@ -72,7 +71,6 @@ from .batch.backends import BACKEND_NAMES
 from .burstmode.benchmarks import CATALOG, TABLE5_ORDER, synthesize_benchmark
 from .library import anncache
 from .library.standard import ALL_LIBRARIES, load_library
-from .mapping.verify import verify_mapping
 from .obs.explain import render_explain, validate_explain_payload
 from .obs.export import (
     CERT_SCHEMA,
@@ -192,12 +190,7 @@ def _resolved_cache_dir(args: argparse.Namespace) -> anncache.CacheDir:
 
 
 def _map_request(args: argparse.Namespace, network) -> MapRequest:
-    """The ``repro-api/v1`` request a ``repro map`` invocation denotes.
-
-    ``verify`` stays client-side for local runs (the CLI prints the
-    violation list, which the wire response does not carry) but rides
-    in the request for ``--server`` runs.
-    """
+    """The ``repro-api/v1`` request a ``repro map`` invocation denotes."""
     design = args.design if args.design in CATALOG else None
     payload = None if design else {"blif": netlist_blif(network)}
     return MapRequest(
@@ -206,7 +199,7 @@ def _map_request(args: argparse.Namespace, network) -> MapRequest:
         network=payload,
         dont_cares=args.dont_cares,
         explain=args.explain is not None,
-        verify=args.verify and args.server is not None,
+        verify=args.verify,
         deadline_seconds=args.deadline,
         **option_values_from_args(args),
     )
@@ -267,33 +260,7 @@ def _cmd_map_remote(args: argparse.Namespace, request: MapRequest) -> int:
     if args.explain is not None and response.explain is not None:
         _write_explain(args.explain or f"{response.design}_explain.json",
                        response.explain)
-    if response.verify is not None:
-        print(
-            f"verification: equivalent={response.verify['equivalent']} "
-            f"hazard_safe={response.verify['hazard_safe']}"
-        )
-    certify_failed = False
-    if args.certify:
-        try:
-            cert_response = client.certify(
-                CertifyRequest(
-                    mapped_blif=response.blif,
-                    design=request.design,
-                    network=request.network,
-                    library=args.library,
-                )
-            )
-        except ServiceError as exc:
-            print(f"server error: {exc}", file=sys.stderr)
-            return 1
-        certify_failed = not _report_certify_response("certify", cert_response)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(response.blif)
-        print(f"mapped network written to {args.output}")
-    if response.verify is not None and not response.verify["ok"]:
-        return 1
-    return 1 if certify_failed else 0
+    return _finish_map(args, response)
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
@@ -388,34 +355,29 @@ def _cmd_map(args: argparse.Namespace) -> int:
         print("metrics:")
         for line in _format_metrics(metrics):
             print(f"  {line}")
-    # A fresh map keeps its cell bindings, which the certifier checks;
-    # a replayed response has only its BLIF.
-    mapped = result.mapped if result is not None else read_blif_text(
-        response.blif
-    )
-    if args.verify:
-        report = verify_mapping(network, mapped)
-        print(
-            f"verification: equivalent={report.equivalent} "
-            f"hazard_safe={report.hazard_safe}"
-        )
-        for violation in report.violations[:5]:
-            print(f"  ! {violation}")
-        if not report.ok:
-            return 1
-    if args.certify:
-        from .conformance.certifier import certify_mapping
+    return _finish_map(args, response)
 
-        certificate = certify_mapping(
-            network, mapped, load_library(args.library), metrics=metrics
+
+def _finish_map(args: argparse.Namespace, response) -> int:
+    """The tail every ``repro map`` shares: verdict, ``--output``, exit.
+
+    ``response.verify`` is the certifier's verdict, computed with the
+    map or replayed with a result-cache hit.
+    """
+    verdict = response.verify
+    if verdict is not None:
+        print(
+            f"verification: equivalent={verdict['equivalent']} "
+            f"hazard_safe={verdict['hazard_safe']}"
         )
-        if not _report_certificate("certify", certificate):
-            return 1
+        if not verdict["ok"]:
+            print("  ! not certified; counterexamples: "
+                  "repro certify DESIGN --mapped FILE")
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(response.blif)
         print(f"mapped network written to {args.output}")
-    return 0
+    return 0 if verdict is None or verdict["ok"] else 1
 
 
 def _write_explain(path: str, payload: dict) -> None:
@@ -452,31 +414,6 @@ def _report_certificate(label: str, certificate) -> bool:
         if shown >= 3:
             break
     return certificate.certified
-
-
-def _report_certify_response(label: str, response) -> bool:
-    """The ``_report_certificate`` twin for a wire ``CertifyResponse``."""
-    from .conformance.certifier import Counterexample
-
-    print(
-        f"  {label}: {response.verdict.upper()} — "
-        f"{response.outputs_checked} output(s), "
-        f"{response.transitions_checked} transition(s), "
-        f"{response.replays} replay(s), "
-        f"digest {response.evidence_digest[:12]}"
-    )
-    for violation in response.violations[:5]:
-        print(f"    ! {violation}")
-    shown = 0
-    for payload in response.counterexamples:
-        counterexample = Counterexample.from_dict(payload)
-        if counterexample.source_hazard:
-            continue
-        print(f"    counterexample: {counterexample.describe()}")
-        shown += 1
-        if shown >= 3:
-            break
-    return response.certified
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -559,7 +496,6 @@ def _cmd_batch_remote(args: argparse.Namespace, request: BatchRequest) -> int:
         ("--resume", args.resume),
         ("--bench-snapshot", args.bench_snapshot),
         ("--inject", args.inject),
-        ("--certify", args.certify),
     )
     for name, value in unsupported:
         if value:
@@ -656,11 +592,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
         return 0
 
-    cache_dir = (
-        anncache.DISABLED
-        if args.no_cache
-        else (args.cache_dir or str(anncache.default_cache_root()))
-    )
+    cache_dir = _resolved_cache_dir(args)
     try:
         fault_plan = FaultPlan.parse(args.inject) if args.inject else None
     except ValueError as exc:
@@ -739,39 +671,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for r in report.results
         if r.get("status") == "ok" and not r.get("verify", {}).get("ok", True)
     ]
-    bad_certify: list[str] = []
-    if args.certify:
-        from .conformance.certifier import certify_mapping
-
-        by_id = {job.job_id: job for job in jobs}
-        sources: dict[str, object] = {}
-        libraries: dict[str, object] = {}
-        print("certifying mapped networks:")
-        for record in report.results:
-            if record.get("status") != "ok":
-                continue
-            job_id = record["job_id"]
-            job = by_id.get(job_id)
-            blif = record.get("blif")
-            if job is None or not blif:
-                # A resumed record's netlist text lives in the artifact
-                # directory, not the in-memory report — nothing to check.
-                print(f"  {job_id}: no netlist text to certify (resumed?)")
-                continue
-            if job.design not in sources:
-                sources[job.design] = synthesize_benchmark(job.design).netlist(
-                    job.design
-                )
-            if job.library not in libraries:
-                libraries[job.library] = load_library(job.library)
-            certificate = certify_mapping(
-                sources[job.design],
-                read_blif_text(blif),
-                libraries[job.library],
-                metrics=metrics,
-            )
-            if not _report_certificate(job_id, certificate):
-                bad_certify.append(job_id)
     for record in failed:
         print(
             f"FAILED {record['job_id']}: {record.get('error')}",
@@ -779,9 +678,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
     for record in bad_verify:
         print(f"VERIFY FAILED {record['job_id']}", file=sys.stderr)
-    for job_id in bad_certify:
-        print(f"CERTIFY REJECTED {job_id}", file=sys.stderr)
-    return 1 if failed or bad_verify or bad_certify else 0
+    return 1 if failed or bad_verify else 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -1007,12 +904,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="waive hazards outside the specified bursts (section 6)",
     )
-    map_cmd.add_argument("--verify", action="store_true")
     map_cmd.add_argument(
-        "--certify",
+        "--verify",
         action="store_true",
-        help="independently certify the mapped network (equivalence + "
-        "hazard freedom, repro-cert/v1); nonzero exit on rejection",
+        help="certify the mapped network (equivalence + Theorem 3.2 "
+        "hazard containment); nonzero exit on rejection",
     )
     map_cmd.add_argument("--output", help="write the mapped network as BLIF")
     map_cmd.add_argument(
@@ -1121,18 +1017,13 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--verify",
         action="store_true",
-        help="verify every mapped network (equivalence + hazard safety)",
+        help="certify every mapped network (equivalence + Theorem 3.2 "
+        "hazard containment); nonzero exit on rejection",
     )
     batch.add_argument(
         "--explain",
         action="store_true",
         help="write a repro-explain/v1 log next to each netlist artifact",
-    )
-    batch.add_argument(
-        "--certify",
-        action="store_true",
-        help="post-pass: independently certify every successful job's "
-        "mapped network; nonzero exit on any rejection",
     )
     batch.add_argument(
         "--journal",

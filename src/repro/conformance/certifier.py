@@ -25,9 +25,16 @@ using only ground-truth machinery:
   same way, one per section-4 record kind where possible.
 
 Trust model (enforced by ``tests/conformance/test_certifier.py``): this
-module imports nothing from ``mapping/cover.py``, ``mapping/match.py``
-or ``mapping/verify.py`` — the code that decides what the mapper emits
-never decides whether the emission is accepted.
+module imports nothing from ``mapping/`` — the code that decides what
+the mapper emits never decides whether the emission is accepted.  It is
+the package's only checker: ``repro certify`` and ``/v1/certify`` run
+it, and every ``verify`` verdict (``repro map --verify``, batch, serve,
+``repro perf``) is its verdict at the defaults.
+
+Outputs whose support exceeds ``exhaustive_limit`` are *sampled*, not
+proven; the ``conformance.outputs_sampled`` counter and the
+``sampled_outputs`` field of the ``certify.verdict`` log event say how
+many.
 
 Every run emits a :class:`Certificate` whose ``to_dict`` payload is
 stamped ``schema: repro-cert/v1`` and carries per-output SHA-256
@@ -461,6 +468,7 @@ def certify_mapping(
         certificate.verdict = "rejected"
     certificate.evidence_digest = overall.hexdigest()
     certificate.elapsed = time.perf_counter() - started
+    sampled = sum(1 for e in certificate.outputs if e.method == "sampled")
     from ..obs import log as obs_log
 
     if obs_log.enabled():
@@ -474,6 +482,7 @@ def certify_mapping(
             verdict=certificate.verdict,
             violations=len(certificate.violations),
             outputs_checked=certificate.outputs_checked,
+            sampled_outputs=sampled,
             transitions_checked=certificate.transitions_checked,
             elapsed_seconds=round(certificate.elapsed, 4),
         )
@@ -484,6 +493,7 @@ def certify_mapping(
         metrics.counter("conformance.outputs_checked").inc(
             certificate.outputs_checked
         )
+        metrics.counter("conformance.outputs_sampled").inc(sampled)
         metrics.counter("conformance.transitions_checked").inc(
             certificate.transitions_checked
         )

@@ -8,8 +8,9 @@ path switches once at an arbitrary time, and a hazard exists iff some
 event order makes the output non-monotone (dynamic) or lets it leave its
 resting value (static).
 
-Exponential in the number of inputs: strictly for tests, library-cell
-audits, and the figure-gallery benchmarks.
+Exponential in the number of inputs.  It backs the production checker
+(:func:`repro.conformance.certify_mapping`, over each output's support),
+library-cell audits, the tests and the figure-gallery benchmarks.
 """
 
 from __future__ import annotations

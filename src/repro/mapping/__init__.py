@@ -6,7 +6,6 @@ from .reference import hand_style_reference
 from .cuts import Cluster, cluster_expression, enumerate_clusters
 from .match import Match, expression_truth_table, find_matches, match_cluster
 from .mapper import MappingOptions, MappingResult, async_tmap, map_network, tmap
-from .verify import VerificationReport, verify_mapping
 
 __all__ = [
     "Cluster",
@@ -19,7 +18,6 @@ __all__ = [
     "MappingResult",
     "Match",
     "Selection",
-    "VerificationReport",
     "async_tmap",
     "cluster_expression",
     "cover_cone",
@@ -31,5 +29,4 @@ __all__ = [
     "match_cluster",
     "synthesis_bursts",
     "tmap",
-    "verify_mapping",
 ]

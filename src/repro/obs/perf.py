@@ -3,7 +3,8 @@
 Replays the paper's Table-5 experiment — async-map every burst-mode
 benchmark onto one library — and records, per benchmark, the wall time,
 mapped area/cell counts, covering work (cones, matches, hazard-filter
-invocations), and the ``verify_mapping`` verdict.  The snapshot (schema
+invocations), and the certifier's ``verify`` verdict (the same one
+``repro map --verify`` prints).  The snapshot (schema
 ``repro-bench-mapping/v1``) is what ``benchmarks/check_regression.py``
 diffs against the committed baseline: quality fields must match
 exactly; timings may drift within a tolerance.
@@ -23,7 +24,6 @@ from ..burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
 from ..library.library import Library
 from ..library.standard import load_library
 from ..mapping.mapper import MappingOptions, MappingResult, async_tmap
-from ..mapping.verify import verify_mapping
 from .export import BENCH_SCHEMA
 from .metrics import MetricsRegistry
 from .tracer import Tracer
@@ -32,7 +32,12 @@ from .tracer import Tracer
 SMOKE_BENCHMARKS = ("chu-ad-opt", "vanbek-opt")
 
 
-def benchmark_entry(result: MappingResult, verify: bool) -> dict:
+def benchmark_entry(
+    result: MappingResult,
+    verify: bool,
+    metrics: Optional[MetricsRegistry] = None,
+    tracer: Optional[Tracer] = None,
+) -> dict:
     """One benchmark's snapshot row from its mapping result."""
     stats = result.stats
     entry = {
@@ -46,12 +51,11 @@ def benchmark_entry(result: MappingResult, verify: bool) -> dict:
         "filter_invocations": stats.filter_invocations,
     }
     if verify:
-        report = verify_mapping(result.source, result.mapped)
-        entry["verify"] = {
-            "equivalent": bool(report.equivalent),
-            "hazard_safe": bool(report.hazard_safe),
-            "ok": bool(report.ok),
-        }
+        from ..api.facade import certify_verdict
+
+        entry["verify"] = certify_verdict(
+            result, metrics=metrics, tracer=tracer
+        )
     return entry
 
 
@@ -87,7 +91,7 @@ def run_perf(
             metrics=metrics,
         )
         result = async_tmap(network, lib, options)
-        entry = benchmark_entry(result, verify)
+        entry = benchmark_entry(result, verify, metrics, tracer)
         rows[name] = entry
         if progress is not None:
             progress(name, entry)

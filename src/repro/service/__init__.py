@@ -12,7 +12,7 @@ Endpoints (all payloads are ``repro-api/v1`` documents, see
 * ``POST /v1/map``     — one mapping job (``MapRequest``)
 * ``POST /v1/batch``   — a designs x libraries sweep (``BatchRequest``)
 * ``POST /v1/explain`` — map + render the decision log (``ExplainRequest``)
-* ``POST /v1/verify``  — check a mapped BLIF (``VerifyRequest``)
+* ``POST /v1/certify`` — certify a mapped BLIF (``CertifyRequest``)
 * ``GET  /healthz``    — liveness, drain state, in-flight count
 * ``GET  /metrics``    — ``repro-metrics/v1`` snapshot of the registry
 

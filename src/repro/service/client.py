@@ -24,8 +24,6 @@ from ..api.schema import (
     ExplainResponse,
     MapRequest,
     MapResponse,
-    VerifyRequest,
-    VerifyResponse,
 )
 from ..obs.tracer import TRACE_HEADER, SpanContext
 
@@ -120,12 +118,6 @@ class ServiceClient:
             request.to_payload() if isinstance(request, ExplainRequest) else request
         )
         return ExplainResponse.from_payload(self._post("/v1/explain", payload))
-
-    def verify(self, request: Union[VerifyRequest, dict]) -> VerifyResponse:
-        payload = (
-            request.to_payload() if isinstance(request, VerifyRequest) else request
-        )
-        return VerifyResponse.from_payload(self._post("/v1/verify", payload))
 
     def certify(
         self, request: Union[CertifyRequest, dict]

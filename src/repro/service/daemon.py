@@ -53,7 +53,6 @@ from ..api.facade import (
     execute_certify,
     execute_explain,
     execute_map,
-    execute_verify,
     loaded_libraries,
     shared_library,
 )
@@ -63,7 +62,6 @@ from ..api.schema import (
     CertifyRequest,
     ExplainRequest,
     MapRequest,
-    VerifyRequest,
     parse_request,
 )
 from ..library import anncache
@@ -95,7 +93,6 @@ ENDPOINT_KINDS = {
     "/v1/map": MapRequest,
     "/v1/batch": BatchRequest,
     "/v1/explain": ExplainRequest,
-    "/v1/verify": VerifyRequest,
     "/v1/certify": CertifyRequest,
 }
 
@@ -173,8 +170,6 @@ def _execute_request(
             response = execute_explain(
                 request, cache_dir=cache_dir, metrics=metrics, tracer=tracer
             )
-        elif isinstance(request, VerifyRequest):
-            response = execute_verify(request)
         elif isinstance(request, CertifyRequest):
             response = execute_certify(
                 request, cache_dir=cache_dir, metrics=metrics, tracer=tracer

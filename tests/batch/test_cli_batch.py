@@ -53,6 +53,24 @@ class TestHappyPath:
         assert out.count("resumed from journal") == 2
         assert "skipped=2" in out
 
+    def test_resumed_snapshot_rows_equal_the_first_run(
+        self, tmp_path, ann_cache, capsys
+    ):
+        first = tmp_path / "first.json"
+        resumed = tmp_path / "resumed.json"
+        assert batch(
+            tmp_path, ann_cache, "--verify", "--bench-snapshot", str(first)
+        ) == 0
+        assert batch(
+            tmp_path, ann_cache, "--verify", "--resume",
+            "--bench-snapshot", str(resumed),
+        ) == 0
+        assert "skipped=2" in capsys.readouterr().out
+        rows = json.loads(resumed.read_text())["benchmarks"]
+        assert rows == json.loads(first.read_text())["benchmarks"]
+        for row in rows.values():
+            assert row["verify"]["ok"] is True and row["cell_usage"]
+
     def test_bench_snapshot_and_trace_export(self, tmp_path, ann_cache, capsys):
         snapshot = tmp_path / "snap.json"
         trace = tmp_path / "trace.json"

@@ -39,17 +39,22 @@ class TestMapResultCacheFlag:
         _map(tmp_path, "b.blif", "--no-result-cache")
         assert "result cache" not in capsys.readouterr().out
 
-    def test_verify_runs_on_the_replayed_netlist(self, tmp_path, capsys):
+    def test_verify_verdict_is_replayed_from_the_cache(
+        self, tmp_path, capsys
+    ):
         _map(tmp_path, "a.blif", "--result-cache")
         capsys.readouterr()
-        _map(tmp_path, "b.blif", "--result-cache", "--verify")
+        _map(tmp_path, "b.blif", "--result-cache", "--verify", "--metrics")
         out = capsys.readouterr().out
+        assert "conformance.certificates = 1" in out
         # verify=False and verify=True map to different keys; the second
-        # run recomputes, the third replays and still verifies.
-        _map(tmp_path, "c.blif", "--result-cache", "--verify")
+        # run recomputes and certifies, the third replays the stored
+        # verdict without running the certifier again.
+        _map(tmp_path, "c.blif", "--result-cache", "--verify", "--metrics")
         out = capsys.readouterr().out
         assert "(result cache: memory hit)" in out
         assert "verification: equivalent=True hazard_safe=True" in out
+        assert "conformance.certificates" not in out
 
 
 class TestCacheSubcommand:

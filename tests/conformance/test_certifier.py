@@ -17,8 +17,9 @@ from repro.conformance import certifier as certifier_module
 from repro.hazards.witness import HazardWitness, replay_witness
 from repro.library import anncache
 from repro.library.standard import load_library
-from repro.mapping.mapper import MappingOptions, map_network
+from repro.mapping.mapper import MappingOptions, async_tmap, map_network
 from repro.network.netlist import Netlist
+from repro.obs import log as obs_log
 from repro.obs.export import CERT_SCHEMA
 from repro.obs.metrics import MetricsRegistry
 
@@ -78,6 +79,52 @@ class TestAccept:
             snapshot["conformance.rejections"]["value"] == 0
         )
 
+    def test_identical_network_certifies(self):
+        net = Netlist.from_equations({"f": "a*b + c"})
+        certificate = certify_mapping(net, net.copy())
+        assert certificate.certified
+        assert certificate.transitions_checked > 0
+
+    def test_true_hazard_reduction_certifies(self):
+        # A single complex gate has no logic hazards at all — replacing
+        # the two-gate structure with it is always legal.
+        risky = Netlist.from_equations({"f": "(w*y + x*y)"})
+        single = Netlist.from_equations({"f": "(w + x)*y"})
+        assert certify_mapping(risky, single).certified
+
+    def test_async_mapping_always_certifies(self, mini_library):
+        for text in ("a*b + c'*d", "s*a + s'*b + a*b", "(a + b)*(c + d)"):
+            net = Netlist.from_equations({"f": text})
+            result = async_tmap(net, mini_library)
+            certificate = certify_mapping(net, result.mapped, mini_library)
+            assert certificate.certified, (text, certificate.violations)
+
+    def test_sampled_path_for_wide_supports(self, tmp_path):
+        # Every output has a 3-variable support; a limit of 2 forces the
+        # seeded sample on all four, ``samples`` transitions each, and
+        # the fallback is counted and logged rather than silent.
+        net = Netlist.from_equations(
+            {f"f{i}": f"x{i}*y{i} + x{i}'*z{i}" for i in range(4)}
+        )
+        metrics = MetricsRegistry()
+        log_path = tmp_path / "events.jsonl"
+        with obs_log.event_log(log_path):
+            certificate = certify_mapping(
+                net, net.copy(), exhaustive_limit=2, samples=50,
+                metrics=metrics,
+            )
+        assert certificate.certified
+        assert {e.method for e in certificate.outputs} == {"sampled"}
+        assert certificate.transitions_checked == 4 * 50
+        snapshot = metrics.snapshot()
+        assert snapshot["conformance.outputs_sampled"]["value"] == 4
+        assert snapshot["conformance.outputs_checked"]["value"] == 4
+        (verdict,) = [
+            line for line in obs_log.read_log(log_path)
+            if line["event"] == "certify.verdict"
+        ]
+        assert verdict["fields"]["sampled_outputs"] == 4
+
 
 class TestReject:
     def test_new_hazard_rejected_with_replayable_counterexample(self):
@@ -107,6 +154,17 @@ class TestReject:
         assert replay.glitched
         assert replay.changes > replay.expected
 
+    def test_new_hazard_detected_exhaustively(self):
+        # Dropping the consensus cube a·b of a hazard-free mux brings
+        # back the static-1 hazard on the s-toggle.
+        safe = Netlist.from_equations({"f": "s*a + s'*b + a*b"})
+        risky = Netlist.from_equations({"f": "s*a + s'*b"})
+        certificate = certify_mapping(safe, risky)
+        assert {e.method for e in certificate.outputs} == {"exhaustive"}
+        assert certificate.equivalent
+        assert not certificate.hazard_safe
+        assert any("static-1" in v for v in certificate.violations)
+
     def test_inequivalent_mapping_rejected(self):
         source = Netlist.from_equations({"f": "b + c"}, name="spec")
         mapped = Netlist.from_equations({"f": "b * c"}, name="wrong")
@@ -114,6 +172,41 @@ class TestReject:
         assert not certificate.certified
         assert not certificate.equivalent
         assert any("functional mismatch" in v for v in certificate.violations)
+
+    def test_functional_mismatch_detected(self):
+        net = Netlist.from_equations({"f": "a*b"})
+        wrong = Netlist.from_equations({"f": "a + b"})
+        certificate = certify_mapping(net, wrong)
+        assert not certificate.equivalent
+        assert any("functional mismatch" in v for v in certificate.violations)
+
+    def test_hazard_trade_is_not_a_subset(self):
+        # Subtle but correct: adding the consensus cube removes the
+        # static-1 hazard yet *introduces* m.i.c. dynamic hazards (the
+        # new cube intersections can pulse).  Replacement legality is
+        # subset-of-hazards, not fewer-hazards — Theorem 3.2 verbatim.
+        risky = Netlist.from_equations({"f": "s*a + s'*b"})
+        safe = Netlist.from_equations({"f": "s*a + s'*b + a*b"})
+        certificate = certify_mapping(risky, safe)
+        assert certificate.equivalent
+        assert not certificate.hazard_safe
+        assert any("dynamic" in v for v in certificate.violations)
+
+    def test_sampled_path_catches_gross_hazard(self):
+        equations = {
+            "f": "s*a + s'*b + a*b",
+            "g0": "p0*q0", "g1": "p1*q1", "g2": "p2*q2",
+            "g3": "p3*q3", "g4": "p4*q4",
+        }
+        net = Netlist.from_equations(equations)
+        broken = Netlist.from_equations(dict(equations, f="s*a + s'*b"))
+        certificate = certify_mapping(
+            net, broken, exhaustive_limit=2, samples=400
+        )
+        evidence = {e.output: e for e in certificate.outputs}
+        assert evidence["f"].method == "sampled"
+        assert certificate.equivalent
+        assert not certificate.hazard_safe
 
     def test_interface_mismatch_rejected(self):
         source = Netlist.from_equations(

@@ -11,10 +11,10 @@ import pytest
 
 from repro.boolean.paths import label_expression
 from repro.burstmode.benchmarks import synthesize_benchmark
+from repro.conformance import certify_mapping
 from repro.hazards.oracle import classify_transition
 from repro.library import cmos3, lsi9k, minimal_teaching_library
 from repro.mapping.mapper import async_tmap, tmap
-from repro.mapping.verify import verify_mapping
 
 SMALL_BENCHMARKS = ["chu-ad-opt", "vanbek-opt", "dme", "dme-opt"]
 
@@ -33,8 +33,8 @@ class TestAsyncPipeline:
         synthesis = synthesize_benchmark(name)
         net = synthesis.netlist(name)
         result = async_tmap(net, mini)
-        report = verify_mapping(net, result.mapped)
-        assert report.ok, (name, report.violations[:3])
+        certificate = certify_mapping(net, result.mapped, mini)
+        assert certificate.certified, (name, certificate.violations[:3])
 
     @pytest.mark.parametrize("name", SMALL_BENCHMARKS)
     def test_specified_transitions_stay_hazard_free_after_mapping(
@@ -59,8 +59,8 @@ class TestAsyncPipeline:
         synthesis = synthesize_benchmark("chu-ad-opt")
         net = synthesis.netlist("chu-ad-opt")
         result = async_tmap(net, library)
-        report = verify_mapping(net, result.mapped)
-        assert report.ok, report.violations[:3]
+        certificate = certify_mapping(net, result.mapped, library)
+        assert certificate.certified, certificate.violations[:3]
         assert result.area > 0
 
 
@@ -75,18 +75,20 @@ class TestSyncBaselineContrast:
         net = Netlist.from_equations(
             {"f": "s*a + s'*b + a*b", "g": "x*c + x'*d + c*d"}
         )
-        sync_report = verify_mapping(net, tmap(net, mini).mapped)
-        async_report = verify_mapping(net, async_tmap(net, mini).mapped)
-        assert async_report.ok
-        assert sync_report.equivalent
-        assert not sync_report.hazard_safe
+        sync_cert = certify_mapping(net, tmap(net, mini).mapped, mini)
+        async_cert = certify_mapping(net, async_tmap(net, mini).mapped, mini)
+        assert async_cert.certified
+        assert sync_cert.equivalent
+        assert not sync_cert.hazard_safe
 
     def test_async_never_breaks_the_benchmarks(self, mini):
         for name in SMALL_BENCHMARKS:
             synthesis = synthesize_benchmark(name)
             net = synthesis.netlist(name)
-            async_report = verify_mapping(net, async_tmap(net, mini).mapped)
-            assert async_report.ok, (name, async_report.violations[:3])
+            async_cert = certify_mapping(
+                net, async_tmap(net, mini).mapped, mini
+            )
+            assert async_cert.certified, (name, async_cert.violations[:3])
 
     def test_async_area_premium_is_bounded(self, mini):
         """The async cover pays for the hazard constraints, but only

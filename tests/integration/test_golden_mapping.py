@@ -1,7 +1,7 @@
 """Golden end-to-end snapshot of the async mapper on the full catalog.
 
 Every burst-mode benchmark is mapped onto CMOS3 and its area, cell
-counts, per-cell usage, and ``verify_mapping`` verdict are pinned to
+counts, per-cell usage, and certifier verdict are pinned to
 ``tests/data/golden_mappings.json``.  Any intentional mapper change
 that alters results must regenerate the file::
 
@@ -20,12 +20,23 @@ from pathlib import Path
 import pytest
 
 from repro.burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
+from repro.conformance import certify_mapping
+from repro.conformance.certifier import DEFAULT_EXHAUSTIVE_LIMIT
 from repro.library.standard import load_library
 from repro.mapping.mapper import MappingOptions, async_tmap
-from repro.mapping.verify import verify_mapping
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_mappings.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+#: Networks with at most this many inputs get every transition of every
+#: output classified, past the certifier's default of 6 support
+#: variables (pe-send-ifc, 7 inputs, is the one catalog design between).
+EXHAUSTIVE_INPUTS = 8
+
+
+def exhaustive_limit(network) -> int:
+    inputs = len(network.inputs)
+    return inputs if inputs <= EXHAUSTIVE_INPUTS else DEFAULT_EXHAUSTIVE_LIMIT
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +65,14 @@ def test_mapping_matches_golden(bench, cmos3):
     assert int(sum(usage.values())) == golden["cells"]
     assert usage == golden["cell_usage"]
 
-    report = verify_mapping(network, result.mapped)
+    certificate = certify_mapping(
+        network,
+        result.mapped,
+        cmos3,
+        exhaustive_limit=exhaustive_limit(network),
+    )
     assert {
-        "equivalent": bool(report.equivalent),
-        "hazard_safe": bool(report.hazard_safe),
-        "ok": bool(report.ok),
+        "equivalent": certificate.equivalent,
+        "hazard_safe": certificate.hazard_safe,
+        "ok": certificate.certified,
     } == golden["verify"]

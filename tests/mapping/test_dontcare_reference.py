@@ -95,8 +95,8 @@ class TestHandStyleReference:
             assert auto.area <= reference.area, name
 
     def test_reference_is_hazard_safe(self, mini_library):
-        from repro.mapping.verify import verify_mapping
+        from repro.conformance import certify_mapping
 
         net = Netlist.from_equations({"f": "s*a + s'*b + a*b"})
         reference = hand_style_reference(net, mini_library)
-        assert verify_mapping(net, reference.mapped).ok
+        assert certify_mapping(net, reference.mapped, mini_library).certified

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.conformance import certify_mapping
 from repro.library import Library, minimal_teaching_library
 from repro.mapping.cover import MappingError
 from repro.mapping.mapper import MappingOptions, async_tmap, tmap
-from repro.mapping.verify import verify_mapping
 from repro.network.netlist import Netlist
 
 HAZARD_FREE_MUX = {"f": "s*a + s'*b + a*b"}
@@ -23,9 +23,9 @@ class TestSyncMapper:
         # Figure 3: the cheaper mux cover drops the consensus gate.
         net = Netlist.from_equations(HAZARD_FREE_MUX)
         result = tmap(net, mini_library)
-        report = verify_mapping(net, result.mapped)
-        assert report.equivalent
-        assert not report.hazard_safe
+        certificate = certify_mapping(net, result.mapped, mini_library)
+        assert certificate.equivalent
+        assert not certificate.hazard_safe
 
     def test_every_gate_is_a_library_cell(self, mini_library):
         net = Netlist.from_equations({"f": "a*b + c*d'"})
@@ -39,8 +39,8 @@ class TestAsyncMapper:
     def test_maps_and_verifies_hazard_safe(self, mini_library):
         net = Netlist.from_equations(HAZARD_FREE_MUX)
         result = async_tmap(net, mini_library)
-        report = verify_mapping(net, result.mapped)
-        assert report.ok, report.violations
+        certificate = certify_mapping(net, result.mapped, mini_library)
+        assert certificate.certified, certificate.violations
 
     def test_async_keeps_consensus_gate(self, mini_library):
         net = Netlist.from_equations(HAZARD_FREE_MUX)
@@ -54,8 +54,8 @@ class TestAsyncMapper:
         # the MUX21 cell's hazards are a subset and it may be used.
         net = Netlist.from_equations({"f": "s*a + s'*b"})
         result = async_tmap(net, mini_library)
-        report = verify_mapping(net, result.mapped)
-        assert report.ok, report.violations
+        certificate = certify_mapping(net, result.mapped, mini_library)
+        assert certificate.certified, certificate.violations
         assert result.stats.hazard_accepts >= 1
         assert "MUX21" in result.cell_usage()
 
@@ -65,8 +65,8 @@ class TestAsyncMapper:
         )
         result = async_tmap(net, mini_library)
         assert result.mapped.equivalent(net)
-        report = verify_mapping(net, result.mapped)
-        assert report.ok, report.violations
+        certificate = certify_mapping(net, result.mapped, mini_library)
+        assert certificate.certified, certificate.violations
 
     def test_shared_logic_across_outputs(self, mini_library):
         net = Netlist.from_equations({"f": "x + d", "g": "x + e", "x": "a*b"})

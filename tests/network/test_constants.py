@@ -3,9 +3,9 @@
 import pytest
 
 from repro.boolean.expr import Const, parse
+from repro.conformance import certify_mapping
 from repro.library import minimal_teaching_library
 from repro.mapping.mapper import async_tmap, tmap
-from repro.mapping.verify import verify_mapping
 from repro.network.decompose import async_tech_decomp, tech_decomp
 from repro.network.netlist import Netlist, NetlistError
 from repro.network.partition import partition
@@ -67,8 +67,8 @@ class TestConstantNodes:
         for mapper in (tmap, async_tmap):
             result = mapper(net, mini_library)
             assert result.mapped.equivalent(net)
-            report = verify_mapping(net, result.mapped)
-            assert report.equivalent
+            certificate = certify_mapping(net, result.mapped, mini_library)
+            assert certificate.equivalent
 
     def test_ternary_simulation_with_constants(self):
         from repro.network.simulate import ONE, X, ZERO, simulate_ternary

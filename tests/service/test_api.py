@@ -25,8 +25,6 @@ from repro.api import (
     MapResponse,
     OPTION_FIELDS,
     OPTION_NAMES,
-    VerifyRequest,
-    VerifyResponse,
     parse_request,
 )
 from repro.batch.jobs import BatchJob
@@ -42,7 +40,6 @@ REQUESTS = [
                  verify=True, include_blif=True),
     ExplainRequest(design="dme", library="CMOS3", limit=3,
                    rejected_only=True),
-    VerifyRequest(design="dme", mapped_blif=".model m\n.end\n"),
 ]
 
 
@@ -75,14 +72,6 @@ class TestRoundTrip:
         )
         assert MapResponse.from_payload(response.to_payload()) == response
 
-    def test_verify_response_round_trips(self):
-        response = VerifyResponse(
-            equivalent=True, hazard_safe=False, ok=False,
-            outputs_checked=5, transitions_checked=32,
-            violations=("y: glitch on a+ b+",),
-        )
-        assert VerifyResponse.from_payload(response.to_payload()) == response
-
 
 class TestTamper:
     def payload(self) -> dict:
@@ -107,6 +96,10 @@ class TestTamper:
             MapRequest.from_payload(payload)
         with pytest.raises(ApiError):
             parse_request({**self.payload(), "kind": "nonsense"})
+        # The retired verify kind has no alias: callers send "certify".
+        with pytest.raises(ApiError, match="certify"):
+            parse_request({"schema": "repro-api/v1", "kind": "verify",
+                           "design": "dme", "mapped_blif": "x"})
 
     def test_unknown_field_rejected(self):
         payload = self.payload()

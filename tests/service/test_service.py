@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import MapRequest, VerifyRequest, netlist_blif
+from repro.api import CertifyRequest, MapRequest, netlist_blif
 from repro.service.client import ServiceError
 from repro.service.daemon import RETRY_AFTER_SECONDS
 from repro.testing.faults import FaultPlan
@@ -133,11 +133,11 @@ class TestProtocol:
         # Wrong kind for the endpoint.
         with pytest.raises(ServiceError) as info:
             client._post(
-                "/v1/verify",
+                "/v1/certify",
                 MapRequest(design="dme", library="CMOS3").to_payload(),
             )
         assert info.value.status == 400
-        assert "verify" in info.value.message
+        assert "certify" in info.value.message
         # Not JSON at all.
         with pytest.raises(ServiceError) as info:
             client._request("POST", "/v1/map", None)
@@ -153,16 +153,16 @@ class TestProtocol:
         service, client = make_service()
         mapped = client.map(MapRequest(design="dme", library="CMOS3"))
         client.map(MapRequest(design="dme", library="CMOS3", verify=True))
-        verdict = client.verify(
-            VerifyRequest(design="dme", mapped_blif=mapped.blif)
+        verdict = client.certify(
+            CertifyRequest(design="dme", mapped_blif=mapped.blif)
         )
-        assert verdict.ok
+        assert verdict.certified
         with pytest.raises(ServiceError):
             client._post("/v1/map", {"schema": "repro-api/v1"})
         metrics = client.metrics()["metrics"]
         assert metrics["service.requests"]["value"] == 4
         assert metrics["service.requests.map"]["value"] == 3
-        assert metrics["service.requests.verify"]["value"] == 1
+        assert metrics["service.requests.certify"]["value"] == 1
         assert metrics["service.errors"]["value"] == 1
         assert metrics["service.request_seconds"]["count"] == 3
 

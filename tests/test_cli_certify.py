@@ -1,4 +1,5 @@
-"""End-to-end coverage of ``repro certify`` and the ``--certify`` flags.
+"""End-to-end coverage of ``repro certify`` and of ``--verify``, which
+attaches the same certifier's verdict to ``repro map`` and ``repro batch``.
 
 Includes the acceptance gate for the conformance subsystem: the full
 Table-5 catalog mapped onto CMOS3 must re-certify with zero rejections.
@@ -91,22 +92,22 @@ class TestCertifyCommand:
         ) == 2
 
 
-class TestCertifyFlags:
-    def test_map_certify_flag(self, ann_cache, capsys):
+class TestVerifyFlags:
+    def test_map_verify_runs_the_certifier(self, ann_cache, capsys):
         code = main(
             ["map", "chu-ad-opt", "CMOS3", "--depth", "3",
-             "--cache-dir", ann_cache, "--certify"]
-        )
-        assert code == 0
-        assert "certify: CERTIFIED" in capsys.readouterr().out
-
-    def test_batch_certify_flag(self, ann_cache, capsys):
-        code = main(
-            ["batch", "chu-ad-opt", "vanbek-opt",
-             "--backend", "serial", "--depth", "3",
-             "--cache-dir", ann_cache, "--certify"]
+             "--cache-dir", ann_cache, "--verify", "--metrics"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "certifying mapped networks:" in out
-        assert out.count("CERTIFIED") == 2
+        assert "verification: equivalent=True hazard_safe=True" in out
+        assert "conformance.certificates = 1" in out
+
+    def test_batch_verify_runs_the_certifier(self, ann_cache, capsys):
+        code = main(
+            ["batch", "chu-ad-opt", "vanbek-opt",
+             "--backend", "serial", "--depth", "3",
+             "--cache-dir", ann_cache, "--verify", "--metrics"]
+        )
+        assert code == 0
+        assert "conformance.certificates = 2" in capsys.readouterr().out
