@@ -3,8 +3,8 @@
 The tracing/metrics design budget is <5% overhead with tracing
 *disabled* (the default: every instrumented call site sees
 ``NULL_TRACER``, a shared no-op context manager).  This harness
-measures three configurations over a mid-sized slice of the Table-5
-catalog and reports relative cost:
+measures five configurations over the whole Table-5 catalog on ACTEL
+and CMOS3 and reports relative cost:
 
 * ``baseline``  — no tracer, no registry (post-instrumentation default);
 * ``metrics``   — a live ``MetricsRegistry`` (absorbed once per run);
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 
-from repro.burstmode.benchmarks import synthesize_benchmark
+from repro.burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
 from repro.mapping.mapper import MappingOptions, async_tmap
 from repro.obs.log import event_log
 from repro.obs.metrics import MetricsRegistry
@@ -42,24 +42,31 @@ from repro.reporting import render_table
 
 from .conftest import emit
 
-#: Mid-sized slice: large enough for stable ratios, small enough to run
-#: in a couple of seconds per repeat.
-WORKLOAD = ("dme-fast", "pe-send-ifc", "oscsi-ctrl", "abcs")
-REPEATS = 3
+#: The whole catalog on ACTEL (where the hazard filter fires) and CMOS3,
+#: about 1 s per config and repeat on a 2-vCPU VM: a smaller slice ran
+#: under 0.1 s, where fixed per-run costs and timer noise swamp a 5 %
+#: budget.  On a noisy shared host the rows still move by several
+#: percent between runs.
+LIBRARIES = ("ACTEL", "CMOS3")
+WORKLOAD = tuple(TABLE5_ORDER)
+REPEATS = 7
 
 
 def run_workload(
     annotated_libraries, tracer=None, metrics=None, explain=False
 ) -> float:
-    library = annotated_libraries["CMOS3"]
     start = time.perf_counter()
-    for name in WORKLOAD:
-        net = synthesize_benchmark(name).netlist(name)
-        async_tmap(
-            net,
-            library,
-            MappingOptions(tracer=tracer, metrics=metrics, explain=explain),
-        )
+    for library_name in LIBRARIES:
+        library = annotated_libraries[library_name]
+        for name in WORKLOAD:
+            net = synthesize_benchmark(name).netlist(name)
+            async_tmap(
+                net,
+                library,
+                MappingOptions(
+                    tracer=tracer, metrics=metrics, explain=explain
+                ),
+            )
     return time.perf_counter() - start
 
 
@@ -107,9 +114,12 @@ def test_observability_overhead(annotated_libraries, tmp_path):
     emit(
         "obs_overhead",
         render_table(
-            ["Config", "Best of 3", "vs baseline"],
+            ["Config", f"Best of {REPEATS}", "vs baseline"],
             rows,
-            title="Observability overhead on a Table-5 slice (CMOS3, depth 5)",
+            title=(
+                "Observability overhead on the Table-5 catalog "
+                "(ACTEL + CMOS3, depth 5)"
+            ),
         )
         + "\n\n"
         + note,

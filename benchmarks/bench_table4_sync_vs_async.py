@@ -18,6 +18,15 @@ from .conftest import emit
 
 LIBRARIES = ["ACTEL", "LSI", "CMOS3", "GDT"]
 DESIGNS = ["scsi", "abcs"]
+#: Maps take tenths of a second, and the first map on a library also
+#: builds its matching indexes, so each cell is the best of a few runs.
+REPEATS = 3
+
+
+def best_of(mapper, net, library, options):
+    """The mapper's result, and its best elapsed time over REPEATS runs."""
+    results = [mapper(net, library, options) for _ in range(REPEATS)]
+    return results[0], min(result.elapsed for result in results)
 
 
 def test_table4_sync_vs_async(annotated_libraries, benchmark):
@@ -31,14 +40,16 @@ def test_table4_sync_vs_async(annotated_libraries, benchmark):
         async_times = []
         for library_name in LIBRARIES:
             library = annotated_libraries[library_name]
-            sync_result = tmap(net, library, options)
-            async_result = async_tmap(net, library, options)
-            sync_times.append(sync_result.elapsed)
-            async_times.append(async_result.elapsed)
+            _, sync_elapsed = best_of(tmap, net, library, options)
+            async_result, async_elapsed = best_of(
+                async_tmap, net, library, options
+            )
+            sync_times.append(sync_elapsed)
+            async_times.append(async_elapsed)
             screened[(design, library_name)] = (
                 async_result.stats.hazardous_matches
             )
-            ratios.append(async_result.elapsed / max(sync_result.elapsed, 1e-9))
+            ratios.append(async_elapsed / max(sync_elapsed, 1e-9))
         rows.append(
             [design.upper(), "Synchronous"]
             + [f"{t:.2f}" for t in sync_times]
@@ -53,7 +64,10 @@ def test_table4_sync_vs_async(annotated_libraries, benchmark):
         render_table(
             ["Design", "Mapper"] + LIBRARIES,
             rows,
-            title="Table 4 — sync vs async mapper run times in seconds (depth 5)",
+            title=(
+                "Table 4 — sync vs async mapper run times in seconds "
+                f"(depth 5, best of {REPEATS})"
+            ),
         ),
     )
 

@@ -34,7 +34,7 @@ def test_table5_benchmark_suite(annotated_libraries, benchmark):
             areas[library_name][name] = result.area
             delays[library_name][name] = result.delay
             row += [
-                f"{result.elapsed:.1f}s",
+                f"{result.elapsed:.2f}s",
                 f"{result.delay:.1f}ns",
                 f"{result.area:.0f}",
             ]

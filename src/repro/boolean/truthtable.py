@@ -9,6 +9,7 @@ signature pruning make that comparison cheap at cell sizes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -29,6 +30,19 @@ def var_table(index: int, nvars: int) -> int:
         if point >> index & 1:
             table |= 1 << point
     return table
+
+
+@lru_cache(maxsize=None)
+def projection_masks(nvars: int) -> tuple[int, ...]:
+    """``var_table(i, nvars)`` for every ``i``, computed once per ``nvars``.
+
+    Bit-parallel evaluation binds variable ``i`` to ``masks[i]``: AND,
+    OR and NOT of whole tables are then ``&``, ``|`` and
+    ``table_mask(nvars) ^``.  At most ``TT_MAX_VARS + 1`` entries.
+    """
+    if not 0 <= nvars <= TT_MAX_VARS:
+        raise ValueError(f"nvars must be in 0..{TT_MAX_VARS}, got {nvars}")
+    return tuple(var_table(index, nvars) for index in range(nvars))
 
 
 def from_callable(func: Callable[[int], bool], nvars: int) -> int:

@@ -61,6 +61,13 @@ class Library:
                 raise ValueError(
                     f"duplicate cell names in library: {cell.name!r}"
                 )
+            # Matching tabulates cluster functions as dense truth tables;
+            # a wider cell could never be matched, so refuse it up front.
+            if cell.num_pins > tt.TT_MAX_VARS:
+                raise ValueError(
+                    f"cell {cell.name!r} has {cell.num_pins} pins; "
+                    f"matching supports at most {tt.TT_MAX_VARS}"
+                )
             self._by_name[cell.name] = cell
         self._by_pins: Optional[dict[int, list[LibraryCell]]] = None
         self._signatures: Optional[dict[tuple, list[LibraryCell]]] = None

@@ -33,7 +33,7 @@ from ..obs.explain import (
 )
 from ..obs.tracer import NULL_TRACER
 from .cuts import Cluster, cluster_expression, enumerate_clusters
-from .match import Match, match_cluster
+from .match import Match, MatchMemo, match_cluster
 
 
 class MappingError(Exception):
@@ -46,7 +46,13 @@ class CoverStats:
 
     Match and filter counts plus per-cone wall time (``cones`` /
     ``cone_seconds``; ``cone_seconds`` sums per-cone work, so with
-    parallel covering it exceeds wall-clock).
+    parallel covering it exceeds wall-clock).  ``clusters`` counts the
+    enumerated clusters the covering DP examined; enumeration stops at
+    the library's widest cell (``Library.max_pins`` leaves), so wider
+    clusters, which no cell can match, are never counted.
+    ``cluster_cap_hits`` counts cone nodes whose enumeration stopped at
+    the per-node cluster cap (``enumerate_clusters``'s
+    ``max_clusters_per_node``); it reads 0 on the whole catalog.
 
     ``CoverStats`` is the thread-confined per-cone accumulator; the
     run-level sink is the :class:`repro.obs.metrics.MetricsRegistry`
@@ -64,6 +70,7 @@ class CoverStats:
     hazard_accepts: int = 0
     dc_waivers: int = 0
     filter_invocations: int = 0
+    cluster_cap_hits: int = 0
     cones: int = 0
     cone_seconds: float = 0.0
 
@@ -116,6 +123,7 @@ def cover_cone(
     dont_cares=None,
     tracer=None,
     explain=None,
+    match_memo: Optional[MatchMemo] = None,
 ) -> ConeCover:
     """Find the best hazard-aware cover of one cone.
 
@@ -144,13 +152,31 @@ def cover_cone(
     (via :func:`repro.hazards.analyzer.find_subset_violation`).  The
     recorder is thread-confined like ``stats``; with ``explain=None``
     (the default) the hot path pays one ``is None`` check per match.
+
+    Only work that can produce a match is done: clusters are enumerated
+    up to ``min(max_inputs, library.max_pins)`` leaves (a cluster's
+    leaves are the union of its children's, so every narrower cluster
+    is still built, in the same order), and each distinct cluster
+    function is matched once per ``match_memo`` (see
+    :func:`repro.mapping.match.match_cluster`).  The mapper passes one
+    memo per run; without one, the memo lasts one cone.
     """
     if stats is None:
         stats = CoverStats()
     if tracer is None:
         tracer = NULL_TRACER
+    if match_memo is None:
+        match_memo = {}
     with tracer.span("enumerate_clusters") as enum_span:
-        clusters = enumerate_clusters(netlist, cone, max_depth, max_inputs)
+        capped: list[str] = []
+        clusters = enumerate_clusters(
+            netlist,
+            cone,
+            max_depth,
+            min(max_inputs, library.max_pins),
+            capped=capped,
+        )
+        stats.cluster_cap_hits += len(capped)
         enum_span.set_attr(
             nodes=len(clusters),
             clusters=sum(len(v) for v in clusters.values()),
@@ -183,7 +209,9 @@ def cover_cone(
         champion_record = None
         for cluster in node_clusters:
             expr = cluster_expression(netlist, cluster)
-            matches = match_cluster(library, expr, cluster.leaves)
+            matches = match_cluster(
+                library, expr, cluster.leaves, memo=match_memo
+            )
             for match in matches:
                 stats.matches += 1
                 record = (

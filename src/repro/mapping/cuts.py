@@ -43,12 +43,17 @@ def enumerate_clusters(
     max_depth: int = 5,
     max_inputs: int = 8,
     max_clusters_per_node: Optional[int] = 4000,
+    capped: Optional[list[str]] = None,
 ) -> dict[str, list[Cluster]]:
     """All clusters rooted at each cone member, bounded by depth/inputs.
 
     Returns a map node → clusters.  The trivial cluster (the node's own
     base gate with its fanins as leaves) is always present, so a cover
     exists whenever the library can realize the base functions.
+
+    A node keeps its first ``max_clusters_per_node`` clusters; the name
+    of each node that had more is appended to ``capped`` when a list is
+    given.
     """
     members = set(cone.members)
     leaves = set(cone.leaves)
@@ -59,6 +64,7 @@ def enumerate_clusters(
             return clusters[name]
         node = netlist.nodes[name]
         result: list[Cluster] = []
+        truncated = False
         # Choice per fanin: stop (leaf) or absorb the fanin's clusters.
         options: list[list[Optional[Cluster]]] = []
         for fanin in node.fanins:
@@ -68,19 +74,28 @@ def enumerate_clusters(
             options.append(opts)
 
         def combine(index: int, leaf_acc: list[str], member_acc: set[str], depth_acc: int) -> None:
-            if max_clusters_per_node is not None and len(result) >= max_clusters_per_node:
+            nonlocal truncated
+            if truncated:
                 return
             if index == len(options):
                 ordered = tuple(dict.fromkeys(leaf_acc))
-                if len(ordered) <= max_inputs:
-                    result.append(
-                        Cluster(
-                            root=name,
-                            leaves=ordered,
-                            members=frozenset(member_acc),
-                            depth=depth_acc + 1,
-                        )
+                if len(ordered) > max_inputs:
+                    return
+                if (
+                    max_clusters_per_node is not None
+                    and len(result) >= max_clusters_per_node
+                ):
+                    # A cluster past the cap: stop the whole node here.
+                    truncated = True
+                    return
+                result.append(
+                    Cluster(
+                        root=name,
+                        leaves=ordered,
+                        members=frozenset(member_acc),
+                        depth=depth_acc + 1,
                     )
+                )
                 return
             fanin = node.fanins[index]
             for option in options[index]:
@@ -102,6 +117,8 @@ def enumerate_clusters(
                     )
 
         combine(0, [], {name}, 0)
+        if truncated and capped is not None:
+            capped.append(name)
         clusters[name] = result
         return result
 

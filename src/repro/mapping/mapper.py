@@ -41,6 +41,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..testing import faults
 from .cover import ConeCover, CoverStats, cover_cone
+from .match import MatchMemo
 
 
 @dataclass
@@ -237,6 +238,7 @@ def _log_map_done(result, network, library, tracer, root_span) -> None:
         area=result.area,
         delay=round(result.delay, 4),
         cones=result.stats.cones,
+        cluster_cap_hits=result.stats.cluster_cap_hits,
         elapsed_seconds=round(result.elapsed, 4),
         workers=result.workers,
     )
@@ -292,6 +294,10 @@ def _map_decomposed(
     tracer = options.tracer or NULL_TRACER
     cones = partition(decomposed, tracer=tracer)
     workers = options.resolved_workers()
+    # One match memo per run: a cluster function's matches depend only
+    # on (table, nvars) for this library, so cones share the answers.
+    # Entries are pure, so pool threads may race to fill one harmlessly.
+    match_memo: MatchMemo = {}
 
     # Cone spans parent to the covering span explicitly: with workers > 1
     # they open on pool threads, where the thread-local stack is empty.
@@ -333,6 +339,7 @@ def _map_decomposed(
                 dont_cares=dont_cares,
                 tracer=tracer,
                 explain=cone_explain,
+                match_memo=match_memo,
             )
         cone_stats.cones = 1
         cone_stats.cone_seconds = time.perf_counter() - cone_start

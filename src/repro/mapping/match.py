@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from ..boolean import truthtable as tt
-from ..boolean.expr import Expr
+from ..boolean.expr import And, Const, Expr, Lit, Not, Or, Var
 from ..library.cell import LibraryCell
 from ..library.library import Library
 
@@ -37,14 +37,42 @@ class Match:
 
 
 def expression_truth_table(expr: Expr, order: Sequence[str]) -> int:
-    """Dense truth table of an expression over an explicit ordering."""
-    table = 0
+    """Dense truth table of an expression over an explicit ordering of
+    at most ``TT_MAX_VARS`` variables.
+
+    One bit-parallel walk: each variable is bound to its projection
+    mask (:func:`repro.boolean.truthtable.projection_masks`), so AND is
+    ``&``, OR is ``|`` and NOT is ``full ^`` over whole tables instead
+    of one evaluation per input point.
+    """
     names = list(order)
-    for point in range(1 << len(names)):
-        env = {name: bool(point >> i & 1) for i, name in enumerate(names)}
-        if expr.evaluate(env):
-            table |= 1 << point
-    return table
+    nvars = len(names)
+    full = tt.table_mask(nvars)
+    masks = dict(zip(names, tt.projection_masks(nvars)))
+
+    def walk(node: Expr) -> int:
+        if isinstance(node, Var):
+            return masks[node.name]
+        if isinstance(node, Lit):
+            mask = masks[node.name]
+            return mask if node.positive else full ^ mask
+        if isinstance(node, And):
+            table = full
+            for term in node.terms:
+                table &= walk(term)
+            return table
+        if isinstance(node, Or):
+            table = 0
+            for term in node.terms:
+                table |= walk(term)
+            return table
+        if isinstance(node, Not):
+            return full ^ walk(node.child)
+        if isinstance(node, Const):
+            return full if node.value else 0
+        raise TypeError(f"cannot tabulate expression node {node!r}")
+
+    return walk(expr)
 
 
 def find_matches(
@@ -77,19 +105,40 @@ def find_matches(
                 break
 
 
+#: ``(table, nvars) -> matches``: one mapping run's answers, for one
+#: library and one ``limit_per_cell``; an empty tuple records "no match".
+MatchMemo = dict[tuple[int, int], tuple[Match, ...]]
+
+
 def match_cluster(
     library: Library,
     expr: Expr,
     leaves: Sequence[str],
     limit_per_cell: Optional[int] = 1,
+    memo: Optional[MatchMemo] = None,
 ) -> list[Match]:
-    """All cell matches for a cluster given by expression + leaf order."""
-    if len(leaves) > tt.TT_MAX_VARS:
+    """All cell matches for a cluster given by expression + leaf order.
+
+    A leaf count no cell has returns ``[]`` before any truth table is
+    built.  A match list depends only on the cluster's ``(table,
+    nvars)``, so with a ``memo`` each distinct function is matched
+    once per run; the memo must not outlive the run's library and
+    ``limit_per_cell``.
+    """
+    nvars = len(leaves)
+    if not library.by_pin_count(nvars):
         return []
     table = expression_truth_table(expr, leaves)
-    # Degenerate clusters (function ignores a leaf) rarely match a cell
-    # of that pin count and would bind a floating pin; skip them.
-    for i in range(len(leaves)):
-        if not tt.depends_on(table, i, len(leaves)):
-            return []
-    return list(find_matches(library, table, len(leaves), limit_per_cell))
+    key = (table, nvars)
+    matches = memo.get(key) if memo is not None else None
+    if matches is None:
+        # Degenerate clusters (function ignores a leaf) rarely match a
+        # cell of that pin count and would bind a floating pin; skip them.
+        matches = ()
+        if all(tt.depends_on(table, i, nvars) for i in range(nvars)):
+            matches = tuple(
+                find_matches(library, table, nvars, limit_per_cell)
+            )
+        if memo is not None:
+            memo[key] = matches
+    return list(matches)

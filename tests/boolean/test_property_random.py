@@ -8,16 +8,22 @@ hypothesis dependency.  Each algebraic operation on the compact
 cube/cover representation is checked point-by-point against the
 exhaustive semantics: a cube is its minterm set, a cover is the union,
 and the truth table (``Cover.truth_table`` /
-``repro.boolean.truthtable``) is ground truth.
+``repro.boolean.truthtable``) is ground truth.  The mapper's
+bit-parallel ``expression_truth_table`` is checked against the
+per-point ``Expr.evaluate`` loop it replaced, kept here as its oracle.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.boolean import truthtable as tt
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
+from repro.boolean.expr import And, Const, Expr, Lit, Not, Or, Var
+from repro.mapping.match import expression_truth_table
 
 CASES = 200
 NVARS_CHOICES = (2, 3, 4, 5)
@@ -174,3 +180,53 @@ class TestCoverAlgebra:
                 cand = random_cube(rng, nvars)
                 if cover.is_implicant(cand):
                     assert any(p.contains(cand) for p in primes)
+
+
+def pointwise_truth_table(expr: Expr, order) -> int:
+    """The oracle: one ``Expr.evaluate`` call per input point."""
+    table = 0
+    names = list(order)
+    for point in range(1 << len(names)):
+        env = {name: bool(point >> i & 1) for i, name in enumerate(names)}
+        if expr.evaluate(env):
+            table |= 1 << point
+    return table
+
+
+def random_expr(rng: random.Random, names: list[str], depth: int) -> Expr:
+    """A random BFF over ``names``; leaves repeat (drawn with replacement)."""
+    if depth == 0 or rng.random() < 0.25:
+        name = rng.choice(names)
+        pick = rng.random()
+        if pick < 0.45:
+            return Var(name)
+        if pick < 0.9:
+            return Lit(name, rng.random() < 0.5)
+        return Const(rng.random() < 0.5)
+    pick = rng.random()
+    if pick < 0.2:
+        return Not(random_expr(rng, names, depth - 1))
+    terms = tuple(
+        random_expr(rng, names, depth - 1) for _ in range(rng.randint(1, 4))
+    )
+    return And(terms) if pick < 0.6 else Or(terms)
+
+
+class TestExpressionTruthTable:
+    def test_walk_equals_pointwise_evaluation(self):
+        rng = random.Random(f"{SEED}-expression-truth-table")
+        for _ in range(CASES):
+            nvars = rng.randint(1, 8)
+            order = [f"x{i}" for i in range(nvars)]
+            rng.shuffle(order)
+            # Some expressions ignore part of the order (degenerate
+            # clusters), and a nested And/Or may repeat a leaf.
+            support = order[: rng.randint(1, nvars)]
+            expr = random_expr(rng, support, rng.randint(1, 5))
+            assert expression_truth_table(expr, order) == (
+                pointwise_truth_table(expr, order)
+            ), (expr, order)
+
+    def test_missing_variable_raises(self):
+        with pytest.raises(KeyError):
+            expression_truth_table(Var("z"), ["a", "b"])

@@ -8,7 +8,11 @@ Usage (from the repo root)::
 Maps every burst-mode catalog benchmark onto CMOS3 with the async
 mapper at the default depth and records, per benchmark, the mapped
 area, total cell count, per-cell usage, and the certifier's verdict
-(every transition enumerated on networks of up to 8 inputs).  ``tests/integration/test_golden_mapping.py`` pins the mapper
+(every transition enumerated on networks of up to 8 inputs).  It also
+maps every benchmark onto every standard library in both modes (async
+and sync) at the default options and records the SHA-256 of each
+mapped BLIF (``digests[library][mode][benchmark]``): the byte-identity
+pin.  ``tests/integration/test_golden_mapping.py`` pins the mapper
 against this file, so regenerate it ONLY when a mapper change is meant
 to alter results — and say why in the commit that updates it.
 """
@@ -22,15 +26,18 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent.parent / "src"))
 
+from repro.api.facade import netlist_blif, text_digest
 from repro.burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
 from repro.conformance import certify_mapping
 from repro.conformance.certifier import DEFAULT_EXHAUSTIVE_LIMIT
 from repro.library.standard import load_library
-from repro.mapping.mapper import MappingOptions, async_tmap
+from repro.mapping.mapper import MappingOptions, async_tmap, map_network
 
 GOLDEN_PATH = HERE / "golden_mappings.json"
 LIBRARY = "CMOS3"
 EXHAUSTIVE_INPUTS = 8
+DIGEST_LIBRARIES = ("ACTEL", "CMOS3", "LSI", "GDT")
+MODES = ("async", "sync")
 
 
 def golden_entry(result, certificate) -> dict:
@@ -44,6 +51,16 @@ def golden_entry(result, certificate) -> dict:
             "ok": certificate.certified,
         },
     }
+
+
+def mapped_digests(library, mode: str) -> dict[str, str]:
+    """SHA-256 of the mapped BLIF of every catalog benchmark."""
+    digests = {}
+    for name in TABLE5_ORDER:
+        network = synthesize_benchmark(name).netlist(name)
+        result = map_network(network, library, MappingOptions(), mode=mode)
+        digests[name] = text_digest(netlist_blif(result.mapped))
+    return digests
 
 
 def main() -> int:
@@ -69,7 +86,14 @@ def main() -> int:
             f"{name}: area={result.area:.0f} cells={golden[name]['cells']} "
             f"verify_ok={certificate.certified}"
         )
-    payload = {"library": LIBRARY, "benchmarks": golden}
+    digests: dict[str, dict[str, dict[str, str]]] = {}
+    for library_name in DIGEST_LIBRARIES:
+        target = load_library(library_name)
+        digests[library_name] = {}
+        for mode in MODES:
+            digests[library_name][mode] = mapped_digests(target, mode)
+            print(f"{library_name} {mode}: {len(TABLE5_ORDER)} digests")
+    payload = {"library": LIBRARY, "benchmarks": golden, "digests": digests}
     GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
     return 0

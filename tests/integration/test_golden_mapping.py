@@ -1,9 +1,13 @@
-"""Golden end-to-end snapshot of the async mapper on the full catalog.
+"""Golden end-to-end snapshot of the mappers on the full catalog.
 
 Every burst-mode benchmark is mapped onto CMOS3 and its area, cell
 counts, per-cell usage, and certifier verdict are pinned to
-``tests/data/golden_mappings.json``.  Any intentional mapper change
-that alters results must regenerate the file::
+``tests/data/golden_mappings.json``.  Every benchmark is also mapped
+onto every standard library in both modes, and the SHA-256 of each
+mapped BLIF is pinned there: the byte-identity contract that lets a
+performance change or a deletion prove it altered no netlist.  Any
+intentional mapper change that alters results must regenerate the
+file::
 
     PYTHONPATH=src python tests/data/regen_golden_mappings.py
 
@@ -19,11 +23,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.facade import netlist_blif, text_digest
 from repro.burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
 from repro.conformance import certify_mapping
 from repro.conformance.certifier import DEFAULT_EXHAUSTIVE_LIMIT
-from repro.library.standard import load_library
-from repro.mapping.mapper import MappingOptions, async_tmap
+from repro.library.standard import ALL_LIBRARIES, load_library
+from repro.mapping.mapper import MappingOptions, async_tmap, map_network
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_mappings.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -47,8 +52,42 @@ def cmos3():
     return library
 
 
+@pytest.fixture(scope="module")
+def libraries():
+    """One instance per standard library, shared by its two modes."""
+    return {}
+
+
 def test_golden_file_covers_the_whole_catalog():
     assert sorted(GOLDEN["benchmarks"]) == sorted(TABLE5_ORDER)
+    assert sorted(GOLDEN["digests"]) == sorted(ALL_LIBRARIES)
+    for modes in GOLDEN["digests"].values():
+        assert sorted(modes) == ["async", "sync"]
+        for digests in modes.values():
+            assert sorted(digests) == sorted(TABLE5_ORDER)
+
+
+@pytest.mark.parametrize(
+    "library_name,mode",
+    [(name, mode) for name in ALL_LIBRARIES for mode in ("async", "sync")],
+)
+def test_mapped_blifs_are_byte_identical(library_name, mode, libraries):
+    if library_name not in libraries:
+        libraries[library_name] = load_library(library_name)
+    library = libraries[library_name]
+    expected = GOLDEN["digests"][library_name][mode]
+    changed = []
+    for bench in TABLE5_ORDER:
+        network = synthesize_benchmark(bench).netlist(bench)
+        result = map_network(network, library, MappingOptions(), mode=mode)
+        # The per-node cluster cap never truncates on the catalog.
+        assert result.stats.cluster_cap_hits == 0, bench
+        if text_digest(netlist_blif(result.mapped)) != expected[bench]:
+            changed.append(bench)
+    assert not changed, (
+        f"{library_name} {mode}: mapped BLIF of {changed} changed — "
+        "regenerate tests/data/golden_mappings.json if this is intentional"
+    )
 
 
 @pytest.mark.parametrize("bench", TABLE5_ORDER)

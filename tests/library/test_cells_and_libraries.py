@@ -100,6 +100,14 @@ class TestLibrary:
                 "D", [("AND2", "a*b", None, 1.0), ("AND2", "a+b", None, 1.0)]
             )
 
+    def test_cell_wider_than_truth_tables_is_rejected(self):
+        pins = [f"p{i}" for i in range(tt.TT_MAX_VARS + 1)]
+        wide = LibraryCell.from_text("AND15", "*".join(pins))
+        with pytest.raises(ValueError, match="AND15"):
+            Library("W", [LibraryCell.from_text("INV", "a'"), wide])
+        widest = LibraryCell.from_text("AND14", "*".join(pins[:-1]))
+        assert Library("W", [widest]).max_pins == tt.TT_MAX_VARS
+
     def test_name_index_covers_every_cell(self):
         lib = self.make_library()
         for cell in lib:

@@ -1,13 +1,22 @@
 """Tests for covering internals: stats, caps, and cone covers."""
 
+import functools
+
 import pytest
 
+import repro.mapping.cover as cover_module
+import repro.mapping.match as match_module
+from repro.api.facade import netlist_blif
+from repro.burstmode.benchmarks import synthesize_benchmark
 from repro.library import Library, minimal_teaching_library
+from repro.library.standard import load_library
 from repro.mapping.cover import ConeCover, CoverStats, cover_cone
 from repro.mapping.cuts import enumerate_clusters
+from repro.mapping.mapper import async_tmap
 from repro.network.decompose import async_tech_decomp
 from repro.network.netlist import Netlist
 from repro.network.partition import partition
+from repro.obs.log import event_log, read_log
 
 
 def decompose(equations):
@@ -54,16 +63,70 @@ class TestConeCover:
         assert area_first.area <= delay_first.area + 1e-9
 
 
+def largest_cone(cones):
+    return max(cones, key=lambda cone: len(cone.members))
+
+
 class TestClusterCaps:
-    def test_per_node_cluster_cap(self):
+    def test_per_node_cluster_cap(self, monkeypatch, mini_library, tmp_path):
         decomposed, cones = decompose(
             {"f": "a*b*c*d + a'*b'*c'*d' + a*b'*c*d'"}
         )
+        cone = largest_cone(cones)
+        full = enumerate_clusters(decomposed, cone, max_clusters_per_node=None)
+        hits: list[str] = []
         capped = enumerate_clusters(
-            decomposed, cones[0], max_clusters_per_node=2
+            decomposed, cone, max_clusters_per_node=2, capped=hits
         )
         for group in capped.values():
             assert len(group) <= 2
+        # Exactly the nodes that lost a cluster are counted, once each.
+        assert sorted(hits) == sorted(
+            node for node, group in full.items() if len(group) > 2
+        )
+        assert len(hits) >= 2
+        # A node holding exactly the cap dropped nothing.
+        widest = max(len(group) for group in full.values())
+        at_cap: list[str] = []
+        enumerate_clusters(
+            decomposed, cone, max_clusters_per_node=widest, capped=at_cap
+        )
+        assert at_cap == []
+
+        # cover_cone counts the hits in CoverStats.cluster_cap_hits.
+        expected: list[str] = []
+        enumerate_clusters(
+            decomposed,
+            cone,
+            max_inputs=mini_library.max_pins,
+            max_clusters_per_node=2,
+            capped=expected,
+        )
+        monkeypatch.setattr(
+            cover_module,
+            "enumerate_clusters",
+            functools.partial(enumerate_clusters, max_clusters_per_node=2),
+        )
+        stats = CoverStats()
+        cover_cone(decomposed, cone, mini_library, stats=stats)
+        assert stats.cluster_cap_hits == len(expected) > 0
+
+        # A run publishes the count as a counter and in ``map.done``.
+        log_path = tmp_path / "events.jsonl"
+        with event_log(log_path):
+            result = async_tmap(
+                Netlist.from_equations(
+                    {"f": "a*b*c*d + a'*b'*c'*d' + a*b'*c*d'"}
+                ),
+                mini_library,
+            )
+        hits = result.stats.cluster_cap_hits
+        assert hits >= len(expected)
+        assert result.metrics.counter("cover.cluster_cap_hits").value == hits
+        (done,) = [
+            line for line in read_log(log_path) if line["event"] == "map.done"
+        ]
+        assert done["fields"]["cluster_cap_hits"] == hits
 
     def test_uncapped_superset_of_capped(self):
         decomposed, cones = decompose({"f": "a*b + c*d"})
@@ -75,6 +138,71 @@ class TestClusterCaps:
         )
         for node, group in capped.items():
             assert len(group) <= len(full[node])
+
+
+#: Cells of 1, 2 and 4 pins: the widest has 4, and none has 3.
+GAPPED_SPEC = [
+    ("INV", "a'", None, 0.5),
+    ("AND2", "a*b", None, 1.0),
+    ("OR2", "a + b", None, 1.0),
+    ("NAND2", "(a*b)'", None, 1.0),
+    ("AO22", "a*b + c*d", None, 2.0),
+    ("OA22", "(a + b)*(c + d)", None, 2.0),
+]
+
+
+class TestMatchOnlyWhatTheLibraryCan:
+    def test_truth_tables_only_at_pin_counts_a_cell_has(self, monkeypatch):
+        library = Library.from_spec("GAPPED", GAPPED_SPEC)
+        widths: list[int] = []
+        tabulate = match_module.expression_truth_table
+
+        def spy(expr, order):
+            widths.append(len(order))
+            return tabulate(expr, order)
+
+        monkeypatch.setattr(match_module, "expression_truth_table", spy)
+        decomposed, cones = decompose(
+            {
+                "f": "a*b*c*d + e*g + a'*h*c'",
+                "y": "(a + b)*(c + d)*(e + g) + h",
+            }
+        )
+        for cone in cones:
+            assert cover_cone(decomposed, cone, library).selections
+        assert max(widths) == library.max_pins == 4
+        assert set(widths) <= {1, 2, 4}
+
+    def test_each_function_is_matched_once_per_run(self, monkeypatch):
+        tables: list[tuple[int, int]] = []
+        searched: list[tuple[int, int]] = []
+        tabulate = match_module.expression_truth_table
+        search = match_module.find_matches
+
+        def tt_spy(expr, order):
+            table = tabulate(expr, order)
+            tables.append((table, len(order)))
+            return table
+
+        def find_spy(library, table, num_inputs, limit_per_cell=1):
+            searched.append((table, num_inputs))
+            return search(library, table, num_inputs, limit_per_cell)
+
+        monkeypatch.setattr(match_module, "expression_truth_table", tt_spy)
+        monkeypatch.setattr(match_module, "find_matches", find_spy)
+        library = load_library("CMOS3")
+        network = synthesize_benchmark("dme-fast").netlist("dme-fast")
+        first = async_tmap(network, library)
+        assert searched and len(searched) == len(set(searched))
+        assert set(searched) <= set(tables)
+        assert len(set(tables)) < len(tables)  # the run does repeat functions
+
+        # The memo lives for one run: a second run searches again.
+        first_searches = list(searched)
+        searched.clear()
+        second = async_tmap(network, library)
+        assert searched == first_searches
+        assert netlist_blif(second.mapped) == netlist_blif(first.mapped)
 
 
 class TestLibraryRequirements:

@@ -8,13 +8,17 @@ results are merged in cone order.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from repro.api.facade import netlist_blif
 from repro.boolean.cover import Cover
 from repro.burstmode.benchmarks import synthesize_benchmark
 from repro.hazards.analyzer import analyze_cover, hazards_subset
 from repro.hazards.multilevel import transition_has_hazard
 from repro.library.standard import load_library, minimal_teaching_library
+from repro.mapping.cover import CoverStats
 from repro.mapping.mapper import MappingOptions, async_tmap, tmap
 from repro.network.netlist import Netlist
 
@@ -49,6 +53,27 @@ class TestParallelDeterminism:
             threaded.mapped
         )
         assert threaded.workers == 4 and serial.workers == 1
+
+    def test_shared_match_memo_survives_thread_interleaving(self):
+        # One match memo serves every cone of a run, so pool threads
+        # fill it concurrently.  With more threads than cores and a
+        # switch forced every microsecond, the netlist and every
+        # counter must still be the serial run's.
+        library = load_library("CMOS3")
+        library.annotate_hazards()
+        net = synthesize_benchmark("pe-send-ifc").netlist("pe-send-ifc")
+        serial = async_tmap(net, library, MappingOptions(workers=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = async_tmap(net, library, MappingOptions(workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert netlist_blif(threaded.mapped) == netlist_blif(serial.mapped)
+        for name in CoverStats.COUNTER_FIELDS:
+            assert getattr(threaded.stats, name) == getattr(
+                serial.stats, name
+            ), name
 
     def test_workers_do_not_change_sync_mapping(self, mini_library):
         net = Netlist.from_equations(
