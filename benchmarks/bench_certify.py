@@ -102,7 +102,6 @@ def test_certify_cost_within_budget(annotated_libraries):
         {
             "schema": BENCH_SCHEMA,
             "library": library.name,
-            "workers": 1,
             "max_depth": DEPTH,
             "annotate_seconds": 0.0,
             "annotate_source": "session-warm",

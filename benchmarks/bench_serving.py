@@ -185,7 +185,6 @@ def main(argv=None) -> int:
         snapshot = {
             "schema": BENCH_SCHEMA,
             "library": args.library,
-            "workers": 1,
             "max_depth": args.depth,
             "annotate_seconds": cold_annotate,
             "annotate_source": "cold",

@@ -165,7 +165,6 @@ def _mapping_options(
         max_inputs=request.max_inputs,
         objective=request.objective,
         filter_mode=request.filter_mode,
-        workers=request.workers,
         input_bursts=input_bursts,
         annotation_cache_dir=cache_dir,
         tracer=tracer,
@@ -376,7 +375,6 @@ def _response_from_result(
         map_seconds=round(result.elapsed, 4),
         annotate_seconds=round(result.annotate_elapsed, 4),
         annotate_source=annotation.source if annotation is not None else None,
-        workers=result.workers,
         digest=text_digest(blif),
         blif=blif,
         fallback=fallback,

@@ -34,8 +34,10 @@ declared exactly once, in :data:`OPTION_FIELDS`.  Everything else —
 Deprecation policy: ``repro-api/v1`` payloads only ever *gain* optional
 fields with defaults; removing or retyping a field bumps the schema to
 ``/v2`` and v1 payloads keep parsing for at least one minor release.
-The one removal inside v1 is the ``verify`` request kind: a caller
-sends the same fields as kind ``certify`` to ``/v1/certify``.
+Two removals inside v1 break that rule: the ``verify`` request kind
+(a caller sends the same fields as kind ``certify`` to
+``/v1/certify``) and the ``workers`` field of map requests and
+responses (covering is serial).
 ``tmap``/``async_tmap``/``map_network`` take a
 :class:`~repro.mapping.mapper.MappingOptions` and no per-knob keywords
 (see ``docs/api.md``).
@@ -71,7 +73,7 @@ class OptionField:
 
     ``flag=None`` keeps the option out of the CLI; ``batch=False``
     keeps it out of :class:`~repro.batch.jobs.BatchJob` specs (for
-    knobs that cannot change results, like ``workers``).
+    knobs that cannot change results, like ``result_cache``).
     """
 
     name: str
@@ -129,15 +131,6 @@ OPTION_FIELDS: tuple[OptionField, ...] = (
         choices=FILTER_MODES,
     ),
     OptionField(
-        "workers",
-        int,
-        1,
-        "parallel cone-covering threads (0 = one per CPU)",
-        flag="--workers",
-        batch=False,
-        minimum=0,
-    ),
-    OptionField(
         "result_cache",
         bool,
         False,
@@ -154,17 +147,13 @@ OPTION_NAMES = tuple(field.name for field in OPTION_FIELDS)
 BATCH_OPTION_NAMES = tuple(f.name for f in OPTION_FIELDS if f.batch)
 
 
-def add_option_arguments(parser, exclude: tuple = ()) -> None:
+def add_option_arguments(parser) -> None:
     """Register the :data:`OPTION_FIELDS` flags on an argparse parser.
 
     The ``mode`` option is exposed as the historical ``--sync`` toggle;
-    every other field becomes a typed, choice-checked flag.  Subcommands
-    that pre-empt a flag for their own purposes (``batch --workers`` is
-    the *pool* width) list it in ``exclude``.
+    every other field becomes a typed, choice-checked flag.
     """
     for field in OPTION_FIELDS:
-        if field.name in exclude:
-            continue
         if field.name == "mode":
             parser.add_argument(
                 "--sync",
@@ -194,12 +183,10 @@ def add_option_arguments(parser, exclude: tuple = ()) -> None:
         )
 
 
-def option_values_from_args(args, exclude: tuple = ()) -> dict:
+def option_values_from_args(args) -> dict:
     """Extract the :data:`OPTION_FIELDS` values an argparse run produced."""
     values: dict[str, Any] = {}
     for field in OPTION_FIELDS:
-        if field.name in exclude:
-            continue
         if field.name == "mode":
             values["mode"] = "sync" if getattr(args, "sync", False) else "async"
         elif hasattr(args, field.name):
@@ -388,7 +375,6 @@ class MapRequest(_Payload):
     max_inputs: int = 8
     objective: str = "area"
     filter_mode: str = "exact"
-    workers: int = 1
     result_cache: bool = False
     dont_cares: bool = False
     explain: bool = False
@@ -600,7 +586,6 @@ class MapResponse(_Payload):
     map_seconds: float
     annotate_seconds: float
     annotate_source: Optional[str]
-    workers: int
     digest: str
     blif: str
     fallback: Optional[str] = None

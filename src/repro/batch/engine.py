@@ -182,9 +182,6 @@ class BatchReport:
         return {
             "schema": BENCH_SCHEMA,
             "library": next(iter(libraries)),
-            # Inner per-job mapping is single-threaded regardless of the
-            # batch fan-out, which is what this field describes.
-            "workers": 1,
             "max_depth": max_depth,
             "annotate_seconds": round(annotate, 4),
             "annotate_source": "batch",

@@ -4,14 +4,7 @@ from .bdd import BddManager
 from .cover import Cover
 from .cube import Cube, bit_indices, popcount
 from .expr import And, Const, Expr, Lit, Not, Or, Var, parse, sorted_support
-from .minimize import (
-    CoveringProblem,
-    complete_sum,
-    espresso_lite,
-    make_hazard_free_static,
-    minimize_exact,
-    simplify_for_sync,
-)
+from .minimize import CoveringProblem, make_hazard_free_static, simplify_for_sync
 from .paths import LabeledLiteral, LabeledProduct, LabeledSop, label_expression
 
 __all__ = [
@@ -30,11 +23,8 @@ __all__ = [
     "Or",
     "Var",
     "bit_indices",
-    "complete_sum",
-    "espresso_lite",
     "label_expression",
     "make_hazard_free_static",
-    "minimize_exact",
     "parse",
     "popcount",
     "simplify_for_sync",

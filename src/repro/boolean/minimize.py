@@ -1,18 +1,17 @@
-"""Two-level minimization: primes, essentials, and unate covering.
+"""Two-level cover transforms and the unate-covering solver.
 
-Provides the Quine–McCluskey-style exact minimizer used by the
-*synchronous* decomposition path (whose simplification step is precisely
-what can introduce static-1 hazards — Figure 3 of the paper), and the
-generic unate-covering solver shared with the hazard-free minimizer in
-:mod:`repro.burstmode.hfmin`.
+Provides :func:`simplify_for_sync`, the simplification step of the
+*synchronous* decomposition path (precisely what can introduce
+static-1 hazards — Figure 3 of the paper), :func:`make_hazard_free_static`,
+and the generic unate-covering solver used by the hazard-free minimizer
+in :mod:`repro.burstmode.hfmin`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cover import Cover
-from .cube import Cube
 
 
 class CoveringProblem:
@@ -106,44 +105,6 @@ class CoveringProblem:
         return chosen
 
 
-def essential_primes(cover: Cover, primes: Sequence[Cube]) -> list[Cube]:
-    """Primes covering some minterm no other prime covers."""
-    essentials = []
-    for i, prime in enumerate(primes):
-        others = [p for j, p in enumerate(primes) if j != i]
-        for point in prime.minterms():
-            if not any(o.contains_point(point) for o in others):
-                essentials.append(prime)
-                break
-    return essentials
-
-
-def minimize_exact(cover: Cover) -> Cover:
-    """Exact minimum-cube two-level cover (Quine–McCluskey).
-
-    Enumeral: generates all primes by iterated consensus, then solves
-    the prime-covering table over the ON-set minterms exactly.  Intended
-    for the small functions handled during decomposition and library
-    preparation (the paper's clusters are ≤ ~10 inputs).
-
-    .. warning:: minimization deletes redundant cubes and therefore can
-       *introduce static-1 hazards*; only the synchronous flow uses it.
-    """
-    if not cover.cubes:
-        return Cover.empty(cover.nvars)
-    primes = cover.all_primes()
-    minterms = sorted(cover.minterms())
-    if not minterms:
-        return Cover.empty(cover.nvars)
-    rows = []
-    for point in minterms:
-        candidates = {i for i, p in enumerate(primes) if p.contains_point(point)}
-        rows.append(candidates)
-    costs = [1.0 + p.num_literals * 1e-3 for p in primes]
-    chosen = CoveringProblem(rows, costs).solve()
-    return Cover([primes[i] for i in chosen], cover.nvars)
-
-
 def simplify_for_sync(cover: Cover) -> Cover:
     """The synchronous decomposition's simplification step.
 
@@ -152,88 +113,6 @@ def simplify_for_sync(cover: Cover) -> Cover:
     about), matching what MIS-style ``tech_decomp`` does.
     """
     return cover.dedup().drop_contained().irredundant()
-
-
-def complete_sum(cover: Cover) -> Cover:
-    """The complete sum (all primes) — the unique two-level SOP free of
-    all m.i.c. static-1 logic hazards (section 2.3 of the paper)."""
-    return Cover(cover.all_primes(), cover.nvars)
-
-
-def espresso_lite(
-    cover: Cover,
-    dcset: Optional[Cover] = None,
-    max_iterations: int = 5,
-) -> Cover:
-    """Heuristic two-level minimization: expand / irredundant / reduce.
-
-    The classical espresso loop in miniature, used as the synchronous
-    baseline where exact Quine–McCluskey is too slow.  ``dcset`` points
-    may be absorbed into cubes but are never required to be covered.
-
-    .. warning:: like every cover-shrinking transform, this is
-       hazard-unsafe; the asynchronous flow never calls it.
-    """
-    dc = dcset if dcset is not None else Cover.empty(cover.nvars)
-    care_function = cover  # ON-set care points the result must keep
-    full = cover.union(dc)
-
-    def expand(cubes: list[Cube]) -> list[Cube]:
-        expanded: list[Cube] = []
-        for cube in cubes:
-            prime = full.expand_to_prime(cube)
-            if not any(e.contains(prime) for e in expanded):
-                expanded = [e for e in expanded if not prime.contains(e)]
-                expanded.append(prime)
-        return expanded
-
-    def irredundant(cubes: list[Cube]) -> list[Cube]:
-        kept = list(cubes)
-        i = 0
-        while i < len(kept):
-            rest = Cover(kept[:i] + kept[i + 1 :], cover.nvars).union(dc)
-            victim = kept[i]
-            # a cube may go iff every ON point it covers stays covered
-            removable = all(
-                rest.evaluate(p) or dc.evaluate(p)
-                for p in victim.minterms()
-                if care_function.evaluate(p)
-            )
-            if removable and len(kept) > 1:
-                kept.pop(i)
-            else:
-                i += 1
-        return kept
-
-    def reduce(cubes: list[Cube]) -> list[Cube]:
-        reduced: list[Cube] = []
-        for i, cube in enumerate(cubes):
-            others = Cover(cubes[:i] + cubes[i + 1 :], cover.nvars).union(dc)
-            lonely = [
-                p
-                for p in cube.minterms()
-                if care_function.evaluate(p) and not others.evaluate(p)
-            ]
-            if not lonely:
-                continue
-            shrunk = Cube.minterm(lonely[0], cover.nvars)
-            for point in lonely[1:]:
-                shrunk = shrunk.supercube(Cube.minterm(point, cover.nvars))
-            reduced.append(shrunk)
-        return reduced if reduced else list(cubes)
-
-    current = cover.dedup().cubes
-    best_cost = None
-    for __ in range(max_iterations):
-        current = expand(current)
-        current = irredundant(current)
-        cost = (len(current), sum(c.num_literals for c in current))
-        if best_cost is not None and cost >= best_cost:
-            break
-        best_cost = cost
-        current = reduce(current)
-    result = Cover(expand(current), cover.nvars)
-    return Cover(irredundant(result.cubes), cover.nvars)
 
 
 def make_hazard_free_static(cover: Cover) -> Cover:

@@ -17,8 +17,8 @@ SHA-256 digest over everything that can change the result:
   the ``repro-api/v1`` option fields, canonicalized from
   :data:`~repro.api.schema.OPTION_FIELDS` defaults so two spellings of
   identical options (defaults omitted vs. written out) share a key.
-  Knobs that cannot change the payload — ``workers``,
-  ``deadline_seconds``, ``result_cache`` itself — stay out of the key.
+  Knobs that cannot change the payload — ``deadline_seconds``,
+  ``result_cache`` itself — stay out of the key.
 
 Storage is two-tier:
 
@@ -78,7 +78,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Bump when the key derivation, the stored payload layout, or the
 #: meaning of a stored field changes.  Version 2: the ``verify`` verdict
 #: comes from the certifier, so no earlier verdict is replayed as one.
-RESULT_CACHE_VERSION = 2
+#: Version 3: map responses have no ``workers`` field, which a stored
+#: version-2 response still carries.
+RESULT_CACHE_VERSION = 3
 
 #: Version stamp carried inside every on-disk entry.
 RESULT_SCHEMA = "repro-result-cache/v1"
@@ -95,10 +97,9 @@ DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 DEFAULT_MEMORY_ENTRIES = 64
 
 #: The ``repro-api/v1`` option fields that can change a map response.
-#: ``workers`` cannot (parallel covering is deterministic), a deadline
-#: only selects *whether* the full result is produced (fallback
-#: responses are never stored), and ``result_cache`` is the toggle
-#: itself.
+#: A deadline only selects *whether* the full result is produced
+#: (fallback responses are never stored), and ``result_cache`` is the
+#: toggle itself.
 RESULT_KEY_FIELDS = (
     "mode",
     "max_depth",

@@ -30,14 +30,13 @@ Commands mirror the paper's workflows:
   annotations and content-addressed whole-map results.
 
 ``map`` persists library hazard annotations to a disk cache by default
-(pass ``--no-cache`` to disable, ``--cache-dir`` to relocate) and takes
-``--workers`` for parallel cone covering.  ``--result-cache``
-additionally replays whole map responses from the content-addressed
-result cache when the exact (network, library, options) triple was
-mapped before (see ``docs/caching.md``).  ``map --trace out.json``
-records the run as a span tree (``repro-trace/v1``) and ``--metrics``
-prints the run's counter/gauge/histogram snapshot; both are also
-available on ``perf``.  ``map --explain [FILE]`` writes the
+(pass ``--no-cache`` to disable, ``--cache-dir`` to relocate).
+``--result-cache`` additionally replays whole map responses from the
+content-addressed result cache when the exact (network, library,
+options) triple was mapped before (see ``docs/caching.md``).  ``map
+--trace out.json`` records the run as a span tree (``repro-trace/v1``)
+and ``--metrics`` prints the run's counter/gauge/histogram snapshot;
+both are also available on ``perf``.  ``map --explain [FILE]`` writes the
 witness-backed decision log (``repro-explain/v1``) that ``repro
 explain`` renders.
 """
@@ -333,10 +332,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
                 line += f"; cold pass was {report.cold_elapsed:.2f}s"
             print(line)
         stats = result.stats
-        print(
-            f"covering: {stats.cones} cones in {stats.cone_seconds:.2f}s "
-            f"({result.workers} worker{'s' if result.workers != 1 else ''})"
-        )
+        print(f"covering: {stats.cones} cones in {stats.cone_seconds:.2f}s")
         if stats.hazardous_matches:
             print(
                 f"hazard filter: {stats.hazardous_matches} screened, "
@@ -556,7 +552,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             verify=args.verify,
             explain=args.explain,
             deadline_seconds=args.deadline,
-            **option_values_from_args(args, exclude=("workers",)),
+            **option_values_from_args(args),
         )
     except ApiError as exc:
         print(f"bad request: {exc}", file=sys.stderr)
@@ -747,11 +743,10 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             f"cells={entry['cells']}{verdict}"
         )
 
-    print(f"perf: mapping onto {args.library} (workers={args.workers})")
+    print(f"perf: mapping onto {args.library}")
     snapshot = run_perf(
         benchmarks=args.benchmarks or None,
         library=args.library,
-        workers=args.workers,
         max_depth=args.depth,
         verify=not args.no_verify,
         tracer=tracer,
@@ -827,11 +822,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             if args.view == "tree":
                 lines = render_tree(payload, max_depth=args.depth)
             elif args.view == "top":
-                lines = render_top(
-                    top_spans(
-                        payload, limit=args.limit, by_worker=args.by_worker
-                    )
-                )
+                lines = render_top(top_spans(payload, limit=args.limit))
             else:  # critical
                 lines = render_critical(critical_path(payload))
     except (OSError, ValueError) as exc:
@@ -897,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd.add_argument("design", help="catalog benchmark, .eqn, or .blif file")
     map_cmd.add_argument("library", choices=sorted(ALL_LIBRARIES))
     # Option flags (--sync/--depth/--max-inputs/--objective/--filter-mode/
-    # --workers) are derived from the repro-api/v1 declaration table.
+    # --result-cache) are derived from the repro-api/v1 declaration table.
     add_option_arguments(map_cmd)
     map_cmd.add_argument(
         "--dont-cares",
@@ -1006,9 +997,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.5,
         help="base backoff seconds, doubled per attempt (default: 0.5)",
     )
-    # Shared option flags from the repro-api/v1 table; `--workers` is
-    # excluded because on batch it is the pool width (declared above).
-    add_option_arguments(batch, exclude=("workers",))
+    # Shared option flags from the repro-api/v1 table.
+    add_option_arguments(batch)
     batch.add_argument(
         "--server",
         metavar="URL",
@@ -1192,12 +1182,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument("--depth", type=int, default=5)
     perf.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel cone-covering threads (0 = one per CPU)",
-    )
-    perf.add_argument(
         "--no-verify",
         action="store_true",
         help="skip hazard/equivalence verification of each mapped network",
@@ -1305,11 +1289,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_top.add_argument("trace", help="a repro-trace/v1 JSON file")
     obs_top.add_argument("--limit", type=int, default=10)
-    obs_top.add_argument(
-        "--by-worker",
-        action="store_true",
-        help="split groups by the worker-thread attribute",
-    )
     obs_critical = obs_sub.add_parser(
         "critical", help="greedy longest-duration root-to-leaf chain"
     )

@@ -325,7 +325,7 @@ def find_subset_violation(
     modes, but instead of a verdict it returns the offending hazard —
     ``None`` iff the filter would accept.  Pure and deterministic (the
     record lists and verdicts are in fixed order), so the explain layer
-    gets identical reasons for any worker count.
+    gets identical reasons on every run.
     """
     from .witness import witness_for_verdict
 

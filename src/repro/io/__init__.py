@@ -1,21 +1,17 @@
-"""File-format interchange: equations, BLIF, genlib."""
+"""File-format interchange: equations and BLIF."""
 
 from .formats import (
     FormatError,
     read_blif,
     read_equations,
-    read_genlib,
     write_blif,
     write_equations,
-    write_genlib,
 )
 
 __all__ = [
     "FormatError",
     "read_blif",
     "read_equations",
-    "read_genlib",
     "write_blif",
     "write_equations",
-    "write_genlib",
 ]

@@ -1,21 +1,17 @@
-"""File formats: equation files, BLIF-style netlists, genlib libraries.
+"""File formats: equation files and BLIF-style netlists.
 
 Interchange with the ecosystems the paper sits between: logic
-optimizers emit equation files (``.eqn``-style), mappers consume
-genlib-flavoured library descriptions, and mapped networks are
-exchanged as BLIF.  The dialects here are deliberately small but
+optimizers emit equation files (``.eqn``-style), and mapped networks
+are exchanged as BLIF.  The dialects here are deliberately small but
 round-trip everything this package produces.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from ..boolean.cover import Cover
-from ..boolean.cube import Cube, bit_indices
-from ..boolean.expr import parse
-from ..library.cell import LibraryCell
-from ..library.library import Library
+from ..boolean.cube import Cube
 from ..network.netlist import Netlist
 
 
@@ -198,54 +194,3 @@ def read_blif(stream: TextIO) -> Netlist:
             raise FormatError(f"output {output!r} is never driven")
         net.add_output(output, alias[output])
     return net
-
-
-# ----------------------------------------------------------------------
-# genlib (subset)
-# ----------------------------------------------------------------------
-
-def write_genlib(library: Library, stream: TextIO) -> None:
-    """Write a library as genlib-style GATE lines.
-
-    ``GATE <name> <area> <output>=<bff>; PIN * <delay> ...`` — the BFF
-    is this package's factored-form syntax.
-    """
-    stream.write(f"# library {library.name}\n")
-    for cell in library.cells:
-        stream.write(
-            f"GATE {cell.name} {cell.area:g} "
-            f"O={cell.expression.to_string()};"
-            f" PIN * NONINV 1 999 {cell.delay:g} 0 {cell.delay:g} 0\n"
-        )
-
-
-def read_genlib(stream: TextIO, name: str = "lib") -> Library:
-    """Read the genlib subset written by :func:`write_genlib`."""
-    cells: list[LibraryCell] = []
-    for raw in stream:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("GATE"):
-            raise FormatError(f"unsupported genlib line {line!r}")
-        head, __, pin_part = line.partition(";")
-        parts = head.split(None, 3)
-        if len(parts) != 4:
-            raise FormatError(f"malformed GATE line {line!r}")
-        __, cell_name, area_text, function = parts
-        if "=" not in function:
-            raise FormatError(f"missing '=' in {function!r}")
-        __, text = function.split("=", 1)
-        delay = 1.0
-        pin_fields = pin_part.split()
-        if len(pin_fields) >= 6:
-            try:
-                delay = float(pin_fields[5])
-            except ValueError as exc:
-                raise FormatError(f"bad delay in {pin_part!r}") from exc
-        cells.append(
-            LibraryCell.from_text(
-                cell_name, text.strip(), area=float(area_text), delay=delay
-            )
-        )
-    return Library(name, cells)

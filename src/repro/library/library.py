@@ -5,7 +5,7 @@
 when the library is read in (Table 2 measures this), and the per-cell
 :class:`~repro.hazards.analyzer.HazardAnalysis` is consulted during
 matching.  Matching-oriented indexes (pin count, permutation-invariant
-signature) are built on demand.
+signature) are built once, with the library.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ class Library:
         self.name = name
         self.cells = list(cells)
         self._by_name: dict[str, LibraryCell] = {}
+        self._by_pins: dict[int, list[LibraryCell]] = {}
+        self._signatures: dict[tuple, list[LibraryCell]] = {}
         for cell in self.cells:
             if cell.name in self._by_name:
                 raise ValueError(
@@ -69,8 +71,10 @@ class Library:
                     f"matching supports at most {tt.TT_MAX_VARS}"
                 )
             self._by_name[cell.name] = cell
-        self._by_pins: Optional[dict[int, list[LibraryCell]]] = None
-        self._signatures: Optional[dict[tuple, list[LibraryCell]]] = None
+            pins = cell.num_pins
+            self._by_pins.setdefault(pins, []).append(cell)
+            key = (pins, tt.signature(cell.truth_table(), pins))
+            self._signatures.setdefault(key, []).append(cell)
         self.annotated = False
         self._annotation_report: Optional[AnnotationReport] = None
 
@@ -93,50 +97,12 @@ class Library:
     # ------------------------------------------------------------------
     # Matching indexes
     # ------------------------------------------------------------------
-    # The lazy builds populate a local dict and publish it with a single
-    # attribute assignment, so a concurrent reader sees either None
-    # (and builds its own complete copy) or a fully built index — never
-    # a partially filled one.  Parallel covering additionally calls
-    # build_matching_indexes() before spawning workers.
-    def _build_pin_index(self) -> dict[int, list[LibraryCell]]:
-        index: dict[int, list[LibraryCell]] = {}
-        for cell in self.cells:
-            index.setdefault(cell.num_pins, []).append(cell)
-        return index
-
-    def _build_signature_index(self) -> dict[tuple, list[LibraryCell]]:
-        index: dict[tuple, list[LibraryCell]] = {}
-        for cell in self.cells:
-            key = (cell.num_pins, tt.signature(cell.truth_table(), cell.num_pins))
-            index.setdefault(key, []).append(cell)
-        return index
-
-    def build_matching_indexes(self) -> None:
-        """Build both matching indexes eagerly (idempotent).
-
-        Call before sharing the library across covering threads so no
-        worker ever races the first lazy build.
-        """
-        if self._by_pins is None:
-            self._by_pins = self._build_pin_index()
-        if self._signatures is None:
-            self._signatures = self._build_signature_index()
-
     def by_pin_count(self, pins: int) -> list[LibraryCell]:
-        index = self._by_pins
-        if index is None:
-            index = self._build_pin_index()
-            self._by_pins = index
-        return index.get(pins, [])
+        return self._by_pins.get(pins, [])
 
     def candidates(self, table: int, pins: int) -> list[LibraryCell]:
         """Cells whose permutation-invariant signature matches ``table``."""
-        index = self._signatures
-        if index is None:
-            index = self._build_signature_index()
-            self._signatures = index
-        key = (pins, tt.signature(table, pins))
-        return index.get(key, [])
+        return self._signatures.get((pins, tt.signature(table, pins)), [])
 
     # ------------------------------------------------------------------
     # Hazard annotation (async library initialization)

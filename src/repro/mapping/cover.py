@@ -45,22 +45,21 @@ class CoverStats:
     """Bookkeeping for the runtime analysis of Tables 2 and 4.
 
     Match and filter counts plus per-cone wall time (``cones`` /
-    ``cone_seconds``; ``cone_seconds`` sums per-cone work, so with
-    parallel covering it exceeds wall-clock).  ``clusters`` counts the
-    enumerated clusters the covering DP examined; enumeration stops at
-    the library's widest cell (``Library.max_pins`` leaves), so wider
-    clusters, which no cell can match, are never counted.
+    ``cone_seconds``, the sum of per-cone covering time).  ``clusters``
+    counts the enumerated clusters the covering DP examined; enumeration
+    stops at the library's widest cell (``Library.max_pins`` leaves), so
+    wider clusters, which no cell can match, are never counted.
     ``cluster_cap_hits`` counts cone nodes whose enumeration stopped at
     the per-node cluster cap (``enumerate_clusters``'s
     ``max_clusters_per_node``); it reads 0 on the whole catalog.
 
-    ``CoverStats`` is the thread-confined per-cone accumulator; the
-    run-level sink is the :class:`repro.obs.metrics.MetricsRegistry`
+    ``CoverStats`` is the per-cone accumulator; the run-level sink is
+    the :class:`repro.obs.metrics.MetricsRegistry`
     (``MappingResult.metrics``), which absorbs the merged stats as
     ``cover.*`` counters.  Every counter in :attr:`COUNTER_FIELDS` is a
     pure function of design, library and options, so it is identical
-    for any worker count and any earlier run in the same process
-    (asserted in ``tests/mapping/test_stats_merge.py``).
+    for any earlier run in the same process (asserted in
+    ``tests/mapping/test_stats_merge.py``).
     """
 
     clusters: int = 0
@@ -149,9 +148,9 @@ def cover_cone(
     ``explain`` (a :class:`repro.obs.explain.ConeExplain`) records every
     (cluster, cell) candidate with its outcome and, for hazard
     rejections, the offending hazard plus a concrete replayable witness
-    (via :func:`repro.hazards.analyzer.find_subset_violation`).  The
-    recorder is thread-confined like ``stats``; with ``explain=None``
-    (the default) the hot path pays one ``is None`` check per match.
+    (via :func:`repro.hazards.analyzer.find_subset_violation`).  With
+    ``explain=None`` (the default) the hot path pays one ``is None``
+    check per match.
 
     Only work that can produce a match is done: clusters are enumerated
     up to ``min(max_inputs, library.max_pins)`` leaves (a cluster's
@@ -312,7 +311,7 @@ def _record_rejection(record, match, analysis, filter_mode: str) -> None:
 
     Runs only on actual rejections with explain enabled, so it can
     afford the :func:`find_subset_violation` walk — a pure function of
-    (cell, cluster, binding), hence identical for any worker count.
+    (cell, cluster, binding), hence identical on every run.
     """
     record.outcome = REJECTED_HAZARD
     violation = find_subset_violation(

@@ -22,10 +22,7 @@ filter inside covering.
 
 from __future__ import annotations
 
-import os
 import time
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -34,7 +31,7 @@ from ..library import anncache
 from ..library.library import AnnotationReport, Library
 from ..network.decompose import async_tech_decomp, tech_decomp
 from ..network.netlist import Netlist
-from ..network.partition import Cone, partition
+from ..network.partition import partition
 from ..obs import log as obs_log
 from ..obs.explain import ConeExplain, ExplainLog
 from ..obs.metrics import MetricsRegistry
@@ -52,12 +49,6 @@ class MappingOptions:
     :class:`repro.mapping.dontcare.InputBurst`) switches on the
     hazard-don't-care extension of section 6: hazards no specified
     burst can excite are waived during matching.
-
-    ``workers`` controls parallel cone covering: ``1`` (default) covers
-    cones serially, ``0`` auto-sizes to the CPU count, and any other
-    value is a thread-pool width.  Results are deterministic regardless
-    of worker count — cones are independent, and results are merged in
-    cone order.
 
     ``annotation_cache_dir`` is forwarded to
     :meth:`repro.library.library.Library.annotate_hazards` so the
@@ -79,9 +70,9 @@ class MappingOptions:
     candidate the covering DP examined, with its outcome and — for
     hazard rejections — the offending §4 hazard plus a replayable
     witness transition (``MappingResult.explain``, an
-    :class:`repro.obs.explain.ExplainLog`).  Per-cone recorders are
-    merged in cone order, so the log is identical for any ``workers``
-    value; disabled, the hot path pays one ``is None`` check per match.
+    :class:`repro.obs.explain.ExplainLog`), one recorder per cone in
+    cone order; disabled, the hot path pays one ``is None`` check per
+    match.
 
     ``deadline`` (a :class:`repro.deadline.Deadline`) bounds the run
     cooperatively: the mapper checks it before annotation, before each
@@ -97,17 +88,11 @@ class MappingOptions:
     filter_mode: str = "exact"
     exhaustive_annotation: bool = True
     input_bursts: Optional[list] = None
-    workers: int = 1
     annotation_cache_dir: anncache.CacheDir = None
     tracer: Optional[Tracer] = None
     metrics: Optional[MetricsRegistry] = None
     explain: bool = False
     deadline: Optional[Deadline] = None
-
-    def resolved_workers(self) -> int:
-        if self.workers == 0:
-            return os.cpu_count() or 1
-        return max(1, self.workers)
 
 
 @dataclass
@@ -125,7 +110,6 @@ class MappingResult:
     stats: CoverStats = field(default_factory=CoverStats)
     covers: list[ConeCover] = field(default_factory=list)
     annotation_report: Optional[AnnotationReport] = None
-    workers: int = 1
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     explain: Optional[ExplainLog] = None
 
@@ -240,7 +224,6 @@ def _log_map_done(result, network, library, tracer, root_span) -> None:
         cones=result.stats.cones,
         cluster_cap_hits=result.stats.cluster_cap_hits,
         elapsed_seconds=round(result.elapsed, 4),
-        workers=result.workers,
     )
 
 
@@ -288,76 +271,11 @@ def _map_decomposed(
         from .dontcare import HazardDontCares
 
         dont_cares = HazardDontCares(decomposed, options.input_bursts)
-    # Matching consults both indexes on every cluster; build them before
-    # any covering (and before worker threads could race the lazy build).
-    library.build_matching_indexes()
     tracer = options.tracer or NULL_TRACER
     cones = partition(decomposed, tracer=tracer)
-    workers = options.resolved_workers()
     # One match memo per run: a cluster function's matches depend only
     # on (table, nvars) for this library, so cones share the answers.
-    # Entries are pure, so pool threads may race to fill one harmlessly.
     match_memo: MatchMemo = {}
-
-    # Cone spans parent to the covering span explicitly: with workers > 1
-    # they open on pool threads, where the thread-local stack is empty.
-    cover_span = tracer.start_span("cover", cones=len(cones), workers=workers)
-
-    def cover_one(
-        cone: Cone,
-    ) -> tuple[ConeCover, CoverStats, Optional[ConeExplain]]:
-        cone_stats = CoverStats()
-        # Thread-confined like cone_stats; merged in cone order below.
-        cone_explain = ConeExplain(cone.root) if options.explain else None
-        faults.fire("cover.cone", options.deadline)
-        if options.deadline is not None:
-            # The cooperative per-cone checkpoint: a job past its budget
-            # stops before starting another covering DP.
-            options.deadline.check("cover.cone")
-        cone_start = time.perf_counter()
-        # Worker identity on the span: with workers > 1 this runs on a
-        # pool thread, and ``repro obs top --by-worker`` attributes
-        # covering time per worker from these attributes.
-        with tracer.span(
-            "cone",
-            parent=cover_span,
-            key=cone.root,
-            size=cone.size,
-            worker=threading.current_thread().name,
-            thread=threading.get_ident(),
-        ):
-            cover = cover_cone(
-                decomposed,
-                cone,
-                library,
-                max_depth=options.max_depth,
-                max_inputs=options.max_inputs,
-                objective=options.objective,
-                hazard_filter=hazard_filter,
-                filter_mode=options.filter_mode,
-                stats=cone_stats,
-                dont_cares=dont_cares,
-                tracer=tracer,
-                explain=cone_explain,
-                match_memo=match_memo,
-            )
-        cone_stats.cones = 1
-        cone_stats.cone_seconds = time.perf_counter() - cone_start
-        return cover, cone_stats, cone_explain
-
-    try:
-        if workers > 1 and len(cones) > 1:
-            # Cones are independent: they share only the annotated
-            # library, whose indexes are built above; pool.map preserves
-            # cone order, so the merged result is identical to the
-            # serial one.
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(cover_one, cones))
-        else:
-            outcomes = [cover_one(cone) for cone in cones]
-    finally:
-        tracer.finish_span(cover_span)
-
     stats = CoverStats()
     covers: list[ConeCover] = []
     explain_log: Optional[ExplainLog] = None
@@ -368,13 +286,40 @@ def _map_decomposed(
             mode=mode,
             filter_mode=options.filter_mode,
             objective=options.objective,
-            workers=workers,
         )
-    for cover, cone_stats, cone_explain in outcomes:
-        covers.append(cover)
-        stats.merge(cone_stats)
-        if explain_log is not None and cone_explain is not None:
-            explain_log.add_cone(cone_explain)
+
+    with tracer.span("cover", cones=len(cones)):
+        for cone in cones:
+            faults.fire("cover.cone", options.deadline)
+            if options.deadline is not None:
+                # The cooperative per-cone checkpoint: a job past its
+                # budget stops before starting another covering DP.
+                options.deadline.check("cover.cone")
+            cone_stats = CoverStats()
+            cone_explain = ConeExplain(cone.root) if options.explain else None
+            cone_start = time.perf_counter()
+            with tracer.span("cone", key=cone.root, size=cone.size):
+                cover = cover_cone(
+                    decomposed,
+                    cone,
+                    library,
+                    max_depth=options.max_depth,
+                    max_inputs=options.max_inputs,
+                    objective=options.objective,
+                    hazard_filter=hazard_filter,
+                    filter_mode=options.filter_mode,
+                    stats=cone_stats,
+                    dont_cares=dont_cares,
+                    tracer=tracer,
+                    explain=cone_explain,
+                    match_memo=match_memo,
+                )
+            cone_stats.cones = 1
+            cone_stats.cone_seconds = time.perf_counter() - cone_start
+            covers.append(cover)
+            stats.merge(cone_stats)
+            if explain_log is not None and cone_explain is not None:
+                explain_log.add_cone(cone_explain)
 
     faults.fire("netlist.build", options.deadline)
     if options.deadline is not None:
@@ -392,7 +337,6 @@ def _map_decomposed(
         elapsed=0.0,
         stats=stats,
         covers=covers,
-        workers=workers,
         metrics=metrics,
         explain=explain_log,
     )
@@ -408,7 +352,6 @@ def _finalize_metrics(result: MappingResult) -> None:
     registry.gauge("map.delay").set(result.delay)
     registry.gauge("map.cells").set(sum(result.cell_usage().values()))
     registry.gauge("map.cones").set(result.stats.cones)
-    registry.gauge("map.workers").set(result.workers)
     registry.gauge("map.elapsed_seconds").set(result.elapsed)
     registry.gauge("map.annotate_seconds").set(result.annotate_elapsed)
     if result.explain is not None:

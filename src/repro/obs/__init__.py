@@ -69,8 +69,6 @@ from .tracer import (
     Span,
     SpanContext,
     Tracer,
-    span_shape,
-    trace_shape,
 )
 
 __all__ = [
@@ -111,8 +109,6 @@ __all__ = [
     "read_log",
     "render_explain",
     "run_perf",
-    "span_shape",
-    "trace_shape",
     "trace_to_dict",
     "use_tracer",
     "validate_explain_payload",

@@ -19,9 +19,9 @@ with its outcome —
   because every offending hazard lies outside the specified input
   bursts (the section-6 don't-care extension) and won the cost race.
 
-Records accumulate per cone in a :class:`ConeExplain` (thread-confined,
-exactly like ``CoverStats``) and merge in cone order into an
-:class:`ExplainLog`, so the log is deterministic for any worker count.
+Records accumulate per cone in a :class:`ConeExplain` (exactly like
+``CoverStats``) and merge in cone order into an :class:`ExplainLog`,
+so the log is deterministic.
 The JSON contract is version-stamped ``repro-explain/v1`` (exported via
 :mod:`repro.obs.export`); :func:`validate_explain_payload` is the schema
 check CI runs on a live ``repro map --explain`` artifact.
@@ -109,8 +109,8 @@ class CandidateRecord:
 
 @dataclass
 class ConeExplain:
-    """Thread-confined per-cone recorder (the explain twin of the
-    per-cone ``CoverStats`` accumulator)."""
+    """Per-cone recorder (the explain twin of the per-cone
+    ``CoverStats`` accumulator)."""
 
     root: str
     records: list[CandidateRecord] = field(default_factory=list)
@@ -141,7 +141,6 @@ class ExplainLog:
     mode: str = ""
     filter_mode: str = ""
     objective: str = ""
-    workers: int = 1
     cones: list[ConeExplain] = field(default_factory=list)
 
     def add_cone(self, cone: ConeExplain) -> None:
@@ -204,7 +203,6 @@ class ExplainLog:
             "mode": self.mode,
             "filter_mode": self.filter_mode,
             "objective": self.objective,
-            "workers": self.workers,
             "summary": self.summary(),
             "cones": [cone.to_dict() for cone in self.cones],
         }

@@ -8,7 +8,7 @@ offline:
 * :func:`render_tree`    — the span forest as an indented tree with
   durations and identifying attributes;
 * :func:`top_spans`      — hottest span groups by self-time (duration
-  minus child time), optionally attributed per worker thread;
+  minus child time);
 * :func:`critical_path`  — the longest root-to-leaf chain (greedy
   maximum-duration descent, the span-tree analogue of a schedule's
   critical path);
@@ -76,9 +76,10 @@ def _duration(span: dict) -> float:
 def self_time(span: dict) -> float:
     """Duration minus time covered by children (floored at zero).
 
-    Child intervals can overlap under parallel covering, so the sum of
-    child durations may exceed the parent's — the floor keeps the
-    attribution conservative rather than negative.
+    Child intervals can overlap (concurrent ``batch_job`` spans of a
+    parallel batch), so the sum of child durations may exceed the
+    parent's — the floor keeps the attribution conservative rather than
+    negative.
     """
     children = sum(_duration(child) for child in span.get("children", ()))
     return max(0.0, _duration(span) - children)
@@ -90,7 +91,7 @@ def self_time(span: dict) -> float:
 
 #: Attributes worth showing inline in the tree view, in print order.
 _TREE_ATTRS = ("key", "job", "design", "library", "endpoint", "status",
-               "worker", "attempt", "cones", "jobs", "backend")
+               "attempt", "cones", "jobs", "backend")
 
 
 def render_tree(
@@ -121,24 +122,19 @@ def render_tree(
 # ----------------------------------------------------------------------
 
 
-def top_spans(
-    payload: dict, limit: int = 10, by_worker: bool = False
-) -> list[dict]:
+def top_spans(payload: dict, limit: int = 10) -> list[dict]:
     """Hottest span groups by total self-time, descending.
 
-    Groups by span name — or by ``(name, worker)`` when ``by_worker``
-    is set, using the ``worker`` attribute cone spans carry — and
-    reports count, total/self seconds, and the single longest span.
+    Groups by span name and reports count, total/self seconds, and the
+    single longest span.
     """
-    groups: dict[tuple, dict] = {}
+    groups: dict[str, dict] = {}
     for span, _, _ in iter_spans(payload):
-        attrs = span.get("attrs") or {}
-        key = (span.get("name"), attrs.get("worker") if by_worker else None)
+        name = span.get("name")
         row = groups.setdefault(
-            key,
+            name,
             {
-                "name": key[0],
-                "worker": key[1],
+                "name": name,
                 "count": 0,
                 "total_seconds": 0.0,
                 "self_seconds": 0.0,
@@ -159,12 +155,9 @@ def render_top(rows: list[dict]) -> list[str]:
     lines = [f"{'self(s)':>10} {'total(s)':>10} {'count':>6} "
              f"{'max(s)':>10}  span"]
     for row in rows:
-        label = row["name"]
-        if row.get("worker"):
-            label = f"{label} @{row['worker']}"
         lines.append(
             f"{row['self_seconds']:10.4f} {row['total_seconds']:10.4f} "
-            f"{row['count']:6d} {row['max_seconds']:10.4f}  {label}"
+            f"{row['count']:6d} {row['max_seconds']:10.4f}  {row['name']}"
         )
     return lines
 

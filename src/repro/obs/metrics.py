@@ -18,7 +18,7 @@ statistics, under stable dotted names:
 Thread safety: instrument creation takes the registry lock; each
 instrument guards its own updates, so worker threads may update shared
 instruments directly.  The per-cone hot loop never does — it increments
-a thread-confined ``CoverStats`` and the registry absorbs the merged
+a per-cone ``CoverStats`` and the registry absorbs the merged
 result once per run, keeping disabled/enabled overhead far under the
 5% budget.
 """

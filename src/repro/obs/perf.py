@@ -62,7 +62,6 @@ def benchmark_entry(
 def run_perf(
     benchmarks: Optional[Sequence[str]] = None,
     library: str | Library = "CMOS3",
-    workers: int = 1,
     max_depth: int = 5,
     verify: bool = True,
     tracer: Optional[Tracer] = None,
@@ -85,10 +84,7 @@ def run_perf(
     for name in names:
         network = synthesize_benchmark(name).netlist(name)
         options = MappingOptions(
-            max_depth=max_depth,
-            workers=workers,
-            tracer=tracer,
-            metrics=metrics,
+            max_depth=max_depth, tracer=tracer, metrics=metrics
         )
         result = async_tmap(network, lib, options)
         entry = benchmark_entry(result, verify, metrics, tracer)
@@ -99,7 +95,6 @@ def run_perf(
     return {
         "schema": BENCH_SCHEMA,
         "library": lib.name,
-        "workers": workers,
         "max_depth": max_depth,
         "annotate_seconds": round(annotate_seconds, 4),
         "annotate_source": report.source,

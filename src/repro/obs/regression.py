@@ -74,7 +74,7 @@ def compare_snapshots(
     entries against the committed full-catalog baseline.
     """
     problems: list[str] = []
-    for field in ("schema", "library", "workers", "max_depth"):
+    for field in ("schema", "library", "max_depth"):
         if baseline.get(field) != fresh.get(field):
             problems.append(
                 f"{field}: {fresh.get(field)!r} vs baseline "

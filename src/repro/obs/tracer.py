@@ -2,10 +2,10 @@
 
 A :class:`Tracer` records a tree of timed *spans* — one per pipeline
 phase (decompose, partition, per-cone covering, annotation, …) — so a
-mapping run can be inspected after the fact: where the time went, how
-many cones ran concurrently, which phase regressed.  The span tree is
-the observability counterpart of the paper's Table-5 CPU column, at
-phase granularity instead of whole-run granularity.
+mapping run can be inspected after the fact: where the time went and
+which phase regressed.  The span tree is the observability counterpart
+of the paper's Table-5 CPU column, at phase granularity instead of
+whole-run granularity.
 
 Design constraints, in order:
 
@@ -14,21 +14,20 @@ Design constraints, in order:
   is a shared no-op context manager — disabled tracing adds only an
   attribute lookup and a ``with`` on a do-nothing object per phase
   (never per match or per cube).
-* **Thread-safe under parallel covering.**  The active-span stack is
-  thread-local, so spans opened by worker threads nest correctly within
-  work done on that thread; cross-thread parenting (a cone span opened
-  on a pool thread under the main thread's ``cover`` span) is explicit
-  via ``parent=``.  All tree mutations take the tracer lock — span
-  creation happens per phase/cone, far off the hot path.
+* **Thread-safe under concurrent jobs and requests.**  The active-span
+  stack is thread-local, so spans opened by batch-engine or daemon
+  worker threads nest correctly within work done on that thread;
+  parenting a span under one opened elsewhere (a ``batch_job`` under
+  the batch run's span) is explicit via ``parent=``.  All tree mutations take
+  the tracer lock — span creation happens per phase/cone, far off the
+  hot path.
 * **No process-global state.**  Tracers are plain objects passed down
   the call chain (``MappingOptions.tracer``), so two concurrent
   ``map_network`` calls with distinct tracers can never contaminate
   each other's trees (tested in ``tests/obs/test_tracer.py``).
 
 ``validate()`` checks well-formedness (every span closed, children
-timed within their parents) and :func:`span_shape` gives an
-order/timing-insensitive view of the tree used to assert that the
-``workers=1`` and ``workers=4`` pipelines do the same work.
+timed within their parents).
 """
 
 from __future__ import annotations
@@ -217,8 +216,8 @@ class Tracer:
         """Open a span; prefer the :meth:`span` context manager.
 
         ``parent`` overrides the thread-local current span — required
-        when the span is opened on a worker thread but belongs under an
-        orchestrator-side span (per-cone covering does this).
+        when the span belongs under a span opened elsewhere (the batch
+        engine parents each ``batch_job`` span to its run span this way).
         """
         if parent is None:
             parent = self.current()
@@ -390,27 +389,6 @@ class Tracer:
 
     def __repr__(self) -> str:
         return f"Tracer(roots={len(self.roots())})"
-
-
-def span_shape(span: Span) -> tuple:
-    """Canonical shape of a span subtree, ignoring timings and order.
-
-    The shape is ``(name, key, sorted child shapes)`` where ``key`` is
-    the span's identifying attribute (cone spans carry their root node
-    as ``key``).  Two runs doing the same work — e.g. serial vs
-    parallel covering of the same design — produce identical shapes
-    even though child completion order and every timestamp differ.
-    """
-    return (
-        span.name,
-        span.attrs.get("key"),
-        tuple(sorted(span_shape(child) for child in span.children)),
-    )
-
-
-def trace_shape(tracer: Tracer) -> tuple:
-    """Order-insensitive shape of a tracer's whole forest."""
-    return tuple(sorted(span_shape(root) for root in tracer.roots()))
 
 
 class _NullSpan:

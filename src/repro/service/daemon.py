@@ -213,7 +213,7 @@ class MappingService:
     # -- warm state -------------------------------------------------
 
     def preload(self) -> None:
-        """Load, annotate, and index the configured libraries at boot."""
+        """Load and annotate the configured libraries at boot."""
         for name in self.config.preload:
             with self.tracer.span("service.preload", library=name):
                 library = shared_library(name, self.config.cache_dir)
@@ -223,7 +223,6 @@ class MappingService:
                         tracer=self.tracer,
                         metrics=self.metrics,
                     )
-                library.build_matching_indexes()
 
     # -- request dispatch -------------------------------------------
 

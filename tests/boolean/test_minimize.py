@@ -1,16 +1,12 @@
-"""Tests for two-level minimization and the covering solver."""
+"""Tests for the two-level cover transforms and the covering solver."""
 
 import pytest
 from hypothesis import given, settings
 
 from repro.boolean.cover import Cover
-from repro.boolean.cube import Cube
 from repro.boolean.minimize import (
     CoveringProblem,
-    complete_sum,
-    essential_primes,
     make_hazard_free_static,
-    minimize_exact,
     simplify_for_sync,
 )
 from repro.hazards.static1 import has_static1_hazard
@@ -69,33 +65,7 @@ class TestCoveringProblem:
             assert got_cost == pytest.approx(best)
 
 
-class TestMinimizeExact:
-    def test_classic_consensus_drop(self):
-        cover = Cover.from_strings(["ab", "a'c", "bc"], NAMES)
-        minimized = minimize_exact(cover)
-        assert len(minimized) == 2
-        assert minimized.equivalent(cover)
-
-    @given(cover_strategy(4, max_cubes=4))
-    @settings(max_examples=30, deadline=None)
-    def test_preserves_function(self, cover):
-        assert minimize_exact(cover).equivalent(cover)
-
-    @given(cover_strategy(4, max_cubes=4))
-    @settings(max_examples=30, deadline=None)
-    def test_never_larger_than_input(self, cover):
-        assert len(minimize_exact(cover)) <= len(cover.dedup())
-
-    def test_empty(self):
-        assert len(minimize_exact(Cover.empty(3))) == 0
-
-
 class TestHazardRelatedTransforms:
-    def test_complete_sum_is_static1_free(self):
-        cover = Cover.from_strings(["ab", "a'c"], NAMES)
-        assert has_static1_hazard(cover)
-        assert not has_static1_hazard(complete_sum(cover))
-
     def test_simplify_for_sync_can_introduce_hazards(self):
         # The Figure-3 effect: simplification drops the consensus cube.
         cover = Cover.from_strings(["ab", "a'c", "bc"], NAMES)
@@ -119,51 +89,3 @@ class TestHazardRelatedTransforms:
         repaired = make_hazard_free_static(cover)
         assert repaired.equivalent(cover)
         assert not has_static1_hazard(repaired)
-
-
-class TestEssentialPrimes:
-    def test_essentials_of_xor_like(self):
-        cover = Cover.from_strings(["ab'", "a'b"], NAMES)
-        primes = cover.all_primes()
-        essentials = essential_primes(cover, primes)
-        assert {p.to_string(NAMES) for p in essentials} == {"ab'", "a'b"}
-
-
-class TestEspressoLite:
-    def test_consensus_drop(self):
-        from repro.boolean.minimize import espresso_lite
-
-        cover = Cover.from_strings(["ab", "a'c", "bc"], NAMES)
-        result = espresso_lite(cover)
-        assert result.equivalent(cover)
-        assert len(result) == 2
-
-    def test_with_dont_cares(self):
-        from repro.boolean.minimize import espresso_lite
-
-        onset = Cover.from_strings(["ab'c'd'"], NAMES)
-        dcset = Cover.from_strings(["a'"], NAMES)
-        result = espresso_lite(onset, dcset)
-        assert result.equivalent(onset) or all(
-            result.evaluate(p) or not onset.evaluate(p) for p in range(16)
-        )
-        # every care ON point still covered, no care OFF point added
-        for p in range(16):
-            if onset.evaluate(p):
-                assert result.evaluate(p)
-            if not onset.evaluate(p) and not dcset.evaluate(p):
-                assert not result.evaluate(p)
-
-    @given(cover_strategy(4, max_cubes=5))
-    @settings(max_examples=30, deadline=None)
-    def test_function_preserved(self, cover):
-        from repro.boolean.minimize import espresso_lite
-
-        assert espresso_lite(cover).equivalent(cover)
-
-    @given(cover_strategy(4, max_cubes=5))
-    @settings(max_examples=20, deadline=None)
-    def test_never_bigger_than_dedup(self, cover):
-        from repro.boolean.minimize import espresso_lite
-
-        assert len(espresso_lite(cover)) <= len(cover.dedup())

@@ -7,10 +7,12 @@ and the cached BLIF is byte-identical to a cache-disabled run.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.api.facade import run_map
-from repro.api.schema import MapRequest
+from repro.api.facade import netlist_blif, request_netlist, run_map
+from repro.api.schema import ApiError, MapRequest, MapResponse
 from repro.cache import resultcache
 from repro.library import anncache
 from repro.library.standard import load_library
@@ -76,6 +78,44 @@ class TestRunMapCaching:
         )
         assert warm.blif == plain.blif
         assert warm.digest == plain.digest
+
+    def test_version_2_entry_with_workers_is_recomputed(
+        self, tmp_path, library, monkeypatch
+    ):
+        # A version-2 cache wrote map responses with a "workers" field,
+        # which MapResponse.from_payload now rejects; the version bump
+        # must turn such an entry into a miss, never an ApiError.
+        plain, _ = run_map(
+            _request(result_cache=False),
+            library=library,
+            cache_dir=anncache.DISABLED,
+        )
+        stale = {**plain.to_payload(), "workers": 1}
+        with pytest.raises(ApiError, match="workers"):
+            MapResponse.from_payload(stale)
+        with monkeypatch.context() as patch:
+            patch.setattr(resultcache, "RESULT_CACHE_VERSION", 2)
+            key = resultcache.request_cache_key(
+                _request(), netlist_blif(request_netlist(_request())), library
+            )
+            path = resultcache.result_path(tmp_path, key)
+        assert path.parent.name == "v2"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "schema": resultcache.RESULT_SCHEMA,
+            "cache_version": 2,
+            "key": key,
+            "created": 0.0,
+            "library": "CMOS3",
+            "library_fingerprint": None,
+            "design": "chu-ad-opt",
+            "response": stale,
+        }))
+        fresh, result = run_map(
+            _request(), library=library, cache_dir=str(tmp_path)
+        )
+        assert result is not None and fresh.cached is None
+        assert fresh.digest == plain.digest
 
     def test_option_change_is_a_miss(self, tmp_path, library):
         run_map(_request(), library=library, cache_dir=str(tmp_path))

@@ -61,7 +61,6 @@ class TestKeyDerivation:
             "dont_cares": False,
             "verify": False,
             "explain": False,
-            "workers": 7,  # result-neutral: must not affect the key
             "deadline_seconds": 2.0,  # result-neutral
             "result_cache": True,  # the toggle itself is result-neutral
         }
@@ -84,7 +83,8 @@ class TestKeyDerivation:
 
     def test_request_key_matches_option_dict_key(self, library):
         request = MapRequest(
-            library="CMOS3", design="chu-ad-opt", max_depth=3, workers=4
+            library="CMOS3", design="chu-ad-opt", max_depth=3,
+            result_cache=True,
         )
         assert request_cache_key(request, BLIF, library) == result_cache_key(
             BLIF, library, {"max_depth": 3}

@@ -40,10 +40,8 @@ def _trace(*roots, trace_id="t1"):
 
 @pytest.fixture
 def payload():
-    cone_a = _span("cone", 0.1, 0.5, {"key": "x", "worker": "w0"}, span_id=3,
-                   parent=2)
-    cone_b = _span("cone", 0.5, 2.0, {"key": "y", "worker": "w1"}, span_id=4,
-                   parent=2)
+    cone_a = _span("cone", 0.1, 0.5, {"key": "x"}, span_id=3, parent=2)
+    cone_b = _span("cone", 0.5, 2.0, {"key": "y"}, span_id=4, parent=2)
     cover = _span("cover", 0.0, 2.5, children=[cone_a, cone_b], span_id=2,
                   parent=1)
     return _trace(_span("tmap", 0.0, 3.0, {"design": "d"}, [cover]))
@@ -71,7 +69,7 @@ def test_render_tree_shows_trace_id_attrs_and_depth_clip(payload):
     lines = render_tree(payload)
     assert lines[0] == "trace t1"
     assert "tmap" in lines[1] and "design=d" in lines[1]
-    assert any("key=x" in line and "worker=w0" in line for line in lines)
+    assert any("cone" in line and "key=x" in line for line in lines)
     clipped = render_tree(payload, max_depth=1)
     assert sum("cone" in line for line in clipped) == 0
 
@@ -81,10 +79,10 @@ def test_top_spans_orders_by_self_time_and_splits_by_worker(payload):
     assert rows[0]["name"] == "cone"  # 1.9s self across both cones
     assert rows[0]["count"] == 2
     assert rows[0]["max_seconds"] == pytest.approx(1.5)
-    by_worker = {(r["name"], r["worker"]): r
-                 for r in top_spans(payload, by_worker=True)}
-    assert by_worker[("cone", "w1")]["self_seconds"] == pytest.approx(1.5)
-    assert by_worker[("cone", "w0")]["self_seconds"] == pytest.approx(0.4)
+    # Self times: cone 0.4 + 1.5, cover 2.5 - 1.9, tmap 3.0 - 2.5.
+    assert [r["name"] for r in rows] == ["cone", "cover", "tmap"]
+    assert [r["self_seconds"] for r in rows] == pytest.approx([1.9, 0.6, 0.5])
+    assert [r["name"] for r in top_spans(payload, limit=1)] == ["cone"]
 
 
 def test_critical_path_descends_along_longest_child(payload):
@@ -135,10 +133,10 @@ def test_cli_obs_tree(trace_file, capsys):
     assert "trace t1" in out and "tmap" in out and "cone" in out
 
 
-def test_cli_obs_top_by_worker(trace_file, capsys):
-    assert main(["obs", "top", trace_file, "--by-worker", "--limit", "3"]) == 0
+def test_cli_obs_top(trace_file, capsys):
+    assert main(["obs", "top", trace_file, "--limit", "3"]) == 0
     out = capsys.readouterr().out
-    assert "@w1" in out
+    assert "cone" in out and "tmap" in out
 
 
 def test_cli_obs_critical(trace_file, capsys):

@@ -22,7 +22,6 @@ def snapshot(**overrides) -> dict:
     base = {
         "schema": BENCH_SCHEMA,
         "library": "CMOS3",
-        "workers": 1,
         "max_depth": 5,
         "annotate_seconds": 0.10,
         "annotate_source": "cold",
@@ -141,9 +140,10 @@ class TestComparePolicy:
         assert any("absent from baseline" in p for p in problems)
 
     def test_config_mismatch_is_not_comparable(self):
-        fresh = snapshot(workers=4)
+        fresh = snapshot(max_depth=4)
         problems = compare_snapshots(snapshot(), fresh)
-        assert any("not comparable" in p for p in problems)
+        assert any("max_depth" in p and "not comparable" in p
+                   for p in problems)
 
     def test_annotate_slowdown_fails(self):
         fresh = snapshot(annotate_seconds=5.0)

@@ -65,7 +65,7 @@ class TestRoundTrip:
             area=12.0, delay=0.66, cells=5,
             cell_usage={"AO21": 2, "OR2": 3}, cones=4, matches=10,
             filter_invocations=1, map_seconds=0.1, annotate_seconds=0.2,
-            annotate_source="cold", workers=1, digest="d" * 64,
+            annotate_source="cold", digest="d" * 64,
             blif=".model dme\n.end\n", fallback=None, deadline_site=None,
             verify={"equivalent": True, "hazard_safe": True, "ok": True},
             explain=None,
@@ -105,6 +105,14 @@ class TestTamper:
         payload = self.payload()
         payload["max_deth"] = 3  # a typo'd knob must not be dropped
         with pytest.raises(ApiError, match="max_deth"):
+            MapRequest.from_payload(payload)
+
+    def test_removed_workers_field_rejected(self):
+        # Dropped inside v1 (covering is serial): a stale client's
+        # field fails loudly instead of being ignored.
+        payload = self.payload()
+        payload["workers"] = 2
+        with pytest.raises(ApiError, match="workers"):
             MapRequest.from_payload(payload)
 
     def test_mistyped_value_rejected(self):
@@ -153,9 +161,10 @@ class TestBatchJobCorrespondence:
 
     def test_option_table_is_authoritative(self):
         assert set(BATCH_OPTION_NAMES) <= set(OPTION_NAMES)
-        # workers cannot change results, so it must stay out of specs.
-        assert "workers" in OPTION_NAMES
-        assert "workers" not in BATCH_OPTION_NAMES
+        # result_cache cannot change results, so it must stay out of specs.
+        assert "result_cache" in OPTION_NAMES
+        assert "result_cache" not in BATCH_OPTION_NAMES
+        assert "workers" not in OPTION_NAMES  # covering is serial
         for field in OPTION_FIELDS:
             assert hasattr(MapRequest(design="dme", library="CMOS3"),
                            field.name)

@@ -31,6 +31,7 @@ class TestCli:
         assert main(["map", "dme", "CMOS3", "--verify"]) == 0
         out = capsys.readouterr().out
         assert "hazard_safe=True" in out
+        assert "covering: " in out and "worker" not in out
 
     def test_map_sync_flag(self, capsys):
         assert main(["map", "chu-ad-opt", "CMOS3", "--sync"]) == 0
@@ -118,11 +119,19 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_map_workers_flag(self, capsys):
-        assert main(["map", "dme", "CMOS3", "--workers", "4", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "4 workers" in out
-        assert "cones" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "dme", "CMOS3", "--workers", "4"],
+            ["perf", "--workers", "2"],
+            ["obs", "top", "trace.json", "--by-worker"],
+        ],
+    )
+    def test_removed_covering_worker_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_map_cache_dir_cold_then_warm(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "ann")

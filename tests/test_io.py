@@ -1,4 +1,4 @@
-"""Tests for the equations/BLIF/genlib interchange formats."""
+"""Tests for the equations/BLIF interchange formats."""
 
 import io
 
@@ -9,12 +9,9 @@ from repro.io import (
     FormatError,
     read_blif,
     read_equations,
-    read_genlib,
     write_blif,
     write_equations,
-    write_genlib,
 )
-from repro.library import minimal_teaching_library
 from repro.mapping.mapper import async_tmap
 from repro.network.netlist import Netlist
 
@@ -98,28 +95,3 @@ class TestBlif:
         )
         net = read_blif(io.StringIO(text))
         assert net.evaluate({"a": 1, "b": 1})["f"]
-
-
-class TestGenlib:
-    def test_round_trip_library(self):
-        library = minimal_teaching_library()
-        back = round_trip(write_genlib, read_genlib, library)
-        assert len(back) == len(library)
-        for cell in library.cells:
-            twin = back.cell(cell.name)
-            assert twin.area == cell.area
-            assert twin.truth_table() == cell.truth_table()
-
-    def test_hazard_census_survives_round_trip(self):
-        library = minimal_teaching_library()
-        back = round_trip(write_genlib, read_genlib, library)
-        back.annotate_hazards()
-        assert {c.name for c in back.hazardous_cells()} == {"MUX21"}
-
-    def test_malformed_gate_rejected(self):
-        with pytest.raises(FormatError):
-            read_genlib(io.StringIO("GATE broken\n"))
-
-    def test_non_gate_line_rejected(self):
-        with pytest.raises(FormatError):
-            read_genlib(io.StringIO("WIRE x\n"))
