@@ -2,10 +2,12 @@
 """CI smoke for the serving daemon: boot, mixed traffic, counted drain.
 
 Boots ``python -m repro serve`` as a real subprocess, drives a mixed
-request workload (map / map+verify / explain / certify) through the
+request workload over its two work endpoints (map / map+verify /
+map+explain on ``/v1/map``, certify on ``/v1/certify``) through the
 client, and asserts:
 
-* every response is well-formed and verifies;
+* every response is well-formed and verifies, and the explain log
+  attached to the map response validates and renders;
 * the ``/metrics`` counters match the request mix exactly;
 * the warm service annotated its library exactly once
   (``library.annotate.calls == 1`` across all mapping traffic);
@@ -29,10 +31,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.api import (  # noqa: E402
-    CertifyRequest,
-    ExplainRequest,
-    MapRequest,
+from repro.api import CertifyRequest, MapRequest  # noqa: E402
+from repro.obs.explain import (  # noqa: E402
+    render_explain,
+    validate_explain_payload,
 )
 from repro.service.client import ServiceClient  # noqa: E402
 
@@ -76,14 +78,14 @@ def main(argv=None) -> int:
         client = ServiceClient(banner.split()[-1])
         client.wait_ready(timeout=15)
 
-        # Mixed workload: 3 maps (one verified), 1 explain, 1 certify.
+        # Mixed workload: 4 maps (one verified, one explained), 1 certify.
         plain = client.map(MapRequest(design="dme", library=args.library))
         warm = client.map(MapRequest(design="dme", library=args.library))
         checked = client.map(
             MapRequest(design="vanbek-opt", library=args.library, verify=True)
         )
-        explained = client.explain(
-            ExplainRequest(design="chu-ad-opt", library=args.library)
+        explained = client.map(
+            MapRequest(design="chu-ad-opt", library=args.library, explain=True)
         )
         verdict = client.certify(
             CertifyRequest(design="dme", mapped_blif=plain.blif)
@@ -94,8 +96,12 @@ def main(argv=None) -> int:
         _expect("warm annotation work", warm.annotate_seconds, 0.0)
         if checked.verify is None or not checked.verify["ok"]:
             _fail(f"verified map failed: {checked.verify!r}")
-        if not explained.rendered:
-            _fail("explain response rendered no report lines")
+        try:
+            validate_explain_payload(explained.explain)
+        except ValueError as exc:
+            _fail(f"explain payload of the map response: {exc}")
+        if not render_explain(explained.explain):
+            _fail("explain payload rendered no report lines")
         if not verdict.certified:
             _fail(f"certify endpoint verdict: {verdict!r}")
 
@@ -105,10 +111,9 @@ def main(argv=None) -> int:
             return metrics.get(name, {}).get("value", 0)
 
         _expect("service.requests", counter("service.requests"), 5)
-        _expect("service.requests.map", counter("service.requests.map"), 3)
-        _expect(
-            "service.requests.explain", counter("service.requests.explain"), 1
-        )
+        _expect("service.requests.map", counter("service.requests.map"), 4)
+        if "service.requests.explain" in metrics:
+            _fail("an explain counter exists; explain rides on /v1/map")
         _expect(
             "service.requests.certify", counter("service.requests.certify"), 1
         )
@@ -137,7 +142,7 @@ def main(argv=None) -> int:
             process.wait(timeout=10)
 
     print(
-        "service smoke passed: 5 requests (3 map / 1 explain / 1 certify), "
+        "service smoke passed: 5 requests (4 map, one explained / 1 certify), "
         "counters exact, 1 annotation, clean drain"
     )
     return 0

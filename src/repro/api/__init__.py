@@ -15,19 +15,21 @@ The request/response contract (``repro-api/v1``) lives in
 :func:`repro.conformance.certify_mapping` at its defaults — the same
 checker ``repro certify`` and ``execute_certify`` run.
 
-The CLI (``repro map``/``batch``/``explain``), the batch engine's
-workers, and the HTTP service (``repro serve``) all route through this
-module, so the response for a given request is byte-identical no matter
-which entry point issued it.  See ``docs/api.md`` for the payload
-schema and the deprecation policy.
+The CLI (``repro map``/``batch``/``explain``/``certify``), the batch
+engine's workers, and the HTTP service (``repro serve``: ``/v1/map``
+and ``/v1/certify``) all route through this module, so the response
+for a given request is byte-identical no matter which entry point
+issued it.  ``explain=True`` on a map request attaches the
+``repro-explain/v1`` decision log, which
+:func:`repro.obs.explain.render_explain` turns into the report
+``repro explain`` prints.  See ``docs/api.md`` for the payload schema
+and the deprecation policy.
 """
 
 from .facade import (  # noqa: F401
     FALLBACK_DEPTH,
     clear_library_cache,
-    execute_batch,
     execute_certify,
-    execute_explain,
     execute_map,
     netlist_blif,
     read_blif_text,
@@ -40,12 +42,8 @@ from .schema import (  # noqa: F401
     API_SCHEMA,
     ApiError,
     BATCH_OPTION_NAMES,
-    BatchRequest,
-    BatchResponse,
     CertifyRequest,
     CertifyResponse,
-    ExplainRequest,
-    ExplainResponse,
     FILTER_MODES,
     MODES,
     MapRequest,
@@ -63,12 +61,8 @@ __all__ = [
     "API_SCHEMA",
     "ApiError",
     "BATCH_OPTION_NAMES",
-    "BatchRequest",
-    "BatchResponse",
     "CertifyRequest",
     "CertifyResponse",
-    "ExplainRequest",
-    "ExplainResponse",
     "FALLBACK_DEPTH",
     "FILTER_MODES",
     "MODES",
@@ -80,9 +74,7 @@ __all__ = [
     "OptionField",
     "add_option_arguments",
     "clear_library_cache",
-    "execute_batch",
     "execute_certify",
-    "execute_explain",
     "execute_map",
     "netlist_blif",
     "read_blif_text",

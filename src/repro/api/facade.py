@@ -30,12 +30,8 @@ from ..library.library import Library
 from ..network.netlist import Netlist
 from .schema import (
     ApiError,
-    BatchRequest,
-    BatchResponse,
     CertifyRequest,
     CertifyResponse,
-    ExplainRequest,
-    ExplainResponse,
     MapRequest,
     MapResponse,
 )
@@ -97,7 +93,7 @@ def loaded_libraries() -> list[str]:
 
 
 def request_netlist(
-    request: Union[MapRequest, ExplainRequest, CertifyRequest],
+    request: Union[MapRequest, CertifyRequest],
 ) -> Netlist:
     """Resolve a request's design — catalog name or inline network."""
     if request.design is not None:
@@ -384,44 +380,6 @@ def _response_from_result(
     )
 
 
-def execute_explain(
-    request: ExplainRequest,
-    *,
-    library: Optional[Library] = None,
-    cache_dir: anncache.CacheDir = None,
-    metrics=None,
-    tracer=None,
-) -> ExplainResponse:
-    """Map with the explain layer on and render the decision report."""
-    from ..obs.explain import render_explain, validate_explain_payload
-
-    response = execute_map(
-        request.map_request(),
-        library=library,
-        cache_dir=cache_dir,
-        metrics=metrics,
-        tracer=tracer,
-    )
-    payload = response.explain
-    assert payload is not None  # explain=True on the map request
-    summary = validate_explain_payload(payload)
-    rendered = tuple(
-        render_explain(
-            payload,
-            cone=request.cone,
-            limit=request.limit,
-            rejected_only=request.rejected_only,
-        )
-    )
-    return ExplainResponse(
-        design=response.design,
-        library=response.library,
-        summary=summary,
-        rendered=rendered,
-        payload=payload,
-    )
-
-
 def execute_certify(
     request: CertifyRequest,
     *,
@@ -484,65 +442,11 @@ def read_blif_text(text: str) -> Netlist:
     return read_blif(io.StringIO(text))
 
 
-def execute_batch(
-    request: BatchRequest,
-    *,
-    config=None,
-    cache_dir: anncache.CacheDir = None,
-    metrics=None,
-    tracer=None,
-) -> BatchResponse:
-    """Run a batch request through the fault-tolerant engine.
-
-    ``config`` (a :class:`~repro.batch.engine.BatchConfig`) carries the
-    deployment knobs — backend, pool width, retries, journal — that are
-    not part of the request contract; when omitted a serial,
-    journal-less run is used.
-    """
-    from ..batch.engine import BatchConfig, run_batch
-
-    from ..burstmode.benchmarks import CATALOG
-    from ..library.standard import ALL_LIBRARIES
-
-    unknown = sorted(set(request.designs) - set(CATALOG))
-    if unknown:
-        raise ApiError(f"unknown catalog benchmark(s): {', '.join(unknown)}")
-    bad_libs = sorted(set(request.libraries) - set(ALL_LIBRARIES))
-    if bad_libs:
-        raise ApiError(f"unknown librar{'y' if len(bad_libs) == 1 else 'ies'}: "
-                       f"{', '.join(bad_libs)}")
-    if config is None:
-        config = BatchConfig(cache_dir=cache_dir, metrics=metrics,
-                             tracer=tracer)
-    if request.deadline_seconds is not None and config.deadline is None:
-        config = replace(config, deadline=request.deadline_seconds)
-    if request.result_cache and not config.result_cache:
-        config = replace(config, result_cache=True)
-    report = run_batch(request.to_jobs(), config)
-    results = []
-    for record in report.results:
-        slim = {
-            key: value
-            for key, value in record.items()
-            if key not in ("blif", "explain") or request.include_blif
-        }
-        results.append(slim)
-    return BatchResponse(
-        results=tuple(results),
-        counts=report.counts(),
-        elapsed=round(report.elapsed, 4),
-        backend=report.backend,
-        workers=report.workers,
-    )
-
-
 __all__ = [
     "FALLBACK_DEPTH",
     "clear_library_cache",
     "loaded_libraries",
-    "execute_batch",
     "execute_certify",
-    "execute_explain",
     "execute_map",
     "netlist_blif",
     "read_blif_text",

@@ -1,18 +1,15 @@
 """The ``repro-api/v1`` contract: frozen, versioned request/response types.
 
 Every way of asking the mapper for work — the Python facade
-(:mod:`repro.api.facade`), the CLI's ``map``/``batch``/``explain``
-subcommands, the batch engine's worker processes, and the HTTP service
-(:mod:`repro.service`) — speaks the same small set of immutable
+(:mod:`repro.api.facade`), the CLI's ``map``/``batch``/``explain``/
+``certify`` subcommands, the batch engine's worker processes, and the
+HTTP service (:mod:`repro.service`) — speaks the same four immutable
 dataclasses defined here.  Each type round-trips losslessly through a
 plain-JSON payload stamped ``schema: repro-api/v1``:
 
 * :class:`MapRequest` / :class:`MapResponse` — one (design, library)
-  mapping job and its result;
-* :class:`BatchRequest` / :class:`BatchResponse` — a designs × libraries
-  product through the fault-tolerant batch engine;
-* :class:`ExplainRequest` / :class:`ExplainResponse` — a mapping run
-  with the witness-backed decision log rendered per cone;
+  mapping job and its result, with the ``repro-explain/v1`` decision
+  log attached when ``explain`` is set;
 * :class:`CertifyRequest` / :class:`CertifyResponse` — independent
   certification (equivalence + Theorem 3.2 hazard containment) of a
   mapped BLIF against its source.  The same certifier fills the
@@ -34,10 +31,12 @@ declared exactly once, in :data:`OPTION_FIELDS`.  Everything else —
 Deprecation policy: ``repro-api/v1`` payloads only ever *gain* optional
 fields with defaults; removing or retyping a field bumps the schema to
 ``/v2`` and v1 payloads keep parsing for at least one minor release.
-Two removals inside v1 break that rule: the ``verify`` request kind
+Four removals inside v1 break that rule: the ``verify`` request kind
 (a caller sends the same fields as kind ``certify`` to
-``/v1/certify``) and the ``workers`` field of map requests and
-responses (covering is serial).
+``/v1/certify``), the ``workers`` field of map requests and
+responses (covering is serial), and the ``explain`` and ``batch``
+request kinds (a ``map`` request with ``explain`` set, or one ``map``
+request per job).
 ``tmap``/``async_tmap``/``map_network`` take a
 :class:`~repro.mapping.mapper.MappingOptions` and no per-knob keywords
 (see ``docs/api.md``).
@@ -309,15 +308,7 @@ class _Payload:
 
 def parse_request(payload: Mapping) -> "_Payload":
     """Parse any ``repro-api/v1`` request payload by its ``kind``."""
-    kinds = {
-        cls.kind: cls
-        for cls in (
-            MapRequest,
-            BatchRequest,
-            ExplainRequest,
-            CertifyRequest,
-        )
-    }
+    kinds = {cls.kind: cls for cls in (MapRequest, CertifyRequest)}
     if not isinstance(payload, Mapping):
         raise ApiError("request payload must be a JSON object")
     cls = kinds.get(payload.get("kind"))
@@ -403,118 +394,6 @@ class MapRequest(_Payload):
             return self.design
         assert self.network is not None
         return str(self.network.get("name") or "inline")
-
-    def option_values(self) -> dict:
-        """The :data:`OPTION_FIELDS` values this request carries."""
-        return {name: getattr(self, name) for name in OPTION_NAMES}
-
-
-@dataclass(frozen=True)
-class BatchRequest(_Payload):
-    """A designs × libraries product for the batch engine.
-
-    The option fields are shared by every job; ``include_blif`` keeps
-    full netlist texts out of the (potentially large) response unless a
-    consumer asks for them.
-    """
-
-    kind = "batch"
-
-    designs: tuple
-    libraries: tuple = ("CMOS3",)
-    mode: str = "async"
-    max_depth: int = 5
-    max_inputs: int = 8
-    objective: str = "area"
-    filter_mode: str = "exact"
-    verify: bool = False
-    explain: bool = False
-    deadline_seconds: Optional[float] = None
-    include_blif: bool = False
-    #: Deployment knob, not a result knob: turns the content-addressed
-    #: result cache on for every job (additive optional field per the
-    #: deprecation policy; job spec digests never see it).
-    result_cache: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "designs", tuple(self.designs))
-        object.__setattr__(self, "libraries", tuple(self.libraries))
-        if not self.designs:
-            raise ApiError("designs must name at least one catalog benchmark")
-        if not self.libraries:
-            raise ApiError("libraries must name at least one library")
-        for name in BATCH_OPTION_NAMES:
-            _check_option(name, getattr(self, name))
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ApiError("deadline_seconds must be positive")
-
-    def to_jobs(self) -> list:
-        """The :class:`~repro.batch.jobs.BatchJob` specs of this request."""
-        from ..batch.jobs import BatchJob
-
-        return [
-            BatchJob.from_request(self.job_request(design, library))
-            for library in self.libraries
-            for design in self.designs
-        ]
-
-    def job_request(self, design: str, library: str) -> MapRequest:
-        """The :class:`MapRequest` of one (design, library) job."""
-        return MapRequest(
-            library=library,
-            design=design,
-            mode=self.mode,
-            max_depth=self.max_depth,
-            max_inputs=self.max_inputs,
-            objective=self.objective,
-            filter_mode=self.filter_mode,
-            verify=self.verify,
-            explain=self.explain,
-            deadline_seconds=self.deadline_seconds,
-        )
-
-
-@dataclass(frozen=True)
-class ExplainRequest(_Payload):
-    """Map a design and render its witness-backed decision log."""
-
-    kind = "explain"
-
-    library: str
-    design: Optional[str] = None
-    network: Optional[dict] = None
-    mode: str = "async"
-    max_depth: int = 5
-    max_inputs: int = 8
-    objective: str = "area"
-    filter_mode: str = "exact"
-    cone: Optional[str] = None
-    limit: Optional[int] = None
-    rejected_only: bool = False
-    deadline_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if (self.design is None) == (self.network is None):
-            raise ApiError("exactly one of design or network is required")
-        for name in ("mode", "max_depth", "max_inputs", "objective",
-                     "filter_mode"):
-            _check_option(name, getattr(self, name))
-        _validate_network(self.network)
-
-    def map_request(self) -> MapRequest:
-        """The underlying mapping job, with the explain layer on."""
-        return MapRequest(
-            library=self.library,
-            design=self.design,
-            network=self.network,
-            mode=self.mode,
-            max_depth=self.max_depth,
-            max_inputs=self.max_inputs,
-            objective=self.objective,
-            filter_mode=self.filter_mode,
-            explain=True,
-            deadline_seconds=self.deadline_seconds,
-        )
 
 
 @dataclass(frozen=True)
@@ -611,44 +490,6 @@ class MapResponse(_Payload):
 
 
 @dataclass(frozen=True)
-class BatchResponse(_Payload):
-    """Per-job records (in job-spec order) plus run-level accounting."""
-
-    kind = "batch_response"
-
-    results: tuple
-    counts: dict
-    elapsed: float
-    backend: str
-    workers: int
-    #: Serving-side ``repro-trace/v1`` tree (traced requests only).
-    trace: Optional[dict] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "results", tuple(self.results))
-
-    @property
-    def ok(self) -> bool:
-        return all(r.get("status") == "ok" for r in self.results)
-
-
-@dataclass(frozen=True)
-class ExplainResponse(_Payload):
-    """The decision log, its summary, and the rendered report lines."""
-
-    kind = "explain_response"
-
-    design: str
-    library: str
-    summary: dict
-    rendered: tuple
-    payload: dict
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rendered", tuple(self.rendered))
-
-
-@dataclass(frozen=True)
 class CertifyResponse(_Payload):
     """The ``repro-cert/v1`` verdict plus its headline fields.
 
@@ -681,12 +522,8 @@ class CertifyResponse(_Payload):
 __all__ = [
     "API_SCHEMA",
     "ApiError",
-    "BatchRequest",
-    "BatchResponse",
     "CertifyRequest",
     "CertifyResponse",
-    "ExplainRequest",
-    "ExplainResponse",
     "FILTER_MODES",
     "MODES",
     "MapRequest",

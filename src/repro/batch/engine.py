@@ -123,9 +123,6 @@ class BatchReport:
     journal: Optional[Path] = None
     output_dir: Optional[Path] = None
 
-    def by_status(self, status: str) -> list[dict]:
-        return [r for r in self.results if r.get("status") == status]
-
     @property
     def ok(self) -> bool:
         return all(

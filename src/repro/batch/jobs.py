@@ -65,24 +65,6 @@ class BatchJob:
         except ApiError as exc:
             raise ValueError(str(exc)) from exc
 
-    @classmethod
-    def from_request(cls, request: MapRequest) -> "BatchJob":
-        """Derive a job spec from a ``repro-api/v1`` map request."""
-        if request.design is None:
-            raise ApiError("batch jobs need catalog designs, not inline networks")
-        if request.dont_cares:
-            raise ApiError("batch jobs do not support hazard don't-cares")
-        values = {
-            name: getattr(request, name) for name in BATCH_OPTION_NAMES
-        }
-        return cls(
-            design=request.design,
-            library=request.library,
-            verify=request.verify,
-            explain=request.explain,
-            **values,
-        )
-
     def to_request(
         self, deadline_seconds: Optional[float] = None
     ) -> MapRequest:

@@ -56,9 +56,6 @@ class BddManager:
         node = self._vars[index]
         return node if positive else self.negate(node)
 
-    def top_var(self, node: int) -> int:
-        return self._var[node]
-
     def cofactors(self, node: int, var: int) -> tuple[int, int]:
         """(low, high) cofactors of ``node`` with respect to ``var``."""
         if self._var[node] == var:

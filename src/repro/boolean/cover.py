@@ -98,9 +98,6 @@ class Cover:
                 table |= 1 << point
         return table
 
-    def is_empty_list(self) -> bool:
-        return not self.cubes
-
     # ------------------------------------------------------------------
     # Cofactors and tautology
     # ------------------------------------------------------------------

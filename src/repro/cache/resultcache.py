@@ -475,13 +475,6 @@ class ResultCache:
         )
         return path
 
-    @property
-    def enabled_tiers(self) -> tuple[str, ...]:
-        tiers = ["memory"]
-        if self.disk_dir is not None:
-            tiers.append("disk")
-        return tuple(tiers)
-
 
 __all__ = [
     "DEFAULT_MAX_BYTES",

@@ -14,7 +14,8 @@ Commands mirror the paper's workflows:
   transitions) and emit ``repro-cert/v1`` certificates; ``map --verify``
   and ``batch --verify`` attach the same checker's verdict to a map;
 * ``explain`` — render the per-cone decision report of a
-  ``repro-explain/v1`` log (or map a catalog benchmark on the fly);
+  ``repro-explain/v1`` log (or map a catalog benchmark on the fly and
+  render its log the same way);
 * ``batch``   — map a whole catalog of (design, library) jobs through
   the fault-tolerant batch engine (process/thread/serial backends,
   deadlines, retries, resumable ``repro-batch/v1`` journal);
@@ -23,9 +24,9 @@ Commands mirror the paper's workflows:
   ``BENCH_mapping.json`` snapshot that
   ``benchmarks/check_regression.py`` gates against;
 * ``serve``   — run the persistent mapping daemon (HTTP/JSON over the
-  ``repro-api/v1`` contract): libraries, hazard annotations, and
-  matching indexes stay warm across requests; ``map`` and ``batch``
-  take ``--server URL`` to route through it;
+  ``repro-api/v1`` contract, ``/v1/map`` and ``/v1/certify``):
+  libraries, hazard annotations, and matching indexes stay warm across
+  requests;
 * ``cache``   — inspect or clear the on-disk caches: per-library hazard
   annotations and content-addressed whole-map results.
 
@@ -49,12 +50,11 @@ import sys
 from typing import Optional, Sequence
 
 from .api import (
+    BATCH_OPTION_NAMES,
     ApiError,
-    BatchRequest,
-    ExplainRequest,
     MapRequest,
     add_option_arguments,
-    execute_explain,
+    execute_map,
     netlist_blif,
     option_values_from_args,
     read_blif_text,
@@ -62,6 +62,7 @@ from .api import (
 )
 from .batch import (
     BatchConfig,
+    BatchJob,
     check_artifacts,
     run_batch,
     validate_journal,
@@ -204,64 +205,6 @@ def _map_request(args: argparse.Namespace, network) -> MapRequest:
     )
 
 
-def _remote_trace_begin(client, tracer, name: str, **attrs):
-    """Open the client-side root span and arm header propagation."""
-    root = tracer.start_span(name, **attrs)
-    client.trace_context = tracer.context(root)
-    return root
-
-
-def _remote_trace_end(args, client, tracer, root, response) -> None:
-    """Close the root, graft the daemon's subtree, write the file."""
-    tracer.finish_span(root)
-    client.trace_context = None
-    remote = getattr(response, "trace", None)
-    if remote:
-        tracer.graft(remote, parent=root)
-    tracer.assert_well_formed()
-    write_trace(args.trace, tracer)
-    print(f"trace written to {args.trace}")
-
-
-def _cmd_map_remote(args: argparse.Namespace, request: MapRequest) -> int:
-    """Send one map request to a running ``repro serve`` instance."""
-    from .service.client import ServiceClient, ServiceError
-
-    if args.metrics:
-        print("--metrics is not supported with --server", file=sys.stderr)
-        return 2
-    client = ServiceClient(args.server)
-    tracer = Tracer() if args.trace else None
-    root_span = None
-    if tracer is not None:
-        root_span = _remote_trace_begin(
-            client, tracer, "map.client",
-            design=request.design_name, library=request.library,
-        )
-    try:
-        response = client.map(request)
-    except ServiceError as exc:
-        print(f"server error: {exc}", file=sys.stderr)
-        return 1
-    if tracer is not None:
-        _remote_trace_end(args, client, tracer, root_span, response)
-    print(
-        f"{response.mode} mapping of {response.design} onto "
-        f"{response.library}: area={response.area:.0f} "
-        f"delay={response.delay:.2f} cpu={response.map_seconds:.2f}s"
-    )
-    print(f"cells: {response.cell_usage}")
-    if response.fallback:
-        print(
-            f"deadline fallback: {response.fallback} "
-            f"(budget ran out at {response.deadline_site})"
-        )
-    if args.explain is not None and response.explain is not None:
-        _write_explain(args.explain or f"{response.design}_explain.json",
-                       response.explain)
-    return _finish_map(args, response)
-
-
 def _cmd_map(args: argparse.Namespace) -> int:
     if args.design in CATALOG:
         network = synthesize_benchmark(args.design).netlist(args.design)
@@ -282,8 +225,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
     except ApiError as exc:
         print(f"bad request: {exc}", file=sys.stderr)
         return 2
-    if args.server:
-        return _cmd_map_remote(args, request)
 
     cache_dir = _resolved_cache_dir(args)
     tracer = Tracer() if args.trace else None
@@ -351,15 +292,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
         print("metrics:")
         for line in _format_metrics(metrics):
             print(f"  {line}")
-    return _finish_map(args, response)
-
-
-def _finish_map(args: argparse.Namespace, response) -> int:
-    """The tail every ``repro map`` shares: verdict, ``--output``, exit.
-
-    ``response.verify`` is the certifier's verdict, computed with the
-    map or replayed with a result-cache hit.
-    """
+    # The certifier's verdict, computed with the map or replayed with a
+    # result-cache hit.
     verdict = response.verify
     if verdict is not None:
         print(
@@ -481,62 +415,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_batch_remote(args: argparse.Namespace, request: BatchRequest) -> int:
-    """Send a batch request to a running ``repro serve`` instance."""
-    from .service.client import ServiceClient, ServiceError
-
-    unsupported = (
-        ("--check", args.check),
-        ("--journal", args.journal),
-        ("--output-dir", args.output_dir),
-        ("--resume", args.resume),
-        ("--bench-snapshot", args.bench_snapshot),
-        ("--inject", args.inject),
-    )
-    for name, value in unsupported:
-        if value:
-            print(f"{name} is not supported with --server", file=sys.stderr)
-            return 2
-    client = ServiceClient(args.server)
-    tracer = Tracer() if args.trace else None
-    root_span = None
-    if tracer is not None:
-        root_span = _remote_trace_begin(
-            client, tracer, "batch.client",
-            jobs=len(request.designs) * len(request.libraries),
-        )
-    try:
-        response = client.batch(request)
-    except ServiceError as exc:
-        print(f"server error: {exc}", file=sys.stderr)
-        return 1
-    if tracer is not None:
-        _remote_trace_end(args, client, tracer, root_span, response)
-    for record in response.results:
-        if record.get("status") == "ok":
-            print(
-                f"  {record['job_id']}: area={record['area']:.0f} "
-                f"cells={record['cells']} "
-                f"{record.get('map_seconds', 0.0):.2f}s"
-            )
-        else:
-            print(
-                f"  {record['job_id']}: {record.get('status', '?').upper()} — "
-                f"{record.get('error', 'no detail')}"
-            )
-    print(
-        f"batch finished in {response.elapsed:.2f}s: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(response.counts.items()) if v)
-    )
-    failed = [r for r in response.results if r.get("status") != "ok"]
-    bad_verify = [
-        r
-        for r in response.results
-        if r.get("status") == "ok" and not r.get("verify", {}).get("ok", True)
-    ]
-    return 1 if failed or bad_verify else 0
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
     from .batch.journal import JournalError
 
@@ -545,21 +423,25 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown benchmark(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
+    options = option_values_from_args(args)
     try:
-        request = BatchRequest(
-            designs=tuple(designs),
-            libraries=tuple(args.libraries),
-            verify=args.verify,
-            explain=args.explain,
-            deadline_seconds=args.deadline,
-            **option_values_from_args(args),
-        )
-    except ApiError as exc:
+        jobs = [
+            BatchJob(
+                design=design,
+                library=library,
+                verify=args.verify,
+                explain=args.explain,
+                **{name: options[name] for name in BATCH_OPTION_NAMES},
+            )
+            for library in args.libraries
+            for design in designs
+        ]
+        # The deadline is not part of a job's spec; check it on the
+        # request every worker will execute.
+        jobs[0].to_request(args.deadline)
+    except ValueError as exc:
         print(f"bad request: {exc}", file=sys.stderr)
         return 2
-    if args.server:
-        return _cmd_batch_remote(args, request)
-    jobs = request.to_jobs()
 
     journal = args.journal or (
         str(args.output_dir) + "/batch_journal.jsonl" if args.output_dir else None
@@ -678,23 +560,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    import os
-
     if os.path.exists(args.source):
         payload = load_explain(args.source)
     elif args.source in CATALOG:
-        response = execute_explain(
-            ExplainRequest(
-                library=args.library,
-                design=args.source,
-                cone=args.cone,
-                limit=args.limit,
-                rejected_only=args.rejected_only,
-            )
-        )
-        for line in response.rendered:
-            print(line)
-        return 0
+        payload = execute_map(
+            MapRequest(library=args.library, design=args.source, explain=True)
+        ).explain
     else:
         print(
             f"{args.source}: not an explain JSON file or catalog benchmark",
@@ -865,6 +736,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An argparse ``type`` for pool widths and queue limits."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -910,11 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
         "depth-1 cover",
     )
     map_cmd.add_argument(
-        "--server",
-        metavar="URL",
-        help="send the request to a running `repro serve` instance",
-    )
-    map_cmd.add_argument(
         "--no-cache",
         action="store_true",
         help="skip the on-disk library-annotation cache "
@@ -926,8 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd.add_argument(
         "--trace",
         metavar="FILE",
-        help="record the run as a repro-trace/v1 span tree at FILE "
-        "(with --server: the stitched client+daemon+worker tree)",
+        help="record the run as a repro-trace/v1 span tree at FILE",
     )
     map_cmd.add_argument(
         "--log",
@@ -1000,11 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Shared option flags from the repro-api/v1 table.
     add_option_arguments(batch)
     batch.add_argument(
-        "--server",
-        metavar="URL",
-        help="send the batch to a running `repro serve` instance",
-    )
-    batch.add_argument(
         "--verify",
         action="store_true",
         help="certify every mapped network (equivalence + Theorem 3.2 "
@@ -1059,8 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--trace",
         metavar="FILE",
-        help="record the run as a repro-trace/v1 span tree at FILE "
-        "(with --server: the stitched client+daemon+worker tree)",
+        help="record the run as a repro-trace/v1 span tree at FILE",
     )
     batch.add_argument(
         "--log",
@@ -1218,13 +1088,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=2,
         help="executor pool width (default: 2)",
     )
     serve_cmd.add_argument(
         "--queue-limit",
-        type=int,
+        type=_positive_int,
         default=8,
         help="max requests admitted at once; beyond it clients get 429",
     )

@@ -146,10 +146,3 @@ def find_mic_dyn_haz_multilevel(lsop: LabeledSop) -> list[MicDynamicHazard]:
         if transition_has_hazard(lsop, hazard.start, hazard.end):
             confirmed.append(hazard)
     return confirmed
-
-
-def exhibits_transition_hazard(
-    lsop: LabeledSop, hazard: MicDynamicHazard
-) -> bool:
-    """Matching-filter predicate for one m.i.c. dynamic hazard record."""
-    return transition_has_hazard(lsop, hazard.start, hazard.end)

@@ -23,10 +23,6 @@ def transition_space(start: int, end: int, nvars: int) -> Cube:
     return Cube.minterm(start, nvars).supercube(Cube.minterm(end, nvars))
 
 
-def is_static_transition(cover: Cover, start: int, end: int) -> bool:
-    return cover.evaluate(start) == cover.evaluate(end)
-
-
 def static_fhf(cover: Cover, space: Cube, value: bool) -> bool:
     """Is a static transition over ``space`` function-hazard-free?
 

@@ -12,7 +12,7 @@ the classical recursive cut enumeration on a tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..network.netlist import Netlist
 from ..network.partition import Cone
@@ -135,10 +135,3 @@ def cluster_expression(netlist: Netlist, cluster: Cluster):
     (function) and the async filter (structure) need.
     """
     return netlist.collapse(cluster.root, stop_at=set(cluster.leaves))
-
-
-def iter_all_clusters(
-    clusters: dict[str, list[Cluster]]
-) -> Iterator[Cluster]:
-    for group in clusters.values():
-        yield from group

@@ -55,11 +55,6 @@ class HazardDontCares:
             values_end = netlist.evaluate(burst.end)
             self._endpoint_values.append((values_start, values_end))
 
-    @classmethod
-    def from_synthesis(cls, netlist: Netlist, synthesis) -> "HazardDontCares":
-        """Derive the burst list from a burst-mode synthesis result."""
-        return cls(netlist, synthesis_bursts(synthesis))
-
     def leaf_spaces(self, leaves: Sequence[str]) -> list[Cube]:
         """Per burst: the cube of leaf-variable values it can span."""
         spaces = []

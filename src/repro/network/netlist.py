@@ -178,17 +178,6 @@ class Netlist:
             if node.is_output() and len(node.fanins) != 1:
                 raise NetlistError(f"output {node.name!r} needs one driver")
 
-    def transitive_fanin(self, name: str) -> set[str]:
-        seen: set[str] = set()
-        stack = [name]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.nodes[current].fanins)
-        return seen
-
     def gate_count(self) -> int:
         return len(self.gates())
 

@@ -9,9 +9,8 @@ paid at boot or on first use and then amortized forever.
 Endpoints (all payloads are ``repro-api/v1`` documents, see
 ``docs/api.md``):
 
-* ``POST /v1/map``     — one mapping job (``MapRequest``)
-* ``POST /v1/batch``   — a designs x libraries sweep (``BatchRequest``)
-* ``POST /v1/explain`` — map + render the decision log (``ExplainRequest``)
+* ``POST /v1/map``     — one mapping job (``MapRequest``); set
+  ``explain`` to attach the ``repro-explain/v1`` decision log
 * ``POST /v1/certify`` — certify a mapped BLIF (``CertifyRequest``)
 * ``GET  /healthz``    — liveness, drain state, in-flight count
 * ``GET  /metrics``    — ``repro-metrics/v1`` snapshot of the registry

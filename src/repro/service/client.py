@@ -1,10 +1,10 @@
 """``ServiceClient`` — the stdlib HTTP client for ``repro serve``.
 
-The CLI (``repro map --server``/``repro batch --server``), the service
-tests, and the smoke harness all talk to the daemon through this one
-class, so the wire contract (``repro-api/v1`` payloads over JSON/HTTP)
-is exercised the same way everywhere.  Built on ``urllib.request`` —
-the service stack adds no dependencies.
+The service tests, the smoke harnesses, and the serving benchmark all
+talk to the daemon through this one class, so the wire contract
+(``repro-api/v1`` map and certify payloads over JSON/HTTP) is
+exercised the same way everywhere.  Built on ``urllib.request`` — the
+service stack adds no dependencies.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ import urllib.request
 from typing import Optional, Union
 
 from ..api.schema import (
-    BatchRequest,
-    BatchResponse,
     CertifyRequest,
     CertifyResponse,
-    ExplainRequest,
-    ExplainResponse,
     MapRequest,
     MapResponse,
 )
@@ -106,18 +102,6 @@ class ServiceClient:
     def map(self, request: Union[MapRequest, dict]) -> MapResponse:
         payload = request.to_payload() if isinstance(request, MapRequest) else request
         return MapResponse.from_payload(self._post("/v1/map", payload))
-
-    def batch(self, request: Union[BatchRequest, dict]) -> BatchResponse:
-        payload = (
-            request.to_payload() if isinstance(request, BatchRequest) else request
-        )
-        return BatchResponse.from_payload(self._post("/v1/batch", payload))
-
-    def explain(self, request: Union[ExplainRequest, dict]) -> ExplainResponse:
-        payload = (
-            request.to_payload() if isinstance(request, ExplainRequest) else request
-        )
-        return ExplainResponse.from_payload(self._post("/v1/explain", payload))
 
     def certify(
         self, request: Union[CertifyRequest, dict]

@@ -8,13 +8,16 @@ handlers dispatch onto via the generic
 :meth:`~repro.batch.backends.ExecutorBackend.submit_call` hook.  The
 HTTP layer (:class:`_Handler` on a ``ThreadingHTTPServer``) is a thin
 shell: it decodes the body, hands ``(method, path, payload)`` to
-:meth:`MappingService.handle`, and writes the JSON verdict back.
+:meth:`MappingService.handle`, and writes the JSON verdict back.  Two
+POST endpoints carry work (:data:`ENDPOINT_KINDS`: ``/v1/map`` and
+``/v1/certify``); ``GET /healthz`` and ``GET /metrics`` report on it.
 
 Operational contracts:
 
 * **Admission control** — at most ``queue_limit`` requests are admitted
   (queued + running); the next one is answered ``429`` with a
-  ``Retry-After`` header rather than piling onto the pool.
+  ``Retry-After`` header rather than piling onto the pool.  A pool
+  width or queue limit below 1 is refused at construction.
 * **Budgets** — requests without an explicit ``deadline_seconds``
   inherit the service default; overruns degrade inside the facade to
   the trivial depth-1 cover (``fallback="trivial-cover"``), never to an
@@ -49,18 +52,14 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..api.facade import (
-    execute_batch,
     execute_certify,
-    execute_explain,
     execute_map,
     loaded_libraries,
     shared_library,
 )
 from ..api.schema import (
     ApiError,
-    BatchRequest,
     CertifyRequest,
-    ExplainRequest,
     MapRequest,
     parse_request,
 )
@@ -91,8 +90,6 @@ SOCKET_TIMEOUT_SECONDS = 30.0
 #: Endpoint path -> the request kind it accepts.
 ENDPOINT_KINDS = {
     "/v1/map": MapRequest,
-    "/v1/batch": BatchRequest,
-    "/v1/explain": ExplainRequest,
     "/v1/certify": CertifyRequest,
 }
 
@@ -162,24 +159,8 @@ def _execute_request(
             response = execute_map(
                 request, cache_dir=cache_dir, metrics=metrics, tracer=tracer
             )
-        elif isinstance(request, ExplainRequest):
-            if request.deadline_seconds is None and deadline_seconds is not None:
-                request = dataclasses.replace(
-                    request, deadline_seconds=deadline_seconds
-                )
-            response = execute_explain(
-                request, cache_dir=cache_dir, metrics=metrics, tracer=tracer
-            )
         elif isinstance(request, CertifyRequest):
             response = execute_certify(
-                request, cache_dir=cache_dir, metrics=metrics, tracer=tracer
-            )
-        elif isinstance(request, BatchRequest):
-            if request.deadline_seconds is None and deadline_seconds is not None:
-                request = dataclasses.replace(
-                    request, deadline_seconds=deadline_seconds
-                )
-            response = execute_batch(
                 request, cache_dir=cache_dir, metrics=metrics, tracer=tracer
             )
         else:  # pragma: no cover - ENDPOINT_KINDS guards the dispatch
@@ -197,6 +178,10 @@ class MappingService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
+        for name in ("workers", "queue_limit"):
+            value = getattr(self.config, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         from ..batch.backends import create_backend
 
         self.metrics = MetricsRegistry()
@@ -327,7 +312,7 @@ class MappingService:
             "queue_limit": self.config.queue_limit,
             "queue_available": max(self.config.queue_limit - inflight, 0),
             "backend": self.backend.name,
-            "workers": self.config.workers,
+            "workers": self.backend.workers,
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "libraries": loaded_libraries(),
             "result_cache": self._result_cache_health(),

@@ -158,6 +158,21 @@ class TestBadUsage:
         assert batch(tmp_path, ann_cache, designs=("no-such-design",)) == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--depth", "0", "max_depth must be >= 1"),
+            ("--deadline", "0", "deadline_seconds must be positive"),
+            ("--deadline", "-1", "deadline_seconds must be positive"),
+        ],
+    )
+    def test_bad_job_option_exits_2(
+        self, tmp_path, ann_cache, capsys, flag, value, message
+    ):
+        assert batch(tmp_path, ann_cache, flag, value) == 2
+        assert f"bad request: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_inject_spec_exits_2(self, tmp_path, ann_cache, capsys):
         assert batch(tmp_path, ann_cache, "--inject", "nonsense") == 2
         assert "bad --inject spec" in capsys.readouterr().err

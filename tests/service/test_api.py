@@ -19,8 +19,7 @@ from repro.api import (
     API_SCHEMA,
     ApiError,
     BATCH_OPTION_NAMES,
-    BatchRequest,
-    ExplainRequest,
+    CertifyRequest,
     MapRequest,
     MapResponse,
     OPTION_FIELDS,
@@ -36,10 +35,8 @@ REQUESTS = [
     MapRequest(network={"blif": ".model t\n.inputs a\n.outputs y\n"
                         ".names a y\n1 1\n.end\n"},
                library="CMOS3"),
-    BatchRequest(designs=("dme", "vanbek-opt"), libraries=("CMOS3", "LSI9K"),
-                 verify=True, include_blif=True),
-    ExplainRequest(design="dme", library="CMOS3", limit=3,
-                   rejected_only=True),
+    CertifyRequest(design="dme", mapped_blif=".model dme\n.end\n",
+                   library="CMOS3", exhaustive_limit=4, seed=7),
 ]
 
 
@@ -96,10 +93,12 @@ class TestTamper:
             MapRequest.from_payload(payload)
         with pytest.raises(ApiError):
             parse_request({**self.payload(), "kind": "nonsense"})
-        # The retired verify kind has no alias: callers send "certify".
-        with pytest.raises(ApiError, match="certify"):
-            parse_request({"schema": "repro-api/v1", "kind": "verify",
-                           "design": "dme", "mapped_blif": "x"})
+        # Retired kinds have no alias: verify became certify, explain
+        # is a map with explain set, and a batch is one map per job.
+        for kind in ("verify", "explain", "batch"):
+            with pytest.raises(ApiError, match=r"\['certify', 'map'\]"):
+                parse_request({"schema": "repro-api/v1", "kind": kind,
+                               "design": "dme", "library": "CMOS3"})
 
     def test_unknown_field_rejected(self):
         payload = self.payload()
@@ -168,18 +167,6 @@ class TestBatchJobCorrespondence:
         for field in OPTION_FIELDS:
             assert hasattr(MapRequest(design="dme", library="CMOS3"),
                            field.name)
-
-    def test_job_round_trips_through_request(self):
-        job = BatchJob(design="dme", library="CMOS3", mode="sync",
-                       max_depth=3, verify=True)
-        assert BatchJob.from_request(job.to_request()) == job
-
-    def test_request_rejects_inline_networks(self):
-        inline = MapRequest(
-            library="CMOS3", network={"blif": ".model x\n.end\n"}
-        )
-        with pytest.raises(ApiError, match="catalog"):
-            BatchJob.from_request(inline)
 
     def test_bad_spec_rejected_as_value_error(self):
         with pytest.raises(ValueError):

@@ -16,8 +16,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import CertifyRequest, MapRequest, netlist_blif
+from repro.cli import main
+from repro.service import MappingService, ServiceConfig
 from repro.service.client import ServiceError
-from repro.service.daemon import RETRY_AFTER_SECONDS
+from repro.service.daemon import ENDPOINT_KINDS, RETRY_AFTER_SECONDS
 from repro.testing.faults import FaultPlan
 
 DESIGNS = ("dme", "vanbek-opt", "chu-ad-opt", "dme")
@@ -148,6 +150,27 @@ class TestProtocol:
         with pytest.raises(ServiceError) as info:
             client._request("GET", "/v1/nonsense", None)
         assert info.value.status == 404
+        # Explain and batch were folded into /v1/map; only map and
+        # certify carry work.
+        assert set(ENDPOINT_KINDS) == {"/v1/map", "/v1/certify"}
+        payload = MapRequest(design="dme", library="CMOS3").to_payload()
+        for path in ("/v1/explain", "/v1/batch"):
+            with pytest.raises(ServiceError) as info:
+                client._post(path, payload)
+            assert info.value.status == 404
+
+    def test_map_with_explain_carries_a_valid_decision_log(
+        self, make_service
+    ):
+        from repro.obs.explain import render_explain, validate_explain_payload
+
+        service, client = make_service()
+        response = client.map(
+            MapRequest(design="dme", library="CMOS3", explain=True)
+        )
+        summary = validate_explain_payload(response.explain)
+        assert summary["cones"] == response.cones
+        assert render_explain(response.explain, limit=2)
 
     def test_metrics_counters_match_request_mix(self, make_service):
         service, client = make_service()
@@ -173,7 +196,39 @@ class TestProtocol:
         assert health["inflight"] == 0
         assert health["queue_limit"] == 5
         assert health["backend"] == "threads"
-        assert health["workers"] == 3
+        assert health["workers"] == 3 == service.backend.workers
+
+
+class TestConfigValidation:
+    """A pool or queue the daemon cannot run is refused at boot."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("queue_limit", 0), ("queue_limit", -1), ("workers", 0)],
+    )
+    def test_service_rejects_values_below_one(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MappingService(ServiceConfig(port=0, **{field: value}))
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--queue-limit", "0"), ("--queue-limit", "-1"), ("--workers", "0")],
+    )
+    def test_serve_flags_below_one_exit_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+    def test_batch_workers_zero_still_means_one_per_cpu(self):
+        import os
+
+        from repro.batch import BatchConfig
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["batch", "--workers", "0"])
+        config = BatchConfig(workers=args.workers)
+        assert config.resolved_workers() == (os.cpu_count() or 1)
 
 
 class TestDrain:

@@ -111,6 +111,18 @@ class TestCli:
         assert "dme onto CMOS3" in out
         assert "candidates over" in out
 
+    def test_explain_on_the_fly_equals_map_then_explain(self, tmp_path, capsys):
+        # One rendering path: a catalog name maps with the explain layer
+        # on and renders the log exactly as a written file would.
+        log = str(tmp_path / "dme_explain.json")
+        assert main(["map", "dme", "ACTEL", "--no-cache", "--explain", log]) == 0
+        capsys.readouterr()
+        assert main(["explain", log]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["explain", "dme", "--library", "ACTEL"]) == 0
+        assert capsys.readouterr().out == from_file
+        assert "dme onto ACTEL" in from_file
+
     def test_explain_subcommand_bad_source(self, capsys):
         assert main(["explain", "no-such-thing"]) == 2
         assert "not an explain JSON" in capsys.readouterr().err
@@ -128,6 +140,20 @@ class TestCli:
         ],
     )
     def test_removed_covering_worker_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "dme", "CMOS3", "--server", "http://127.0.0.1:1"],
+            ["batch", "dme", "--server", "http://127.0.0.1:1"],
+        ],
+    )
+    def test_removed_server_flags_are_rejected(self, argv, capsys):
+        # The CLI maps locally; a daemon is driven with ServiceClient.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
