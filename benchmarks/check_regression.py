@@ -1,21 +1,22 @@
 #!/usr/bin/env python
-"""Gate a fresh ``repro perf`` snapshot against the committed baseline.
+"""Gate a fresh bench snapshot against the committed baseline.
 
 Usage::
 
-    PYTHONPATH=src python -m repro perf --benchmarks chu-ad-opt vanbek-opt \
-        --output /tmp/fresh.json
+    PYTHONPATH=src python -m repro batch chu-ad-opt vanbek-opt \
+        --bench-snapshot /tmp/fresh.json
     PYTHONPATH=src python benchmarks/check_regression.py \
-        --baseline BENCH_mapping.json --fresh /tmp/fresh.json \
+        --baseline BENCH_mapping.json --fresh /tmp/fresh.json --subset \
         [--tolerance 0.20] [--min-seconds 0.05]
 
 Exit status 0 when the fresh snapshot matches the baseline (quality
-fields exactly, timings within tolerance), 1 with a problem listing
-otherwise.  CI runs this with ``--tolerance 2.0 --min-seconds 1.0`` so
-shared-runner jitter cannot fail the gate; the defaults are meant for
-local runs.  Comparison policy lives in
+fields exactly, timings within tolerance, no deadline-fallback row), 1
+with a problem listing otherwise.  CI runs this with ``--tolerance 2.0
+--min-seconds 1.0`` so shared-runner jitter cannot fail the gate; the
+defaults are meant for local runs.  Comparison policy lives in
 :mod:`repro.obs.regression`; regenerate the baseline with
-``python -m repro perf --output BENCH_mapping.json``.
+``python -m repro batch --libraries CMOS3 --backend serial --workers 1
+--verify --no-cache --bench-snapshot BENCH_mapping.json``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Validate a ``repro-explain/v1`` artifact (the CI perf-smoke gate).
+"""Validate a ``repro-explain/v1`` artifact (the CI explain-log gate).
 
 Checks, in order:
 

@@ -10,10 +10,10 @@ MapResponse` whose BLIF text — and hence SHA-256 digest — is
 byte-identical for a given request no matter which entry point issued
 it.
 
-Annotated libraries are cached per process in :func:`shared_library`
-keyed on (name, cache location), so a long-lived caller — the service
-daemon, a batch worker mapping many designs — pays the Table-2
-annotation cost once per library, not once per request.
+Libraries are process-wide singletons (:func:`shared_library`), so a
+long-lived caller — the service daemon, a batch worker mapping many
+designs — pays the Table-2 annotation cost once per library, not once
+per request.
 """
 
 from __future__ import annotations
@@ -57,39 +57,38 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# Process-local cache of loaded (and, after first use, annotated)
-# libraries: a long-lived process pays library construction and hazard
-# annotation at most once per (library, cache location), not once per
-# request.  The lock only guards the dict — annotation itself happens
-# inside the mapper under the library's own idempotent flow.
-_LIBRARY_CACHE: dict[tuple[str, str], Library] = {}
+# ``load_library`` returns one cached instance per name; the lock makes
+# concurrent first requests (daemon handler threads) build it once.
 _LIBRARY_LOCK = threading.Lock()
 
 
-def shared_library(name: str, cache_dir: anncache.CacheDir = None) -> Library:
+def shared_library(name: str) -> Library:
     """The process-wide warm instance of a standard library."""
     from ..library.standard import load_library
 
-    key = (name, str(cache_dir))
     with _LIBRARY_LOCK:
-        library = _LIBRARY_CACHE.get(key)
-        if library is None:
-            library = load_library(name)
-            _LIBRARY_CACHE[key] = library
-    return library
+        return load_library(name)
 
 
 def clear_library_cache() -> None:
-    """Drop the warm libraries (tests and cache-dir changes)."""
+    """Drop the warm libraries (tests, and cold-start benchmarks)."""
+    from ..library.standard import ALL_LIBRARIES
+
     with _LIBRARY_LOCK:
-        _LIBRARY_CACHE.clear()
+        for factory in ALL_LIBRARIES.values():
+            factory.cache_clear()
 
 
 def loaded_libraries() -> list[str]:
     """Names of the process-wide warm libraries (``/healthz`` reports
     these so load balancers can tell a preloaded daemon from a cold one)."""
-    with _LIBRARY_LOCK:
-        return sorted({name for name, _ in _LIBRARY_CACHE})
+    from ..library.standard import ALL_LIBRARIES
+
+    return sorted(
+        name
+        for name, factory in ALL_LIBRARIES.items()
+        if factory.cache_info().currsize
+    )
 
 
 def request_netlist(
@@ -126,16 +125,14 @@ def request_netlist(
     return netlist
 
 
-def _resolve_library(
-    request, library: Optional[Library], cache_dir: anncache.CacheDir
-) -> Library:
+def _resolve_library(request, library: Optional[Library]) -> Library:
     if library is not None:
         return library
     from ..library.standard import ALL_LIBRARIES
 
     if request.library not in ALL_LIBRARIES:
         raise ApiError(f"unknown library {request.library!r}")
-    return shared_library(request.library, cache_dir)
+    return shared_library(request.library)
 
 
 def _mapping_options(
@@ -197,7 +194,7 @@ def run_map(
     from ..obs.tracer import NULL_TRACER
 
     net = network if network is not None else request_netlist(request)
-    lib = _resolve_library(request, library, cache_dir)
+    lib = _resolve_library(request, library)
     result_cache = cache_key = None
     trc = tracer if tracer is not None else NULL_TRACER
     if request.result_cache:
@@ -407,7 +404,7 @@ def execute_certify(
 
         if request.library not in ALL_LIBRARIES:
             raise ApiError(f"unknown library {request.library!r}")
-        library = shared_library(request.library, cache_dir)
+        library = shared_library(request.library)
     certificate = certify_mapping(
         source,
         mapped,

@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence, Union
 from ..deadline import DeadlineExceeded
 from ..library import anncache
 from ..obs import log as obs_log
-from ..obs.export import BENCH_SCHEMA
+from ..obs.export import BENCH_SCHEMA, bench_row
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, SpanContext, Tracer
 from ..testing.faults import FaultInjected, FaultPlan
@@ -145,10 +145,12 @@ class BatchReport:
     def to_bench_snapshot(self, max_depth: int = 5) -> dict:
         """A ``repro-bench-mapping/v1`` view of a single-library run.
 
-        Lets ``benchmarks/check_regression.py --subset`` gate batch
-        quality and wall-time against the committed ``repro perf``
-        baseline; only valid when every job targets the same library
-        with the sync/async default flow.
+        This is how the committed ``BENCH_mapping.json`` baseline is
+        made, and what ``benchmarks/check_regression.py`` gates a fresh
+        run against; only valid when every job targets the same library
+        with the sync/async default flow.  Each row is
+        :func:`~repro.obs.export.bench_row` of its job; the annotation
+        the jobs paid is reported once, as ``annotate_seconds``.
         """
         libraries = {r["job_id"].split("@", 1)[1] for r in self.results}
         if len(libraries) != 1:
@@ -161,20 +163,7 @@ class BatchReport:
         for record in self.results:
             if record.get("status") != "ok":
                 continue
-            name = record["job_id"].split("@", 1)[0]
-            entry = {
-                "map_seconds": record.get("map_seconds", 0.0),
-                "area": record.get("area"),
-                "delay": record.get("delay"),
-                "cells": record.get("cells"),
-                "cell_usage": record.get("cell_usage"),
-                "cones": record.get("cones"),
-                "matches": record.get("matches"),
-                "filter_invocations": record.get("filter_invocations"),
-            }
-            if "verify" in record:
-                entry["verify"] = record["verify"]
-            rows[name] = entry
+            rows[record["job_id"].split("@", 1)[0]] = bench_row(record)
             annotate = max(annotate, record.get("annotate_seconds", 0.0))
         return {
             "schema": BENCH_SCHEMA,

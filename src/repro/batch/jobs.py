@@ -37,7 +37,6 @@ from ..api.facade import (
 )
 from ..api.schema import BATCH_OPTION_NAMES, ApiError, MapRequest, MapResponse
 from ..library import anncache
-from ..library.library import Library
 from ..obs import log as obs_log
 from ..obs.tracer import SpanContext, Tracer
 from ..testing import faults
@@ -96,11 +95,6 @@ class BatchJob:
         """The BLIF filename this job writes under the output directory."""
         stem = self.job_id.replace("@", "__").replace("+", "_")
         return f"{stem}.blif"
-
-
-def _annotated_library(name: str, cache_dir: anncache.CacheDir) -> Library:
-    """Worker-process-local warm library (annotated on first mapping)."""
-    return shared_library(name, cache_dir)
 
 
 def _result_payload(job: BatchJob, response: MapResponse) -> dict:
@@ -185,7 +179,7 @@ def execute_job(
             trace_id=tracer.trace_id if tracer is not None else None,
             attempt=attempt,
         ):
-            library = _annotated_library(job.library, cache_dir)
+            library = shared_library(job.library)
             request = job.to_request(deadline_seconds)
             if result_cache:
                 import dataclasses

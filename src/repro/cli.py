@@ -19,10 +19,9 @@ Commands mirror the paper's workflows:
 * ``batch``   — map a whole catalog of (design, library) jobs through
   the fault-tolerant batch engine (process/thread/serial backends,
   deadlines, retries, resumable ``repro-batch/v1`` journal);
-* ``bench``   — list the benchmark catalog;
-* ``perf``    — replay the Table-5 workload and write the
-  ``BENCH_mapping.json`` snapshot that
+  ``--bench-snapshot`` writes the ``BENCH_mapping.json`` snapshot that
   ``benchmarks/check_regression.py`` gates against;
+* ``bench``   — list the benchmark catalog;
 * ``serve``   — run the persistent mapping daemon (HTTP/JSON over the
   ``repro-api/v1`` contract, ``/v1/map`` and ``/v1/certify``):
   libraries, hazard annotations, and matching indexes stay warm across
@@ -37,7 +36,7 @@ content-addressed result cache when the exact (network, library,
 options) triple was mapped before (see ``docs/caching.md``).  ``map
 --trace out.json`` records the run as a span tree (``repro-trace/v1``)
 and ``--metrics`` prints the run's counter/gauge/histogram snapshot;
-both are also available on ``perf``.  ``map --explain [FILE]`` writes the
+both are also available on ``batch``.  ``map --explain [FILE]`` writes the
 witness-backed decision log (``repro-explain/v1``) that ``repro
 explain`` renders.
 """
@@ -81,7 +80,6 @@ from .obs.export import (
     write_trace,
 )
 from .obs.metrics import MetricsRegistry
-from .obs.perf import run_perf
 from .obs.tracer import Tracer
 from .reporting import render_table
 from .testing.faults import FaultPlan
@@ -601,53 +599,6 @@ def _format_metrics(registry: MetricsRegistry) -> list[str]:
     return lines
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    tracer = Tracer() if args.trace else None
-    metrics = MetricsRegistry()
-
-    def progress(name: str, entry: dict) -> None:
-        verdict = ""
-        if "verify" in entry:
-            verdict = " verify=ok" if entry["verify"]["ok"] else " verify=FAILED"
-        print(
-            f"  {name}: {entry['map_seconds']:.2f}s area={entry['area']:.0f} "
-            f"cells={entry['cells']}{verdict}"
-        )
-
-    print(f"perf: mapping onto {args.library}")
-    snapshot = run_perf(
-        benchmarks=args.benchmarks or None,
-        library=args.library,
-        max_depth=args.depth,
-        verify=not args.no_verify,
-        tracer=tracer,
-        metrics=metrics,
-        progress=progress,
-    )
-    write_bench_snapshot(args.output, snapshot)
-    print(
-        f"snapshot of {len(snapshot['benchmarks'])} benchmark(s) "
-        f"written to {args.output}"
-    )
-    if tracer is not None:
-        tracer.assert_well_formed()
-        write_trace(args.trace, tracer, metrics=metrics)
-        print(f"trace written to {args.trace}")
-    if args.metrics:
-        print("metrics:")
-        for line in _format_metrics(metrics):
-            print(f"  {line}")
-    failed = [
-        name
-        for name, entry in snapshot["benchmarks"].items()
-        if "verify" in entry and not entry["verify"]["ok"]
-    ]
-    if failed:
-        print(f"verification FAILED for: {', '.join(sorted(failed))}")
-        return 1
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.daemon import ServiceConfig, serve
 
@@ -1031,42 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="show only hazard-rejected candidates",
     )
     explain_cmd.set_defaults(func=_cmd_explain)
-
-    perf = sub.add_parser(
-        "perf",
-        help="run the Table-5 workload and write a BENCH_mapping.json snapshot",
-    )
-    perf.add_argument(
-        "--benchmarks",
-        nargs="*",
-        choices=sorted(CATALOG),
-        help="catalog subset to run (default: the full Table-5 order)",
-    )
-    perf.add_argument(
-        "--library", choices=sorted(ALL_LIBRARIES), default="CMOS3"
-    )
-    perf.add_argument(
-        "--output",
-        default="BENCH_mapping.json",
-        help="snapshot destination (default: ./BENCH_mapping.json)",
-    )
-    perf.add_argument("--depth", type=int, default=5)
-    perf.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip hazard/equivalence verification of each mapped network",
-    )
-    perf.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="record the whole session as a repro-trace/v1 span forest",
-    )
-    perf.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the aggregated metrics snapshot",
-    )
-    perf.set_defaults(func=_cmd_perf)
 
     serve_cmd = sub.add_parser(
         "serve",

@@ -28,8 +28,9 @@ Trust model (enforced by ``tests/conformance/test_certifier.py``): this
 module imports nothing from ``mapping/`` — the code that decides what
 the mapper emits never decides whether the emission is accepted.  It is
 the package's only checker: ``repro certify`` and ``/v1/certify`` run
-it, and every ``verify`` verdict (``repro map --verify``, batch, serve,
-``repro perf``) is its verdict at the defaults.
+it, and every ``verify`` verdict (``repro map --verify``, ``repro batch
+--verify`` and its bench snapshot, serve) is its verdict at the
+defaults.
 
 Outputs whose support exceeds ``exhaustive_limit`` are *sampled*, not
 proven; the ``conformance.outputs_sampled`` counter and the

@@ -217,7 +217,7 @@ def run_case(
     from ..mapping.mapper import MappingOptions, map_network
 
     source = case.source()
-    library = shared_library(case.library, cache_dir)
+    library = shared_library(case.library)
     if case.mapped_blif is not None:
         from ..io import read_blif
 

@@ -86,7 +86,6 @@ class MappingOptions:
     max_inputs: int = 8
     objective: str = "area"
     filter_mode: str = "exact"
-    exhaustive_annotation: bool = True
     input_bursts: Optional[list] = None
     annotation_cache_dir: anncache.CacheDir = None
     tracer: Optional[Tracer] = None
@@ -183,7 +182,6 @@ def async_tmap(
             options.deadline.check("annotate.library")
         if not library.annotated:
             annotation_report = library.annotate_hazards(
-                exhaustive=options.exhaustive_annotation,
                 cache_dir=options.annotation_cache_dir,
                 tracer=tracer,
                 metrics=metrics,

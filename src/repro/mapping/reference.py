@@ -31,7 +31,6 @@ def hand_style_reference(
         max_inputs=base.max_inputs,
         objective=base.objective,
         filter_mode=base.filter_mode,
-        exhaustive_annotation=base.exhaustive_annotation,
     )
     result = async_tmap(network, library, reference_options)
     result.mode = "hand-style"

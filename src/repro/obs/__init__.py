@@ -88,7 +88,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "QUALITY_FIELDS",
-    "SMOKE_BENCHMARKS",
     "Span",
     "SpanContext",
     "TRACE_HEADER",
@@ -108,7 +107,6 @@ __all__ = [
     "prometheus_text",
     "read_log",
     "render_explain",
-    "run_perf",
     "trace_to_dict",
     "use_tracer",
     "validate_explain_payload",
@@ -119,15 +117,3 @@ __all__ = [
     "write_metrics",
     "write_trace",
 ]
-
-_LAZY = {"run_perf", "SMOKE_BENCHMARKS"}
-
-
-def __getattr__(name: str):
-    # ``perf`` imports the benchmark catalog and the mapper, which import
-    # this package for the tracer — loading it lazily breaks the cycle.
-    if name in _LAZY:
-        from . import perf
-
-        return getattr(perf, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

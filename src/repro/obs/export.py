@@ -3,11 +3,12 @@
 Three on-disk contracts live here, each version-stamped:
 
 * ``repro-trace/v1`` — a span forest (``Tracer.to_dict``) plus an
-  optional metrics snapshot, written by ``repro map --trace`` and
-  ``repro perf --trace``;
+  optional metrics snapshot, written by ``repro map|batch|serve
+  --trace``;
 * ``repro-metrics/v1`` — a standalone metrics snapshot;
 * ``repro-bench-mapping/v1`` — the ``BENCH_mapping.json`` benchmark
-  snapshot written by ``repro perf`` and diffed by
+  snapshot written by ``repro batch --bench-snapshot`` (one
+  :func:`bench_row` per job) and diffed by
   ``benchmarks/check_regression.py`` (schema documented in the README's
   Observability section);
 * ``repro-explain/v1`` — the witness-backed mapping decision log
@@ -172,9 +173,9 @@ def parse_prometheus_text(text: str) -> dict:
     """Parse exposition text back into ``{"types": ..., "samples": ...}``.
 
     ``types`` maps metric name → declared type; ``samples`` maps
-    ``name`` or ``name{labels}`` → float value.  Used by the obs-smoke
-    harness and the service tests to prove ``/metrics?format=prometheus``
-    emits well-formed exposition, not just non-empty text.
+    ``name`` or ``name{labels}`` → float value.  Used by the service
+    tests to prove ``/metrics?format=prometheus`` emits well-formed
+    exposition, not just non-empty text.
     """
     types: dict[str, str] = {}
     samples: dict[str, float] = {}
@@ -196,8 +197,38 @@ def parse_prometheus_text(text: str) -> dict:
     return {"types": types, "samples": samples}
 
 
+def bench_row(record: dict) -> dict:
+    """One design's ``repro-bench-mapping/v1`` row from a map result.
+
+    ``record`` is a batch job result or a ``MapResponse`` payload.
+    ``map_seconds`` excludes the library annotation the map paid (the
+    snapshot reports that once, as ``annotate_seconds``), and
+    ``fallback`` names a deadline degradation, which the regression
+    gate refuses.
+    """
+    row = {
+        "map_seconds": round(
+            record.get("map_seconds", 0.0)
+            - record.get("annotate_seconds", 0.0),
+            4,
+        ),
+        "area": record.get("area"),
+        "delay": record.get("delay"),
+        "cells": record.get("cells"),
+        "cell_usage": record.get("cell_usage"),
+        "cones": record.get("cones"),
+        "matches": record.get("matches"),
+        "filter_invocations": record.get("filter_invocations"),
+        "fallback": record.get("fallback"),
+    }
+    if record.get("verify") is not None:
+        row["verify"] = record["verify"]
+    return row
+
+
 def write_bench_snapshot(path: Union[str, Path], snapshot: dict) -> Path:
-    """Write a ``repro-bench-mapping/v1`` snapshot (``repro perf``)."""
+    """Write a ``repro-bench-mapping/v1`` snapshot (``repro batch
+    --bench-snapshot``)."""
     if snapshot.get("schema") != BENCH_SCHEMA:
         raise ValueError(
             f"benchmark snapshot must carry schema {BENCH_SCHEMA!r}"

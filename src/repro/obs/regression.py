@@ -6,7 +6,8 @@ cell counts, cell usage, covering work, verification verdicts) must
 match the baseline exactly — any drift means the mapper changed
 behaviour and the baseline must be regenerated deliberately — while
 *timing* fields may grow up to a relative tolerance before they count
-as a regression.
+as a regression.  A row that fell back to the trivial cover under a
+deadline always fails: a degraded run never passes as a fast one.
 
 Timing checks are built to be non-flaky in CI:
 
@@ -94,6 +95,14 @@ def compare_snapshots(
             f"benchmarks absent from baseline: {', '.join(extra)} "
             "(regenerate the baseline)"
         )
+
+    for name in sorted(fresh_rows):
+        fallback = fresh_rows[name].get("fallback")
+        if fallback:
+            problems.append(
+                f"{name}: deadline fallback ({fallback}); a degraded run "
+                "is not comparable"
+            )
 
     for name in sorted(set(base_rows) & set(fresh_rows)):
         base, new = base_rows[name], fresh_rows[name]

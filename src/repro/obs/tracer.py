@@ -176,7 +176,8 @@ class Tracer:
     Usually a traced operation produces exactly one root (the
     ``async_tmap`` / ``tmap`` span); the forest form keeps the tracer
     reusable across several runs when a caller wants one trace file for
-    a whole session (``repro perf`` does this).
+    a whole session (``repro serve --trace`` does this: one
+    ``service.request`` root per untraced request).
     """
 
     def __init__(self, trace_id: Optional[str] = None) -> None:

@@ -1,8 +1,9 @@
 """The persistent mapping daemon behind ``repro serve``.
 
 Architecture: a :class:`MappingService` owns the warm state — the
-process-wide annotated-library cache (:func:`repro.api.shared_library`),
-a :class:`~repro.obs.metrics.MetricsRegistry`, a tracer — and an
+process-wide annotated libraries (:func:`repro.api.shared_library`),
+a :class:`~repro.obs.metrics.MetricsRegistry`, a tracer (a real one
+only when ``trace_path`` is set) — and an
 :class:`~repro.batch.backends.ExecutorBackend` pool that request
 handlers dispatch onto via the generic
 :meth:`~repro.batch.backends.ExecutorBackend.submit_call` hook.  The
@@ -72,7 +73,7 @@ from ..obs.export import (
     write_trace,
 )
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import TRACE_HEADER, SpanContext, Tracer
+from ..obs.tracer import NULL_TRACER, TRACE_HEADER, SpanContext, Tracer
 from ..testing import faults
 from ..testing.faults import FaultPlan
 
@@ -185,7 +186,11 @@ class MappingService:
         from ..batch.backends import create_backend
 
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer()
+        # Untraced requests leave a root span here only when a trace
+        # file will be written; otherwise nothing would ever read them.
+        self.tracer = (
+            Tracer() if self.config.trace_path is not None else NULL_TRACER
+        )
         self.backend = create_backend(self.config.backend, self.config.workers)
         self._admission = threading.BoundedSemaphore(self.config.queue_limit)
         self._inflight = 0
@@ -201,7 +206,7 @@ class MappingService:
         """Load and annotate the configured libraries at boot."""
         for name in self.config.preload:
             with self.tracer.span("service.preload", library=name):
-                library = shared_library(name, self.config.cache_dir)
+                library = shared_library(name)
                 if not library.annotated:
                     library.annotate_hazards(
                         cache_dir=self.config.cache_dir,
@@ -385,7 +390,7 @@ class MappingService:
             if context is not None:
                 request_span.set_attr(remote_parent=context.span_id)
             if span_box is not None:
-                span_box["span_id"] = request_span.span_id
+                span_box["span_id"] = request_span.span_id or None
                 span_box["trace_id"] = tracer.trace_id
             try:
                 # A process pool cannot share the registry (or the fault

@@ -1,8 +1,8 @@
 """End-to-end coverage of the ``repro batch`` command line.
 
 Drives :func:`repro.cli.main` in-process through the happy path, resume,
-``--check`` verification, fault injection, snapshot/trace export, and
-every documented non-zero exit code.
+``--check`` verification, fault injection, snapshot/trace/log export,
+and every documented non-zero exit code.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.export import BENCH_SCHEMA, TRACE_SCHEMA
+from repro.obs.log import read_log
 
 from tests.batch.util import DEPTH, SMALL
 
@@ -74,11 +75,14 @@ class TestHappyPath:
     def test_bench_snapshot_and_trace_export(self, tmp_path, ann_cache, capsys):
         snapshot = tmp_path / "snap.json"
         trace = tmp_path / "trace.json"
+        log = tmp_path / "log.jsonl"
         code = batch(
             tmp_path, ann_cache,
+            "--backend", "processes", "--workers", "2",
             "--verify",
             "--bench-snapshot", str(snapshot),
             "--trace", str(trace),
+            "--log", str(log),
             "--metrics",
         )
         assert code == 0
@@ -88,15 +92,35 @@ class TestHappyPath:
         snap = json.loads(snapshot.read_text())
         assert snap["schema"] == BENCH_SCHEMA
         assert snap["library"] == "CMOS3"
-        assert snap["batch_backend"] == "serial"
+        assert snap["batch_backend"] == "processes"
         assert set(snap["benchmarks"]) == set(SMALL)
         for row in snap["benchmarks"].values():
-            assert row["verify"]["ok"] is True
+            assert row["map_seconds"] >= 0 and row["fallback"] is None
+            assert row["area"] > 0 and row["cells"] > 0
+            assert 0 <= row["filter_invocations"] <= row["matches"]
+            assert row["verify"] == {
+                "equivalent": True, "hazard_safe": True, "ok": True
+            }
 
+        # One stitched tree: every pool worker's mapping spans hang
+        # under its job's batch_job span.
         payload = json.loads(trace.read_text())
         assert payload["schema"] == TRACE_SCHEMA
-        roots = [s["name"] for s in payload["spans"]]
-        assert "batch" in roots
+        (root,) = payload["spans"]
+        assert root["name"] == "batch"
+        jobs = [c for c in root["children"] if c["name"] == "batch_job"]
+        assert len(jobs) == len(SMALL)
+        for job in jobs:
+            assert "async_tmap" in {c["name"] for c in job["children"]}
+
+        # Coordinator and forked workers log under the run's trace_id.
+        lines = read_log(log)
+        assert {line["trace_id"] for line in lines} == {payload["trace_id"]}
+        events = {line["event"] for line in lines}
+        assert {"map.done", "job.ok", "batch.done"} <= events
+        for line in lines:
+            if line["event"] == "job.ok":
+                assert line["job_id"] and line["span_id"] is not None
 
     def test_sync_mode_maps_the_burst_mode_flow(self, tmp_path, ann_cache):
         assert batch(
@@ -109,13 +133,19 @@ class TestFaultsAndFailures:
     def test_injected_transient_fault_retries_to_success(
         self, tmp_path, ann_cache, capsys
     ):
-        code = batch(
-            tmp_path, ann_cache,
-            "--retries", "2",
-            "--inject", f"raise@cover.cone#{SMALL[0]}",
-        )
-        assert code == 0
-        assert "(2 attempts)" in capsys.readouterr().out
+        for backend in ("serial", "processes"):
+            workdir = tmp_path / backend
+            code = batch(
+                workdir, ann_cache,
+                "--backend", backend, "--workers", "2",
+                "--retries", "2",
+                "--inject", f"raise@cover.cone#{SMALL[0]}",
+            )
+            assert code == 0, backend
+            assert "(2 attempts)" in capsys.readouterr().out, backend
+            # The retried run leaves a journal whose artifacts verify.
+            assert batch(workdir, ann_cache, "--check") == 0, backend
+            assert "batch check passed" in capsys.readouterr().out
 
     def test_persistent_fault_exits_nonzero(self, tmp_path, ann_cache, capsys):
         code = batch(

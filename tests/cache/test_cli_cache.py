@@ -1,13 +1,19 @@
 """CLI surface of the result cache.
 
-``repro map --result-cache`` twice against one cache dir (the second
-run must replay and stay byte-identical), the derived ``--no-result-
-cache`` spelling, and the extended ``repro cache`` report/clear.
+``repro map --result-cache`` against one cache dir (later runs, and a
+daemon on the same store, must replay and stay byte-identical), the
+derived ``--no-result-cache`` spelling, and the extended ``repro
+cache`` report/clear.
 """
 
 from __future__ import annotations
 
+from repro.api import MapRequest
+from repro.cache import resultcache
 from repro.cli import main
+from repro.obs.export import parse_prometheus_text
+from repro.service import MappingService, ServiceConfig
+from repro.service.client import ServiceClient
 
 
 def _map(tmp_path, out_name, *extra):
@@ -32,6 +38,30 @@ class TestMapResultCacheFlag:
         warm = _map(tmp_path, "b.blif", "--result-cache")
         assert "(result cache: memory hit)" in capsys.readouterr().out
         assert warm == cold
+        # A fresh process starts with an empty memory tier.
+        resultcache.MEMORY.clear()
+        assert _map(tmp_path, "c.blif", "--result-cache") == cold
+        assert "(result cache: disk hit)" in capsys.readouterr().out
+
+        # A daemon on the same store answers from disk and shows it.
+        resultcache.MEMORY.clear()
+        config = ServiceConfig(port=0, cache_dir=str(tmp_path / "cache"))
+        with MappingService(config).running() as service:
+            client = ServiceClient(service.url)
+            response = client.map(
+                MapRequest(
+                    design="chu-ad-opt", library="CMOS3", max_depth=3,
+                    result_cache=True,
+                )
+            )
+            samples = parse_prometheus_text(client.metrics_prometheus())[
+                "samples"
+            ]
+            health = client.health()
+        assert response.cached == "disk" and response.blif == cold
+        assert samples["cache_result_hits_total"] >= 1
+        assert 'cache_result_lookup_seconds_bucket{le="+Inf"}' in samples
+        assert health["result_cache"]["disk_entries"] == 1
 
     def test_no_result_cache_spelling_recomputes(self, tmp_path, capsys):
         _map(tmp_path, "a.blif", "--result-cache")

@@ -22,6 +22,7 @@ from repro.network.netlist import Netlist
 from repro.obs import log as obs_log
 from repro.obs.export import CERT_SCHEMA
 from repro.obs.metrics import MetricsRegistry
+from repro.testing.faults import seed_hazard
 
 DEPTH = 3
 
@@ -55,6 +56,17 @@ class TestAccept:
         assert certificate.outputs_checked == len(source.outputs)
         assert certificate.transitions_checked > 0
         assert not certificate.violations
+
+        # Non-vacuity: the same netlist with one planted Theorem 3.2
+        # violation is rejected, and its refutation glitches on replay.
+        seeded = seed_hazard(mapped, reference=source, seed=0)
+        assert seeded is not None
+        rejected = certify_mapping(source, seeded.netlist, cmos3)
+        assert not rejected.certified
+        refutations = [
+            cx for cx in rejected.counterexamples if not cx.source_hazard
+        ]
+        assert refutations and refutations[0].replay["glitched"] is True
 
     def test_certificate_payload_is_stamped(self, cmos3):
         source, mapped = _map_catalog("chu-ad-opt", cmos3)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.obs.export import (
     BENCH_SCHEMA,
+    bench_row,
     load_bench_snapshot,
     write_bench_snapshot,
     write_trace,
@@ -59,6 +60,16 @@ class TestExport:
         path = tmp_path / "BENCH_mapping.json"
         write_bench_snapshot(path, snapshot())
         assert load_bench_snapshot(path) == snapshot()
+
+    def test_bench_row_excludes_annotation_and_carries_fallback(self):
+        # A job that paid a cold annotation reports it once, at the
+        # snapshot level, not inside its row's map time.
+        record = {"map_seconds": 0.1623, "annotate_seconds": 0.16,
+                  "area": 13.0, "fallback": "trivial-cover"}
+        row = bench_row(record)
+        assert row["map_seconds"] == 0.0023
+        assert row["fallback"] == "trivial-cover"
+        assert "verify" not in row
 
     def test_write_rejects_wrong_schema(self, tmp_path):
         with pytest.raises(ValueError, match="schema"):

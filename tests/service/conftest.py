@@ -1,9 +1,8 @@
 """Fixtures for the service tests: hermetic in-process daemons.
 
-Each test gets factory-fresh libraries (both the ``lru_cache``'d
-standard-library constructors and the facade's process-wide warm cache
-are cleared), so cold-vs-warm annotation behaviour is deterministic no
-matter which tests ran before.
+Each test gets factory-fresh libraries (the ``lru_cache``'d
+standard-library constructors are cleared), so cold-vs-warm annotation
+behaviour is deterministic no matter which tests ran before.
 """
 
 from __future__ import annotations
@@ -11,21 +10,16 @@ from __future__ import annotations
 import pytest
 
 from repro.api.facade import clear_library_cache
-from repro.library import anncache, standard
+from repro.library import anncache
 from repro.service import MappingService, ServiceConfig
 from repro.service.client import ServiceClient
 
 
 @pytest.fixture(autouse=True)
 def fresh_libraries():
-    def _reset() -> None:
-        clear_library_cache()
-        for factory in standard.ALL_LIBRARIES.values():
-            factory.cache_clear()
-
-    _reset()
+    clear_library_cache()
     yield
-    _reset()
+    clear_library_cache()
 
 
 @pytest.fixture

@@ -4,11 +4,13 @@ Boots ``python -m repro serve`` as a subprocess, parks a slow request
 in flight (an injected covering hang cut short by the service's default
 deadline), delivers a real SIGTERM, and asserts the in-flight request
 still completes — degraded to the trivial cover, not dropped — before
-the daemon exits cleanly.
+the daemon exits cleanly and writes its ``--trace``/``--metrics-file``
+artifacts.
 """
 
 from __future__ import annotations
 
+import json
 import signal
 import subprocess
 import sys
@@ -22,7 +24,7 @@ from repro.service.client import ServiceClient, ServiceError
 
 
 @pytest.fixture
-def daemon():
+def daemon(tmp_path):
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -30,6 +32,8 @@ def daemon():
             "--no-cache",
             "--deadline", "3.0",
             "--inject", "hang@cover.cone",
+            "--trace", str(tmp_path / "trace.json"),
+            "--metrics-file", str(tmp_path / "metrics.json"),
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -45,7 +49,7 @@ def daemon():
         process.wait(timeout=10)
 
 
-def test_sigterm_drains_inflight_requests(daemon):
+def test_sigterm_drains_inflight_requests(daemon, tmp_path):
     process, url = daemon
     client = ServiceClient(url)
     client.wait_ready(timeout=10)
@@ -80,3 +84,10 @@ def test_sigterm_drains_inflight_requests(daemon):
     assert process.wait(timeout=30) == 0
     tail = process.stdout.read()
     assert "drained; bye" in tail
+
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["schema"] == "repro-trace/v1"
+    assert [span["name"] for span in trace["spans"]] == ["service.request"]
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["schema"] == "repro-metrics/v1"
+    assert metrics["metrics"]["service.requests.map"]["value"] == 1

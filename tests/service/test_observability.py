@@ -51,14 +51,18 @@ def test_traced_request_round_trips_one_tree(make_service, backend):
     assert tracer.roots() == [root]
 
 
-def test_untraced_request_has_no_trace_key(make_service):
+def test_untraced_request_has_no_trace_key(make_service, tmp_path):
+    # Without a trace file the daemon keeps no spans at all; with one,
+    # every untraced request adds exactly one service.request root.
     service, client = make_service()
-    response = client.map(REQUEST)
-    assert response.trace is None
-    # Untraced requests still land on the service's own tracer.
-    assert any(
-        span.name == "service.request" for span in service.tracer.all_spans()
-    )
+    assert client.map(REQUEST).trace is None
+    assert service.tracer.roots() == []
+
+    service, client = make_service(trace_path=tmp_path / "trace.json")
+    for _ in range(2):
+        assert client.map(REQUEST).trace is None
+    roots = [span.name for span in service.tracer.roots()]
+    assert roots == ["service.request"] * 2
 
 
 def test_malformed_trace_header_is_rejected(make_service):
@@ -106,6 +110,10 @@ def test_prometheus_endpoint_parses(make_service):
     assert parsed["types"]["service_request_seconds"] == "histogram"
     assert (
         parsed["samples"]['service_request_seconds_bucket{le="+Inf"}'] >= 1.0
+    )
+    assert (
+        parsed["samples"]['service_request_latency_map_bucket{le="+Inf"}']
+        >= 1.0
     )
 
 

@@ -175,7 +175,11 @@ class TestProtocol:
     def test_metrics_counters_match_request_mix(self, make_service):
         service, client = make_service()
         mapped = client.map(MapRequest(design="dme", library="CMOS3"))
-        client.map(MapRequest(design="dme", library="CMOS3", verify=True))
+        checked = client.map(
+            MapRequest(design="dme", library="CMOS3", verify=True)
+        )
+        assert checked.verify["ok"] is True
+        client.map(MapRequest(design="dme", library="CMOS3", explain=True))
         verdict = client.certify(
             CertifyRequest(design="dme", mapped_blif=mapped.blif)
         )
@@ -183,11 +187,13 @@ class TestProtocol:
         with pytest.raises(ServiceError):
             client._post("/v1/map", {"schema": "repro-api/v1"})
         metrics = client.metrics()["metrics"]
-        assert metrics["service.requests"]["value"] == 4
-        assert metrics["service.requests.map"]["value"] == 3
+        assert metrics["service.requests"]["value"] == 5
+        # The explained map is a map request; explain has no counter.
+        assert metrics["service.requests.map"]["value"] == 4
+        assert "service.requests.explain" not in metrics
         assert metrics["service.requests.certify"]["value"] == 1
         assert metrics["service.errors"]["value"] == 1
-        assert metrics["service.request_seconds"]["count"] == 3
+        assert metrics["service.request_seconds"]["count"] == 4
 
     def test_health_reports_shape(self, make_service):
         service, client = make_service(workers=3, queue_limit=5)

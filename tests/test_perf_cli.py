@@ -1,10 +1,11 @@
 """End-to-end CLI coverage of the observability surface.
 
-Drives ``repro map --trace/--metrics`` and ``repro perf`` through
-``repro.cli.main`` in-process, then runs
+Drives ``repro map --trace/--metrics`` and ``repro batch
+--bench-snapshot`` through ``repro.cli.main`` in-process, then runs
 ``benchmarks/check_regression.py`` (loaded from its file, exactly as CI
 invokes it) against the freshly written snapshot — accepting it
-unchanged and rejecting it under an injected 2× slowdown.
+unchanged, and rejecting it under an injected 2× slowdown or a deadline
+fallback.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs.export import BENCH_SCHEMA
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SMOKE = ["chu-ad-opt", "vanbek-opt"]
@@ -31,13 +31,19 @@ def load_check_regression():
     return module
 
 
+def batch_snapshot(out, *designs, extra=()):
+    return main(
+        [
+            "batch", *designs, "--backend", "serial", "--no-cache",
+            "--bench-snapshot", str(out), *extra,
+        ]
+    )
+
+
 @pytest.fixture()
 def fresh_snapshot(tmp_path):
     out = tmp_path / "BENCH_mapping.json"
-    code = main(
-        ["perf", "--benchmarks", *SMOKE, "--output", str(out), "--no-verify"]
-    )
-    assert code == 0
+    assert batch_snapshot(out, *SMOKE) == 0
     return out
 
 
@@ -86,25 +92,6 @@ class TestMapTrace:
         assert "metrics" in payload
         out = capsys.readouterr().out
         assert "trace written" in out and "metrics:" in out
-
-    def test_perf_writes_schema_stamped_snapshot(self, fresh_snapshot):
-        snap = json.loads(fresh_snapshot.read_text())
-        assert snap["schema"] == BENCH_SCHEMA
-        assert sorted(snap["benchmarks"]) == sorted(SMOKE)
-        for row in snap["benchmarks"].values():
-            assert row["map_seconds"] >= 0
-            assert row["area"] > 0 and row["cells"] > 0
-            assert 0 <= row["filter_invocations"] <= row["matches"]
-
-    def test_perf_verify_records_verdicts(self, tmp_path):
-        out = tmp_path / "snap.json"
-        code = main(
-            ["perf", "--benchmarks", "chu-ad-opt", "--output", str(out)]
-        )
-        assert code == 0
-        snap = json.loads(out.read_text())
-        verdict = snap["benchmarks"]["chu-ad-opt"]["verify"]
-        assert verdict == {"equivalent": True, "hazard_safe": True, "ok": True}
 
 
 class TestCheckRegressionScript:
@@ -201,3 +188,23 @@ class TestCheckRegressionScript:
         assert "not-a-benchmark" in out
         assert "absent from baseline" in out
         assert "KeyError" not in out
+
+    def test_rejects_a_deadline_fallback_row(self, tmp_path, capsys):
+        # A degraded run must never pass as a fast one: the row that
+        # fell back to the trivial cover fails the gate by name.
+        out = tmp_path / "degraded.json"
+        extra = ("--deadline", "0.5", "--inject", "hang@cover.cone#dme")
+        assert batch_snapshot(out, "dme", extra=extra) == 0
+        capsys.readouterr()
+        checker = load_check_regression()
+        code = checker.main(
+            [
+                "--baseline", str(REPO_ROOT / "BENCH_mapping.json"),
+                "--fresh", str(out),
+                "--subset", "--tolerance", "2.0", "--min-seconds", "1.0",
+            ]
+        )
+        assert code == 1
+        assert "dme: deadline fallback (trivial-cover)" in (
+            capsys.readouterr().out
+        )
