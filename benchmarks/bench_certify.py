@@ -9,7 +9,9 @@ absorbs timer noise on designs that map in a millisecond.
 
 The run is recorded as a ``repro-bench-mapping/v1`` snapshot at
 ``benchmarks/results/BENCH_certify.json`` so certify cost is tracked
-alongside the mapping numbers.  Run with::
+alongside the mapping numbers: each row is
+:func:`~repro.obs.export.bench_row` of the map's response plus its
+``certify_*`` keys.  Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_certify.py -s
 """
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 import time
 
+from repro.api import MapRequest, run_map
 from repro.burstmode.benchmarks import synthesize_benchmark
 from repro.conformance import certify_mapping
 from repro.library import anncache
-from repro.mapping.mapper import MappingOptions, async_tmap
-from repro.obs.export import BENCH_SCHEMA, write_bench_snapshot
+from repro.obs.export import BENCH_SCHEMA, bench_row, write_bench_snapshot
 from repro.reporting import render_table
 
 from .conftest import RESULTS_DIR, emit
@@ -35,9 +37,9 @@ DEPTH = 3
 RELATIVE_BUDGET = 2.0
 #: ... or this many seconds outright, whichever is larger.  The floor
 #: covers designs that map in milliseconds but certify with tens of
-#: thousands of oracle calls (dme-fast: ~0.9s on the reference box),
-#: with headroom for slower shared CI hardware.
-ABSOLUTE_FLOOR = 3.0
+#: thousands of oracle calls (dme-fast: ~0.25 s on a 2-vCPU VM), with
+#: headroom for slower shared CI hardware.
+ABSOLUTE_FLOOR = 1.0
 
 
 def test_certify_cost_within_budget(annotated_libraries):
@@ -47,12 +49,13 @@ def test_certify_cost_within_budget(annotated_libraries):
     violations = []
     for name in WORKLOAD:
         network = synthesize_benchmark(name).netlist(name)
-        options = MappingOptions(
-            max_depth=DEPTH, annotation_cache_dir=anncache.DISABLED
+        response, result = run_map(
+            MapRequest(library=library.name, design=name, max_depth=DEPTH),
+            library=library,
+            network=network,
+            cache_dir=anncache.DISABLED,
         )
-        map_start = time.perf_counter()
-        result = async_tmap(network, library, options)
-        map_seconds = time.perf_counter() - map_start
+        map_seconds = response.map_seconds
 
         certify_start = time.perf_counter()
         certificate = certify_mapping(network, result.mapped, library)
@@ -77,9 +80,7 @@ def test_certify_cost_within_budget(annotated_libraries):
             )
         )
         snapshot_rows[name] = {
-            "area": result.area,
-            "cells": len(list(result.mapped.gates())),
-            "map_seconds": round(map_seconds, 4),
+            **bench_row(response.to_payload()),
             "certify_seconds": round(certify_seconds, 4),
             "certify_transitions": certificate.transitions_checked,
             "certify_verdict": certificate.verdict,

@@ -415,6 +415,8 @@ def execute_certify(
         metrics=metrics,
         tracer=tracer,
     )
+    # One dict tree: the headline counterexamples are the document's.
+    document = certificate.to_dict()
     return CertifyResponse(
         verdict=certificate.verdict,
         certified=certificate.certified,
@@ -425,10 +427,8 @@ def execute_certify(
         replays=certificate.replays,
         evidence_digest=certificate.evidence_digest,
         violations=tuple(certificate.violations),
-        counterexamples=tuple(
-            c.to_dict() for c in certificate.counterexamples
-        ),
-        certificate=certificate.to_dict(),
+        counterexamples=tuple(document["counterexamples"]),
+        certificate=document,
     )
 
 

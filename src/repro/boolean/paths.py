@@ -103,6 +103,7 @@ class LabeledSop:
         self.names = list(names)
         self.index = {name: i for i, name in enumerate(self.names)}
         self._plain: Optional[Cover] = None
+        self._path_literals: Optional[tuple] = None
 
     @property
     def nvars(self) -> int:
@@ -132,6 +133,28 @@ class LabeledSop:
             cubes.append(cube)
         self._plain = Cover(cubes, self.nvars)
         return self._plain
+
+    def path_literals(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Each product as ``(variable bit, path id, phase bit)`` triples.
+
+        The path id numbers the distinct ``(name, path)`` wires; the
+        phase bit is the variable bit of a positive literal, else 0.
+        Compiled once, like :meth:`plain_cover`.
+        """
+        if self._path_literals is None:
+            ids: dict[tuple[str, int], int] = {}
+            self._path_literals = tuple(
+                tuple(
+                    (
+                        1 << self.index[lit.name],
+                        ids.setdefault((lit.name, lit.path), len(ids)),
+                        1 << self.index[lit.name] if lit.positive else 0,
+                    )
+                    for lit in product.literals
+                )
+                for product in self.products
+            )
+        return self._path_literals
 
     def __len__(self) -> int:
         return len(self.products)

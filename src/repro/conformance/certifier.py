@@ -208,6 +208,15 @@ class Certificate:
         return totals
 
     def to_dict(self) -> dict:
+        counterexamples = [c.to_dict() for c in self.counterexamples]
+        # A rejected output can carry thousands of counterexamples: they
+        # and their witnesses share one support list per output.
+        supports: dict[tuple[str, ...], list[str]] = {}
+        for example, entry in zip(self.counterexamples, counterexamples):
+            shared = supports.setdefault(example.support, entry["support"])
+            entry["support"] = shared
+            if entry["witness"].get("names") == shared:
+                entry["witness"]["names"] = shared
         return {
             "schema": CERT_SCHEMA,
             "design": self.design,
@@ -218,7 +227,7 @@ class Certificate:
             "interface_ok": self.interface_ok,
             "cells_ok": self.cells_ok,
             "outputs": [evidence.to_dict() for evidence in self.outputs],
-            "counterexamples": [c.to_dict() for c in self.counterexamples],
+            "counterexamples": counterexamples,
             "violations": list(self.violations),
             "outputs_checked": self.outputs_checked,
             "transitions_checked": self.transitions_checked,
@@ -271,17 +280,32 @@ def _verdict_witness(
     )
 
 
-def _replay(lsop: LabeledSop, witness: HazardWitness, output: str) -> dict:
-    """Replay a witness on the event simulator; summarize the run."""
+def _replay(
+    lsop: LabeledSop,
+    witness: HazardWitness,
+    output: str,
+    labels: dict[tuple[str, int], str],
+) -> dict:
+    """Replay a witness on the event simulator; summarize the run.
+
+    ``labels`` memoizes the ``name:path`` schedule labels, so the
+    replays of one output share one string per path.
+    """
     try:
         result = replay_witness(lsop, witness, output=output)
     except ValueError as exc:  # event lattice too large to schedule
         return {"glitched": None, "skipped": str(exc)}
+    schedule = []
+    for key in result.schedule:
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = f"{key[0]}:{key[1]}"
+        schedule.append(label)
     return {
         "glitched": bool(result.glitched),
         "changes": int(result.changes),
         "expected": int(result.expected),
-        "schedule": [f"{name}:{path}" for name, path in result.schedule],
+        "schedule": schedule,
     }
 
 
@@ -581,6 +605,7 @@ def _certify_output(
         pairs = _sampled_transitions(nvars, samples, rng, counts)
 
     shared: list[TransitionVerdict] = []
+    labels: dict[tuple[str, int], str] = {}
     for start, end in pairs:
         mapped_verdict = _classify_safe(map_ls, start, end)
         evidence.transitions += 1
@@ -617,7 +642,12 @@ def _certify_output(
             else:
                 evidence.new_hazards += 1
                 _record_new_hazard(
-                    certificate, evidence, map_ls, mapped_verdict, output
+                    certificate,
+                    evidence,
+                    map_ls,
+                    mapped_verdict,
+                    output,
+                    labels,
                 )
         digest.update(line.encode())
         digest.update(b"\n")
@@ -632,7 +662,7 @@ def _certify_output(
             if kind in replayed_kinds:
                 continue
             witness = _verdict_witness(verdict, support, "shared hazard")
-            replay = _replay(map_ls, witness, output)
+            replay = _replay(map_ls, witness, output, labels)
             if replay.get("glitched") is None:
                 continue
             replayed_kinds.add(kind)
@@ -666,13 +696,14 @@ def _record_new_hazard(
     map_ls: LabeledSop,
     verdict: TransitionVerdict,
     output: str,
+    labels: dict[tuple[str, int], str],
 ) -> None:
     """A Theorem 3.2 violation: witness it, replay it, reject."""
     certificate.hazard_safe = False
     witness = _verdict_witness(
         verdict, evidence.support, "hazard absent from source"
     )
-    replay = _replay(map_ls, witness, output)
+    replay = _replay(map_ls, witness, output, labels)
     evidence.replays += 1 if replay.get("glitched") is not None else 0
     certificate.counterexamples.append(
         Counterexample(

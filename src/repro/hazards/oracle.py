@@ -1,4 +1,5 @@
-"""Brute-force hazard oracle — ground truth for the efficient algorithms.
+"""Exact, whole-table hazard oracle — ground truth for the efficient
+algorithms.
 
 The oracle classifies *every* input transition of a (small) network
 straight from the definitions in section 2.3 / 4.2 of the paper, using
@@ -6,7 +7,10 @@ the exact event-lattice delay semantics of
 :func:`repro.hazards.multilevel.transition_has_hazard` — each physical
 path switches once at an arbitrary time, and a hazard exists iff some
 event order makes the output non-monotone (dynamic) or lets it leave its
-resting value (static).
+resting value (static).  Each verdict is mask arithmetic on two whole
+tables: the function over the transition space
+(:func:`repro.hazards.transition.space_table`) for the function-hazard
+test, and the output over the event lattice for the logic-hazard test.
 
 Exponential in the number of inputs.  It backs the production checker
 (:func:`repro.conformance.certify_mapping`, over each output's support),
@@ -19,10 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from ..boolean.cover import Cover
 from ..boolean.paths import LabeledSop
 from .multilevel import transition_has_hazard
-from .transition import dynamic_fhf, static_fhf, transition_space
+from .transition import space_table, table_fhf
 
 
 class TransitionKind(Enum):
@@ -48,17 +51,13 @@ class TransitionVerdict:
 
 def classify_transition(lsop: LabeledSop, start: int, end: int) -> TransitionVerdict:
     """Classify one transition of a labelled implementation."""
-    plain = lsop.plain_cover()
-    f_start = plain.evaluate(start)
-    f_end = plain.evaluate(end)
-    if f_start == f_end:
+    table, d = space_table(lsop.plain_cover(), start, end)
+    f_start = table & 1
+    if f_start == table >> ((1 << d) - 1):
         kind = TransitionKind.STATIC_1 if f_start else TransitionKind.STATIC_0
-        space = transition_space(start, end, plain.nvars)
-        fhf = static_fhf(plain, space, f_start)
     else:
         kind = TransitionKind.DYNAMIC
-        fhf = dynamic_fhf(plain, start, end)
-    if not fhf:
+    if not table_fhf(table, d):
         # A function hazard precludes a logic hazard for the same
         # transition (section 2.3).
         return TransitionVerdict(start, end, kind, True, False)

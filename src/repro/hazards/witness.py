@@ -10,12 +10,15 @@ Verbeek/Schmaltz style: the claim ships with an executable check, so a
 bug in an analyzer shows up as a witness that fails to glitch, not as a
 silently wrong counter.
 
-Replays are deterministic, not sampled: the same subset-lattice dynamic
-programming that decides :func:`repro.hazards.multilevel
-.transition_has_hazard` is rerun with back-pointers to extract a
-*glitching event order* (which path switches when), and the witness
+Replays are deterministic, not sampled: the subset lattice that
+:func:`repro.hazards.multilevel.transition_has_hazard` decides on whole
+tables is searched here state by state, with back-pointers, to extract
+a *glitching event order* (which path switches when), and the witness
 netlist gives every path its own buffer gate so per-gate delays can
-realize exactly that order.  One simulation, guaranteed glitch.
+realize exactly that order.  One simulation, guaranteed glitch.  The
+per-state search is kept on purpose: it is an implementation of the
+lattice independent of the oracle's, so a replay that does not glitch
+exposes a wrong oracle verdict.
 """
 
 from __future__ import annotations
@@ -201,9 +204,10 @@ def _event_masks(
 ) -> tuple[list[tuple[int, int]], dict[tuple[str, int], int]]:
     """Product on/off masks over the changing path events.
 
-    Mirrors :func:`repro.hazards.multilevel._product_masks` but keeps
-    the ``(variable, path) -> event bit`` map so a glitching state can
-    be decompiled back into a wire switching order.
+    Numbers the events as :func:`repro.hazards.multilevel
+    .transition_has_hazard` does, with the same limit, and keeps the
+    ``(variable, path) -> event bit`` map so a glitching state can be
+    decompiled back into a wire switching order.
     """
     changing = start ^ end
     events: dict[tuple[str, int], int] = {}
@@ -240,8 +244,8 @@ def glitch_schedule(
 ) -> Optional[list[tuple[str, int]]]:
     """A path switching order under which the output provably glitches.
 
-    Runs the subset-lattice DP of ``transition_has_hazard`` with
-    back-pointers: for a static transition it finds a reachable event
+    Walks the subset lattice of ``transition_has_hazard`` state by
+    state, with back-pointers: for a static transition it finds a reachable event
     state with the wrong output value; for a dynamic one, a pair
     ``s1 ⊆ s2`` whose outputs are non-monotone.  The returned list
     orders the changing ``(variable, path)`` wires so the simulation

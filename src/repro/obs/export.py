@@ -201,17 +201,12 @@ def bench_row(record: dict) -> dict:
     """One design's ``repro-bench-mapping/v1`` row from a map result.
 
     ``record`` is a batch job result or a ``MapResponse`` payload.
-    ``map_seconds`` excludes the library annotation the map paid (the
-    snapshot reports that once, as ``annotate_seconds``), and
-    ``fallback`` names a deadline degradation, which the regression
-    gate refuses.
+    ``map_seconds`` never includes library annotation (the snapshot
+    reports that once, as ``annotate_seconds``), and ``fallback`` names
+    a deadline degradation, which the regression gate refuses.
     """
     row = {
-        "map_seconds": round(
-            record.get("map_seconds", 0.0)
-            - record.get("annotate_seconds", 0.0),
-            4,
-        ),
+        "map_seconds": record.get("map_seconds", 0.0),
         "area": record.get("area"),
         "delay": record.get("delay"),
         "cells": record.get("cells"),

@@ -12,9 +12,13 @@ area, total cell count, per-cell usage, and the certifier's verdict
 maps every benchmark onto every standard library in both modes (async
 and sync) at the default options and records the SHA-256 of each
 mapped BLIF (``digests[library][mode][benchmark]``): the byte-identity
-pin.  ``tests/integration/test_golden_mapping.py`` pins the mapper
-against this file, so regenerate it ONLY when a mapper change is meant
-to alter results — and say why in the commit that updates it.
+pin.  Last, it certifies each benchmark's async mapping on ACTEL and
+CMOS3 at the certifier's defaults and records the certificate's
+``evidence_digest`` (``certificates[library][benchmark]``), which
+hashes every checked transition's verdict: the hazard oracle's pin.
+``tests/integration/test_golden_mapping.py`` pins the mapper and the
+certifier against this file, so regenerate it ONLY when a change is
+meant to alter results — and say why in the commit that updates it.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ LIBRARY = "CMOS3"
 EXHAUSTIVE_INPUTS = 8
 DIGEST_LIBRARIES = ("ACTEL", "CMOS3", "LSI", "GDT")
 MODES = ("async", "sync")
+CERTIFICATE_LIBRARIES = ("ACTEL", "CMOS3")
 
 
 def golden_entry(result, certificate) -> dict:
@@ -60,6 +65,18 @@ def mapped_digests(library, mode: str) -> dict[str, str]:
         network = synthesize_benchmark(name).netlist(name)
         result = map_network(network, library, MappingOptions(), mode=mode)
         digests[name] = text_digest(netlist_blif(result.mapped))
+    return digests
+
+
+def evidence_digests(library) -> dict[str, str]:
+    """Evidence digest of each catalog benchmark's certified async
+    mapping, at the certifier's defaults."""
+    digests = {}
+    for name in TABLE5_ORDER:
+        network = synthesize_benchmark(name).netlist(name)
+        result = async_tmap(network, library, MappingOptions())
+        certificate = certify_mapping(network, result.mapped, library)
+        digests[name] = certificate.evidence_digest
     return digests
 
 
@@ -93,7 +110,16 @@ def main() -> int:
         for mode in MODES:
             digests[library_name][mode] = mapped_digests(target, mode)
             print(f"{library_name} {mode}: {len(TABLE5_ORDER)} digests")
-    payload = {"library": LIBRARY, "benchmarks": golden, "digests": digests}
+    certificates = {}
+    for library_name in CERTIFICATE_LIBRARIES:
+        certificates[library_name] = evidence_digests(load_library(library_name))
+        print(f"{library_name}: {len(TABLE5_ORDER)} evidence digests")
+    payload = {
+        "library": LIBRARY,
+        "benchmarks": golden,
+        "digests": digests,
+        "certificates": certificates,
+    }
     GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
     return 0

@@ -5,9 +5,11 @@ counts, per-cell usage, and certifier verdict are pinned to
 ``tests/data/golden_mappings.json``.  Every benchmark is also mapped
 onto every standard library in both modes, and the SHA-256 of each
 mapped BLIF is pinned there: the byte-identity contract that lets a
-performance change or a deletion prove it altered no netlist.  Any
-intentional mapper change that alters results must regenerate the
-file::
+performance change or a deletion prove it altered no netlist.  The
+evidence digest of each async ACTEL and CMOS3 mapping's certificate is
+pinned too: it hashes every checked transition's verdict, so a change
+to the hazard oracle must prove it altered none.  Any intentional
+change that alters results must regenerate the file::
 
     PYTHONPATH=src python tests/data/regen_golden_mappings.py
 
@@ -32,6 +34,10 @@ from repro.mapping.mapper import MappingOptions, async_tmap, map_network
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_mappings.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+#: Libraries whose catalog certificates are pinned: ACTEL is where the
+#: hazard filter fires, CMOS3 the golden library.
+CERTIFICATE_LIBRARIES = ("ACTEL", "CMOS3")
 
 #: Networks with at most this many inputs get every transition of every
 #: output classified, past the certifier's default of 6 support
@@ -65,6 +71,9 @@ def test_golden_file_covers_the_whole_catalog():
         assert sorted(modes) == ["async", "sync"]
         for digests in modes.values():
             assert sorted(digests) == sorted(TABLE5_ORDER)
+    assert sorted(GOLDEN["certificates"]) == sorted(CERTIFICATE_LIBRARIES)
+    for digests in GOLDEN["certificates"].values():
+        assert sorted(digests) == sorted(TABLE5_ORDER)
 
 
 @pytest.mark.parametrize(
@@ -86,6 +95,25 @@ def test_mapped_blifs_are_byte_identical(library_name, mode, libraries):
             changed.append(bench)
     assert not changed, (
         f"{library_name} {mode}: mapped BLIF of {changed} changed — "
+        "regenerate tests/data/golden_mappings.json if this is intentional"
+    )
+
+
+@pytest.mark.parametrize("library_name", CERTIFICATE_LIBRARIES)
+def test_certificates_are_byte_identical(library_name, libraries):
+    if library_name not in libraries:
+        libraries[library_name] = load_library(library_name)
+    library = libraries[library_name]
+    expected = GOLDEN["certificates"][library_name]
+    changed = []
+    for bench in TABLE5_ORDER:
+        network = synthesize_benchmark(bench).netlist(bench)
+        result = async_tmap(network, library, MappingOptions())
+        certificate = certify_mapping(network, result.mapped, library)
+        if certificate.evidence_digest != expected[bench]:
+            changed.append(bench)
+    assert not changed, (
+        f"{library_name}: certificate evidence of {changed} changed — "
         "regenerate tests/data/golden_mappings.json if this is intentional"
     )
 

@@ -86,6 +86,23 @@ class TestAsyncMapper:
         second = async_tmap(net, library)
         assert second.annotate_elapsed == 0.0 or library.annotated
 
+    def test_map_seconds_exclude_cold_annotation(self):
+        # A cold ACTEL annotation takes far longer than mapping
+        # chu-ad-opt; map time that included it could not be smaller.
+        from repro.api import MapRequest, execute_map
+        from repro.library import anncache
+        from repro.library.standard import actel_act1
+
+        library = actel_act1.__wrapped__()
+        assert not library.annotated
+        response = execute_map(
+            MapRequest(design="chu-ad-opt", library="ACTEL"),
+            library=library,
+            cache_dir=anncache.DISABLED,
+        )
+        assert response.annotate_source == "cold"
+        assert 0.0 < response.map_seconds < response.annotate_seconds
+
 
 class TestOptions:
     def test_depth_bound_changes_search(self, mini_library):
