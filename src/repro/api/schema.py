@@ -56,6 +56,12 @@ MODES = ("async", "sync")
 OBJECTIVES = ("area", "delay")
 FILTER_MODES = ("exact", "paper")
 
+#: Widest output support a certify request may ask to classify
+#: exhaustively: ``4^n`` transitions, about a million at 10.
+MAX_EXHAUSTIVE_LIMIT = 10
+#: Most sampled transitions a certify request may ask for per output.
+MAX_SAMPLES = 10_000
+
 
 class ApiError(ValueError):
     """A payload or request violates the ``repro-api/v1`` contract."""
@@ -405,7 +411,9 @@ class CertifyRequest(_Payload):
     :mod:`repro.conformance`, which shares no code with the mapper's
     match/cover machinery.  ``library`` additionally enables the
     cell-binding check for netlists whose gates carry cell references
-    (BLIF round-trips drop them, so it is optional).
+    (BLIF round-trips drop them, so it is optional).  Certify requests
+    have no deadline, so ``exhaustive_limit`` is bounded by
+    :data:`MAX_EXHAUSTIVE_LIMIT` and ``samples`` by :data:`MAX_SAMPLES`.
     """
 
     kind = "certify"
@@ -426,8 +434,14 @@ class CertifyRequest(_Payload):
         _validate_network(self.network)
         if self.exhaustive_limit < 1:
             raise ApiError("exhaustive_limit must be >= 1")
+        if self.exhaustive_limit > MAX_EXHAUSTIVE_LIMIT:
+            raise ApiError(
+                f"exhaustive_limit must be <= {MAX_EXHAUSTIVE_LIMIT}"
+            )
         if self.samples < 1:
             raise ApiError("samples must be >= 1")
+        if self.samples > MAX_SAMPLES:
+            raise ApiError(f"samples must be <= {MAX_SAMPLES}")
 
 
 # ----------------------------------------------------------------------
@@ -525,6 +539,8 @@ __all__ = [
     "CertifyRequest",
     "CertifyResponse",
     "FILTER_MODES",
+    "MAX_EXHAUSTIVE_LIMIT",
+    "MAX_SAMPLES",
     "MODES",
     "MapRequest",
     "MapResponse",

@@ -12,17 +12,22 @@ using only ground-truth machinery:
 * **hazard containment** is checked per output over the output's
   *support* (transitions on non-support inputs cannot glitch it): the
   collapsed path-labelled structures of both networks are classified
-  with the exhaustive event-lattice oracle
-  (:func:`repro.hazards.oracle.classify_transition`) — every ordered
-  transition pair when the support is small, a deterministic seeded
-  sample otherwise.  Any transition where the mapped output has a logic
-  hazard the source lacks is a violation.
-* **evidence** — every violation ships as a
-  :class:`~repro.hazards.witness.HazardWitness` replayed on the
-  event-driven simulator (:func:`repro.hazards.witness.replay_witness`),
-  so a rejection is a concrete, re-runnable glitch, not an assertion.
-  Certified runs replay a bounded number of shared (allowed) hazards the
-  same way, one per section-4 record kind where possible.
+  with the exhaustive event-lattice oracle — every ordered transition
+  pair when the support is small
+  (:func:`repro.hazards.oracle.classify_all`, which decides each
+  transition cube once), a deterministic seeded sample otherwise
+  (:func:`repro.hazards.oracle.classify_transition`).  Any transition
+  where the mapped output has a logic hazard the source lacks is a
+  violation.
+* **evidence** — every new hazard is replayed as a
+  :class:`~repro.hazards.witness.HazardWitness` on the event-driven
+  simulator (:func:`repro.hazards.witness.replay_witness`), and a replay
+  that does not glitch contradicts the oracle: a ``checker fault``
+  violation.  A rejected output carries the first new hazard of each
+  kind as its counterexample, a concrete, re-runnable glitch, and one
+  violation line per kind with the count.  Certified runs replay a
+  bounded number of shared (allowed) hazards the same way, one per
+  section-4 record kind where possible.
 
 Trust model (enforced by ``tests/conformance/test_certifier.py``): this
 module imports nothing from ``mapping/`` — the code that decides what
@@ -60,6 +65,7 @@ from ..hazards.oracle import (
     TransitionKind,
     TransitionVerdict,
     all_transitions,
+    classify_all,
     classify_transition,
 )
 from ..hazards.witness import (
@@ -281,20 +287,31 @@ def _verdict_witness(
 
 
 def _replay(
+    certificate: Certificate,
+    evidence: OutputEvidence,
     lsop: LabeledSop,
     witness: HazardWitness,
-    output: str,
     labels: dict[tuple[str, int], str],
 ) -> dict:
-    """Replay a witness on the event simulator; summarize the run.
+    """Replay a witness on the event simulator; check and summarize it.
 
-    ``labels`` memoizes the ``name:path`` schedule labels, so the
-    replays of one output share one string per path.
+    A replay that does not glitch contradicts the oracle's verdict and
+    is a ``checker fault`` violation.  ``labels`` memoizes the
+    ``name:path`` schedule labels, so the replays of one output share
+    one string per path.
     """
+    output = evidence.output
     try:
         result = replay_witness(lsop, witness, output=output)
     except ValueError as exc:  # event lattice too large to schedule
         return {"glitched": None, "skipped": str(exc)}
+    evidence.replays += 1
+    if not result.glitched:
+        certificate.violations.append(
+            f"output {output}: oracle claims a {witness.kind} hazard "
+            f"on {witness.transition_string()} but the replay does "
+            "not glitch (checker fault)"
+        )
     schedule = []
     for key in result.schedule:
         label = labels.get(key)
@@ -307,6 +324,18 @@ def _replay(
         "expected": int(result.expected),
         "schedule": schedule,
     }
+
+
+class _Points(dict):
+    """``point -> its nvars-bit string``, formatted on first use."""
+
+    def __init__(self, nvars: int) -> None:
+        super().__init__()
+        self.nvars = nvars
+
+    def __missing__(self, point: int) -> str:
+        text = self[point] = f"{point:0{self.nvars}b}"
+        return text
 
 
 # ----------------------------------------------------------------------
@@ -549,6 +578,11 @@ def _certify_output(
     evidence = OutputEvidence(output=output, support=support, method=method)
     evidence.kind_counts = {kind: 0 for kind in ALL_KINDS}
 
+    # Each side is labelled once: its flattened cover tabulates the
+    # function and its paths decide the hazards.
+    src_ls = label_expression(src_expr, support)
+    map_ls = label_expression(map_expr, support)
+
     # -- equivalence, twice -----------------------------------------
     if nvars == 0:
         equal_bdd = src_expr.evaluate({}) == map_expr.evaluate({})
@@ -560,18 +594,11 @@ def _certify_output(
         )
         equal_table = None
         if nvars <= tt.TT_MAX_VARS:
-            src_table = tt.from_callable(
-                lambda p: src_expr.evaluate(
-                    {name: bool(p >> i & 1) for i, name in enumerate(support)}
-                ),
-                nvars,
-            )
-            map_table = tt.from_callable(
-                lambda p: map_expr.evaluate(
-                    {name: bool(p >> i & 1) for i, name in enumerate(support)}
-                ),
-                nvars,
-            )
+            # Tabulated from the flattened covers, not the expressions
+            # the BDDs read: the tables also check that flattening kept
+            # each side's function.
+            src_table = tt.from_callable(src_ls.plain_cover().evaluate, nvars)
+            map_table = tt.from_callable(map_ls.plain_cover().evaluate, nvars)
             equal_table = src_table == map_table
     evidence.equivalent_bdd = bool(equal_bdd)
     evidence.equivalent_table = equal_table
@@ -593,64 +620,73 @@ def _certify_output(
         return evidence
 
     # -- hazard containment -----------------------------------------
-    src_ls = label_expression(src_expr, support)
-    map_ls = label_expression(map_expr, support)
     if method == "exhaustive":
-        pairs = all_transitions(nvars)
+        checked = zip(all_transitions(nvars), classify_all(map_ls))
     else:
         rng = random.Random(f"repro-cert:{seed}:{output}")
         counts = _path_counts(src_ls)
         for var, count in _path_counts(map_ls).items():
             counts[var] = counts.get(var, 0) + count
-        pairs = _sampled_transitions(nvars, samples, rng, counts)
+        checked = (
+            ((start, end), _classify_safe(map_ls, start, end))
+            for start, end in _sampled_transitions(nvars, samples, rng, counts)
+        )
 
+    points = _Points(nvars)
     shared: list[TransitionVerdict] = []
+    # Source verdicts by unordered pair: a verdict is the same in both
+    # directions, so a transition reuses its reverse's.
+    source_logic: dict[tuple[int, int], Optional[bool]] = {}
+    new: dict[str, list] = {}
     labels: dict[tuple[str, int], str] = {}
-    for start, end in pairs:
-        mapped_verdict = _classify_safe(map_ls, start, end)
+    for (start, end), mapped_verdict in checked:
         evidence.transitions += 1
+        line = f"{points[start]}->{points[end]}"
         if mapped_verdict is None:
             # Changing path literals exceed the event lattice: record
             # the skip in the evidence stream instead of guessing.
-            digest.update(
-                f"{start:0{nvars}b}->{end:0{nvars}b} skipped\n".encode()
-            )
+            digest.update(f"{line} skipped\n".encode())
             continue
-        line = (
-            f"{start:0{nvars}b}->{end:0{nvars}b} "
-            f"{mapped_verdict.kind.value} "
-            f"fh={int(mapped_verdict.function_hazard)} "
-            f"lh={int(mapped_verdict.logic_hazard)}"
+        line += (
+            f" {mapped_verdict.kind.value}"
+            f" fh={int(mapped_verdict.function_hazard)}"
+            f" lh={int(mapped_verdict.logic_hazard)}"
         )
         if mapped_verdict.logic_hazard:
             evidence.mapped_hazards += 1
             evidence.kind_counts[_verdict_kind(mapped_verdict)] += 1
-            source_verdict = _classify_safe(src_ls, start, end)
-            if source_verdict is None:
+            pair = (start, end) if start < end else (end, start)
+            if pair in source_logic:
+                source_hazard = source_logic[pair]
+            else:
+                source_verdict = _classify_safe(src_ls, start, end)
+                source_hazard = source_logic[pair] = (
+                    None if source_verdict is None else source_verdict.logic_hazard
+                )
+            if source_hazard is None:
                 # The source side is too wide for the lattice: the
                 # violation cannot be proven, so the transition counts
                 # as shared rather than as a rejection.
                 line += " src=?"
-                digest.update(line.encode())
-                digest.update(b"\n")
                 evidence.shared_hazards += 1
-                continue
-            line += f" src={int(source_verdict.logic_hazard)}"
-            if source_verdict.logic_hazard:
+            elif source_hazard:
+                line += " src=1"
                 evidence.shared_hazards += 1
                 shared.append(mapped_verdict)
             else:
-                evidence.new_hazards += 1
+                line += " src=0"
                 _record_new_hazard(
-                    certificate,
-                    evidence,
-                    map_ls,
-                    mapped_verdict,
-                    output,
-                    labels,
+                    certificate, evidence, map_ls, mapped_verdict, new, labels
                 )
-        digest.update(line.encode())
-        digest.update(b"\n")
+        digest.update(f"{line}\n".encode())
+    for kind, (count, witness) in new.items():
+        where = witness.transition_string()
+        certificate.violations.append(
+            f"output {output}: new {kind} hazard on {where} (not in source)"
+            if count == 1
+            else f"output {output}: {count} new {kind} hazards, first on "
+            f"{where} (not in source)"
+        )
 
     # -- positive replay evidence for certified outputs -------------
     if evidence.new_hazards == 0:
@@ -662,21 +698,14 @@ def _certify_output(
             if kind in replayed_kinds:
                 continue
             witness = _verdict_witness(verdict, support, "shared hazard")
-            replay = _replay(map_ls, witness, output, labels)
-            if replay.get("glitched") is None:
+            replay = _replay(certificate, evidence, map_ls, witness, labels)
+            if replay["glitched"] is None:
                 continue
             replayed_kinds.add(kind)
-            evidence.replays += 1
             digest.update(
                 f"replay {witness.kind} {witness.start}->{witness.end} "
-                f"glitched={int(bool(replay['glitched']))}\n".encode()
+                f"glitched={int(replay['glitched'])}\n".encode()
             )
-            if not replay["glitched"]:
-                certificate.violations.append(
-                    f"output {output}: oracle claims a {witness.kind} hazard "
-                    f"on {witness.transition_string()} but the replay does "
-                    "not glitch (checker fault)"
-                )
             certificate.counterexamples.append(
                 Counterexample(
                     output=output,
@@ -695,28 +724,34 @@ def _record_new_hazard(
     evidence: OutputEvidence,
     map_ls: LabeledSop,
     verdict: TransitionVerdict,
-    output: str,
+    new: dict[str, list],
     labels: dict[tuple[str, int], str],
 ) -> None:
-    """A Theorem 3.2 violation: witness it, replay it, reject."""
+    """A Theorem 3.2 violation: witness it, replay it, reject.
+
+    Every new hazard is replayed and checked; the first of each kind is
+    the output's counterexample, and ``new`` counts them per kind
+    (``kind -> [count, first witness]``) for the violation lines.
+    """
     certificate.hazard_safe = False
+    evidence.new_hazards += 1
     witness = _verdict_witness(
         verdict, evidence.support, "hazard absent from source"
     )
-    replay = _replay(map_ls, witness, output, labels)
-    evidence.replays += 1 if replay.get("glitched") is not None else 0
+    replay = _replay(certificate, evidence, map_ls, witness, labels)
+    first = new.get(witness.kind)
+    if first is not None:
+        first[0] += 1
+        return
+    new[witness.kind] = [1, witness]
     certificate.counterexamples.append(
         Counterexample(
-            output=output,
+            output=evidence.output,
             support=evidence.support,
             witness=witness.to_dict(),
             replay=replay,
             source_hazard=False,
         )
-    )
-    certificate.violations.append(
-        f"output {output}: new {witness.kind} hazard on "
-        f"{witness.transition_string()} (not in source)"
     )
 
 

@@ -19,6 +19,7 @@ from .multilevel import find_mic_dyn_haz_multilevel, transition_has_hazard
 from .oracle import (
     TransitionKind,
     TransitionVerdict,
+    classify_all,
     classify_transition,
     enumerate_hazards,
     hazard_subset,
@@ -79,6 +80,7 @@ __all__ = [
     "analysis_witnesses",
     "analyze_cover",
     "analyze_expression",
+    "classify_all",
     "classify_transition",
     "find_subset_violation",
     "glitch_schedule",

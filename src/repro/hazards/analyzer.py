@@ -34,7 +34,7 @@ from ..boolean.expr import Expr
 from ..boolean.paths import LabeledSop, label_cover, label_expression
 from .dynamic import find_mic_dyn_haz_2level
 from .multilevel import find_mic_dyn_haz_multilevel, transition_has_hazard
-from .oracle import TransitionVerdict, all_transitions, classify_transition
+from .oracle import TransitionVerdict, hazardous_transitions
 from .sic import find_sic_dynamic_hazards
 from .static0 import find_static0_hazards
 from .static1 import find_static1_hazards, find_static1_hazards_complete
@@ -112,13 +112,8 @@ class HazardAnalysis:
             return self.verdicts
         if self.nvars > EXHAUSTIVE_MAX_VARS:
             return None
-        hazardous = []
-        for start, end in all_transitions(self.nvars):
-            verdict = classify_transition(self.lsop, start, end)
-            if verdict.logic_hazard:
-                hazardous.append(verdict)
-        self.verdicts = hazardous
-        return hazardous
+        self.verdicts = hazardous_transitions(self.lsop)
+        return self.verdicts
 
     @property
     def nvars(self) -> int:

@@ -23,6 +23,7 @@ exposes a wrong oracle verdict.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -245,9 +246,12 @@ def glitch_schedule(
     """A path switching order under which the output provably glitches.
 
     Walks the subset lattice of ``transition_has_hazard`` state by
-    state, with back-pointers: for a static transition it finds a reachable event
-    state with the wrong output value; for a dynamic one, a pair
-    ``s1 ⊆ s2`` whose outputs are non-monotone.  The returned list
+    state, in numeric order, evaluating each state's output when the
+    walk reaches it and stopping at the first glitching one: for a
+    static transition, a reachable event state with the wrong output
+    value; for a dynamic one, a pair ``s1 ⊆ s2`` whose outputs are
+    non-monotone, found with back-pointers kept for the states walked
+    so far (nothing is sized ``2^k`` up front).  The returned list
     orders the changing ``(variable, path)`` wires so the simulation
     passes through those states; ``None`` means no glitch exists (the
     transition is not logic-hazardous).
@@ -260,41 +264,37 @@ def glitch_schedule(
     plain = lsop.plain_cover()
     f_start = plain.evaluate(start)
     f_end = plain.evaluate(end)
-
-    nstates = 1 << k
-    out = bytearray(nstates)
-    for s in range(nstates):
-        for need_sw, need_un in masks:
-            if (s & need_sw) == need_sw and not (s & need_un):
-                out[s] = 1
-                break
+    static = f_start == f_end
+    # A glitch leaves ``mark``: the resting value of a static transition,
+    # or the end value of a dynamic one once the output has shown it.
+    mark = int(f_end)
+    # origin[s]: the subset of s that first showed ``mark`` (-1: none).
+    origin = array("l")
 
     stages: Optional[list[int]] = None
-    if f_start == f_end:
-        target = 1 if f_start else 0
-        for s in range(nstates):
-            if out[s] != target:
+    for s in range(1 << k):
+        value = 0
+        for need_sw, need_un in masks:
+            if (s & need_sw) == need_sw and not (s & need_un):
+                value = 1
+                break
+        if static:
+            if value != mark:
                 stages = [s]
                 break
-    else:
-        rising = not f_start
-        mark = 1 if rising else 0
-        seen = bytearray(nstates)
-        src = [0] * nstates  # the subset of s that first showed ``mark``
-        for s in range(nstates):
-            if out[s] == mark:
-                seen[s] = 1
-                src[s] = s
-            else:
-                for e in range(k):
-                    sub = s ^ (1 << e)
-                    if s >> e & 1 and seen[sub]:
-                        seen[s] = 1
-                        src[s] = src[sub]
-                        break
-            if out[s] != mark and seen[s]:
-                stages = [src[s], s]
+            continue
+        if value == mark:
+            origin.append(s)
+            continue
+        first = -1
+        for e in range(k):
+            if s >> e & 1 and origin[s ^ (1 << e)] >= 0:
+                first = origin[s ^ (1 << e)]
                 break
+        if first >= 0:
+            stages = [first, s]
+            break
+        origin.append(-1)
     if stages is None:
         return None
 

@@ -7,6 +7,7 @@ evidence must stand on its own, not just the verdict.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import pytest
@@ -165,6 +166,58 @@ class TestReject:
         replay = replay_witness(lsop, witness, output="f")
         assert replay.glitched
         assert replay.changes > replay.expected
+
+    def test_one_checked_refutation_per_output_and_kind(self):
+        # The Shannon form a·1 + a'·(b + c + d) of a hazard-free OR glitches
+        # on every a-toggle that b, c or d holds high: many new static-1
+        # hazards (and some dynamic ones), all absent from the source.
+        source = Netlist.from_equations({"f": "a + b + c + d"}, name="spec")
+        mapped = Netlist.from_equations(
+            {"f": "a + a' * b + a' * c + a' * d"}, name="shannon"
+        )
+        certificate = certify_mapping(source, mapped)
+        (evidence,) = certificate.outputs
+        new_kinds = {
+            kind: count for kind, count in evidence.kind_counts.items() if count
+        }
+        assert evidence.shared_hazards == 0
+        assert new_kinds["static-1"] > 10
+        assert evidence.new_hazards == sum(new_kinds.values())
+        # Every new hazard is replayed and glitches ...
+        assert evidence.replays == certificate.replays == evidence.new_hazards
+        assert not any("checker fault" in v for v in certificate.violations)
+        # ... but each kind carries one counterexample and one violation.
+        refutations = [
+            cx for cx in certificate.counterexamples if not cx.source_hazard
+        ]
+        assert sorted(cx.witness["kind"] for cx in refutations) == sorted(
+            new_kinds
+        )
+        assert all(cx.replay["glitched"] for cx in refutations)
+        assert len(certificate.violations) == len(new_kinds)
+        first = HazardWitness.from_dict(
+            next(cx.witness for cx in refutations
+                 if cx.witness["kind"] == "static-1")
+        )
+        assert (
+            f"output f: {new_kinds['static-1']} new static-1 hazards, first "
+            f"on {first.transition_string()} (not in source)"
+        ) in certificate.violations
+
+    def test_new_hazard_replay_that_does_not_glitch_is_a_checker_fault(
+        self, monkeypatch
+    ):
+        def no_glitch(*args, **kwargs):
+            return dataclasses.replace(
+                replay_witness(*args, **kwargs), glitched=False
+            )
+
+        monkeypatch.setattr(certifier_module, "replay_witness", no_glitch)
+        source = Netlist.from_equations({"f": "b + c"}, name="spec")
+        mapped = Netlist.from_equations({"f": "b + b' * c"}, name="bad")
+        certificate = certify_mapping(source, mapped)
+        assert not certificate.hazard_safe
+        assert any("checker fault" in v for v in certificate.violations)
 
     def test_new_hazard_detected_exhaustively(self):
         # Dropping the consensus cube a·b of a hazard-free mux brings

@@ -16,6 +16,9 @@ pin.  Last, it certifies each benchmark's async mapping on ACTEL and
 CMOS3 at the certifier's defaults and records the certificate's
 ``evidence_digest`` (``certificates[library][benchmark]``), which
 hashes every checked transition's verdict: the hazard oracle's pin.
+For every standard library it also records a SHA-256 over each cell's
+exhaustive hazardous-transition verdict list, in order
+(``annotations[library]``): the annotation cache stores those lists.
 ``tests/integration/test_golden_mapping.py`` pins the mapper and the
 certifier against this file, so regenerate it ONLY when a change is
 meant to alter results — and say why in the commit that updates it.
@@ -23,6 +26,7 @@ meant to alter results — and say why in the commit that updates it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -80,6 +84,23 @@ def evidence_digests(library) -> dict[str, str]:
     return digests
 
 
+def annotation_digest(library) -> str:
+    """SHA-256 over every cell's exhaustive verdict list, in order."""
+    verdicts = [
+        [
+            cell.name,
+            None
+            if cell.analysis.verdicts is None
+            else [
+                [v.start, v.end, v.kind.value, v.function_hazard, v.logic_hazard]
+                for v in cell.analysis.verdicts
+            ],
+        ]
+        for cell in library.cells
+    ]
+    return hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+
+
 def main() -> int:
     library = load_library(LIBRARY)
     library.annotate_hazards()
@@ -104,17 +125,21 @@ def main() -> int:
             f"verify_ok={certificate.certified}"
         )
     digests: dict[str, dict[str, dict[str, str]]] = {}
+    annotations: dict[str, str] = {}
     for library_name in DIGEST_LIBRARIES:
         target = load_library(library_name)
         digests[library_name] = {}
         for mode in MODES:
             digests[library_name][mode] = mapped_digests(target, mode)
             print(f"{library_name} {mode}: {len(TABLE5_ORDER)} digests")
+        # The async maps annotated the library.
+        annotations[library_name] = annotation_digest(target)
     certificates = {}
     for library_name in CERTIFICATE_LIBRARIES:
         certificates[library_name] = evidence_digests(load_library(library_name))
         print(f"{library_name}: {len(TABLE5_ORDER)} evidence digests")
     payload = {
+        "annotations": annotations,
         "library": LIBRARY,
         "benchmarks": golden,
         "digests": digests,

@@ -14,6 +14,12 @@ and reconvergent paths occur, is checked on every ordered transition.
 :func:`repro.hazards.witness.glitch_schedule`, the independent per-state
 search the certifier replays, must find a glitch exactly where the
 oracle reports a logic hazard on a function-hazard-free transition.
+
+:func:`repro.hazards.oracle.classify_all` decides each static transition
+cube once and each unordered dynamic pair once; on the same stream it
+must yield exactly what :func:`~repro.hazards.oracle.classify_transition`
+returns on every ordered transition, and the two facts its reuse rests
+on are checked on ``classify_transition`` itself.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from repro.hazards.oracle import (
     TransitionKind,
     TransitionVerdict,
     all_transitions,
+    classify_all,
     classify_transition,
 )
 from repro.hazards.transition import (
@@ -56,7 +63,8 @@ SEED = 9
 
 
 def reference_event_masks(lsop: LabeledSop, start: int, end: int):
-    """Products as (need-switched, need-unswitched) event masks, and k."""
+    """Products as (need-switched, need-unswitched) event masks, and the
+    ``(variable, path) -> event`` numbering."""
     changing = start ^ end
     events: dict[tuple[str, int], int] = {}
     masks = []
@@ -82,12 +90,13 @@ def reference_event_masks(lsop: LabeledSop, start: int, end: int):
         raise ValueError(
             f"{len(events)} changing path literals exceed the lattice limit"
         )
-    return masks, len(events)
+    return masks, events
 
 
 def reference_transition_has_hazard(lsop: LabeledSop, start: int, end: int) -> bool:
     """The event lattice walked state by state, with a subset DP."""
-    masks, k = reference_event_masks(lsop, start, end)
+    masks, events = reference_event_masks(lsop, start, end)
+    k = len(events)
     plain = lsop.plain_cover()
     f_start = plain.evaluate(start)
     f_end = plain.evaluate(end)
@@ -116,6 +125,43 @@ def reference_transition_has_hazard(lsop: LabeledSop, start: int, end: int) -> b
         if out[s] != mark and seen[s]:
             return True
     return False
+
+
+def reference_glitch_schedule(lsop: LabeledSop, start: int, end: int):
+    """The replay search over a table of every lattice state: the first
+    state (in numeric order) that shows the wrong value, or that falls
+    back after one of its subsets showed the end value, and the path
+    order through it."""
+    masks, events = reference_event_masks(lsop, start, end)
+    k = len(events)
+    out = [
+        any(s & sw == sw and not s & un for sw, un in masks)
+        for s in range(1 << k)
+    ]
+    plain = lsop.plain_cover()
+    f_start, f_end = plain.evaluate(start), plain.evaluate(end)
+    stages = None
+    if f_start == f_end:
+        stages = next(([s] for s in range(1 << k) if out[s] != f_start), None)
+    else:
+        first: dict[int, int] = {}  # state -> its subset that showed f_end
+        for s in range(1 << k):
+            if out[s] == f_end:
+                first[s] = s
+                continue
+            below = [s ^ 1 << e for e in range(k) if s >> e & 1]
+            origin = next((first[b] for b in below if b in first), None)
+            if origin is not None:
+                stages = [origin, s]
+                break
+    if stages is None:
+        return None
+    keys = sorted(events, key=events.get)
+    order, done = [], 0
+    for stage in stages + [(1 << k) - 1]:
+        order += [keys[e] for e in range(k) if (stage & ~done) >> e & 1]
+        done |= stage
+    return order
 
 
 def reference_static_fhf(cover: Cover, space: Cube, value: bool) -> bool:
@@ -229,7 +275,7 @@ class TestAgainstReferences:
                 if isinstance(events, str):
                     refused += 1
                 else:
-                    largest = max(largest, events[1])
+                    largest = max(largest, len(events[1]))
                 logic = outcome(reference_transition_has_hazard, lsop, start, end)
                 assert outcome(transition_has_hazard, lsop, start, end) == logic
                 f_start = plain.evaluate(start)
@@ -255,7 +301,9 @@ class TestAgainstReferences:
     def test_glitch_schedule_exists_exactly_on_logic_hazards(self):
         """The certifier's replay search is independent of the oracle:
         on every function-hazard-free transition it finds a glitching
-        order iff the oracle reports a logic hazard."""
+        order iff the oracle reports a logic hazard.  Walking the
+        lattice lazily, it finds the order a walk over a table of every
+        state finds."""
         hazards = clean = 0
         for lsop in random_lsops(SHALLOW):
             if lsop.nvars > 5:
@@ -266,9 +314,71 @@ class TestAgainstReferences:
                     continue
                 schedule = glitch_schedule(lsop, start, end)
                 assert (schedule is None) == (not verdict.logic_hazard)
+                assert schedule == reference_glitch_schedule(lsop, start, end)
                 hazards += verdict.logic_hazard
                 clean += not verdict.logic_hazard
         assert hazards >= 100 and clean >= 1000
+
+
+def subsets(mask: int):
+    """Every subset of a bit mask."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def per_transition(lsop: LabeledSop) -> list:
+    """``classify_transition`` on every ordered transition, ``None``
+    where it refuses the event lattice."""
+    verdicts = []
+    for start, end in all_transitions(lsop.nvars):
+        verdict = outcome(classify_transition, lsop, start, end)
+        verdicts.append(None if isinstance(verdict, str) else verdict)
+    return verdicts
+
+
+def shape(outcome_):
+    """A verdict without its endpoints, or the refusal message."""
+    if isinstance(outcome_, str):
+        return outcome_
+    return outcome_.kind, outcome_.function_hazard, outcome_.logic_hazard
+
+
+class TestSharedDecisions:
+    def test_classify_all_is_the_per_transition_loop(self):
+        for lsop in random_lsops(SHALLOW + DEEP):
+            assert list(classify_all(lsop)) == per_transition(lsop)
+
+    def test_static_verdicts_belong_to_the_cube_and_all_reverse(self):
+        """Every corner pair of a cube on which f is constant gets the
+        same static verdict, and reversing a transition keeps its kind,
+        function hazard and logic hazard (or its refusal)."""
+        constant_cubes = hazardous_cubes = 0
+        for lsop in random_lsops(SHALLOW + DEEP):
+            nvars = lsop.nvars
+            plain = lsop.plain_cover()
+            verdicts = {
+                (start, end): shape(outcome(classify_transition, lsop, start, end))
+                for start, end in all_transitions(nvars)
+            }
+            for (start, end), verdict in verdicts.items():
+                assert verdicts[end, start] == verdict
+            for changing in range(1, 1 << nvars):
+                for fixed in range(1 << nvars):
+                    if fixed & changing:
+                        continue
+                    cube = [fixed | sub for sub in subsets(changing)]
+                    if len({plain.evaluate(point) for point in cube}) > 1:
+                        continue
+                    shared = {verdicts[point, point ^ changing] for point in cube}
+                    assert len(shared) == 1
+                    constant_cubes += 1
+                    (verdict,) = shared
+                    hazardous_cubes += not isinstance(verdict, str) and verdict[2]
+        assert constant_cubes > 5_000 and hazardous_cubes > 400
 
 
 def sop(*products: list[tuple[str, int, bool]], names: list[str]) -> LabeledSop:
@@ -304,6 +414,10 @@ class TestLatticeLimit:
             reference_verdict(lsop, start, end, expected)
         )
         assert isinstance(expected, str) == (dead_paths + live_paths > MAX_EVENTS)
+        # classify_all yields None exactly where classify_transition
+        # refuses, sharing each refusal across the cube's corners and
+        # both directions.
+        assert list(classify_all(lsop)) == per_transition(lsop)
 
     def test_the_largest_lattice_is_decided(self):
         # Twenty paths of one variable, both polarities: a vacuous

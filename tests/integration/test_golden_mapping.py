@@ -8,8 +8,10 @@ mapped BLIF is pinned there: the byte-identity contract that lets a
 performance change or a deletion prove it altered no netlist.  The
 evidence digest of each async ACTEL and CMOS3 mapping's certificate is
 pinned too: it hashes every checked transition's verdict, so a change
-to the hazard oracle must prove it altered none.  Any intentional
-change that alters results must regenerate the file::
+to the hazard oracle must prove it altered none.  So is a SHA-256 over
+every library cell's exhaustive hazardous-transition verdicts, the
+lists the annotation cache stores.  Any intentional change that alters
+results must regenerate the file::
 
     PYTHONPATH=src python tests/data/regen_golden_mappings.py
 
@@ -20,6 +22,7 @@ catch before the perf gate does.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -74,6 +77,7 @@ def test_golden_file_covers_the_whole_catalog():
     assert sorted(GOLDEN["certificates"]) == sorted(CERTIFICATE_LIBRARIES)
     for digests in GOLDEN["certificates"].values():
         assert sorted(digests) == sorted(TABLE5_ORDER)
+    assert sorted(GOLDEN["annotations"]) == sorted(ALL_LIBRARIES)
 
 
 @pytest.mark.parametrize(
@@ -96,6 +100,37 @@ def test_mapped_blifs_are_byte_identical(library_name, mode, libraries):
     assert not changed, (
         f"{library_name} {mode}: mapped BLIF of {changed} changed — "
         "regenerate tests/data/golden_mappings.json if this is intentional"
+    )
+
+
+def annotation_digest(library) -> str:
+    """SHA-256 over every cell's exhaustive verdict list, in order."""
+    verdicts = [
+        [
+            cell.name,
+            None
+            if cell.analysis.verdicts is None
+            else [
+                [v.start, v.end, v.kind.value, v.function_hazard, v.logic_hazard]
+                for v in cell.analysis.verdicts
+            ],
+        ]
+        for cell in library.cells
+    ]
+    return hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("library_name", sorted(ALL_LIBRARIES))
+def test_annotation_verdicts_are_byte_identical(library_name, libraries):
+    if library_name not in libraries:
+        libraries[library_name] = load_library(library_name)
+    library = libraries[library_name]
+    if not library.annotated:
+        library.annotate_hazards()
+    assert annotation_digest(library) == GOLDEN["annotations"][library_name], (
+        f"{library_name}: exhaustive cell verdicts changed — the annotation "
+        "cache stores them; regenerate tests/data/golden_mappings.json and "
+        "bump anncache.CACHE_VERSION if this is intentional"
     )
 
 

@@ -11,6 +11,7 @@ from repro.api import (
     MapRequest,
     parse_request,
 )
+from repro.api.schema import MAX_EXHAUSTIVE_LIMIT, MAX_SAMPLES
 
 BLIF_STUB = ".model m\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n"
 
@@ -61,6 +62,28 @@ class TestPayloads:
                 design="chu-ad-opt",
                 exhaustive_limit=0,
             )
+        # Certify requests have no deadline: the work they ask for is
+        # bounded instead.
+        for knobs in (
+            {"exhaustive_limit": MAX_EXHAUSTIVE_LIMIT + 1},
+            {"exhaustive_limit": 14},
+            {"samples": MAX_SAMPLES + 1},
+        ):
+            with pytest.raises(ApiError, match="must be <="):
+                CertifyRequest(
+                    mapped_blif=BLIF_STUB, design="chu-ad-opt", **knobs
+                )
+        payload = CertifyRequest(
+            mapped_blif=BLIF_STUB, design="chu-ad-opt"
+        ).to_payload()
+        with pytest.raises(ApiError, match="exhaustive_limit"):
+            parse_request(dict(payload, exhaustive_limit=14))
+        CertifyRequest(
+            mapped_blif=BLIF_STUB,
+            design="chu-ad-opt",
+            exhaustive_limit=MAX_EXHAUSTIVE_LIMIT,
+            samples=MAX_SAMPLES,
+        )
 
     def test_tampered_kind_is_rejected(self):
         payload = CertifyRequest(
