@@ -5,13 +5,16 @@ from scratch (BDD + truth table + event-lattice oracle per transition),
 so it is allowed to cost real time — but it must stay *deployable* as a
 batch post-pass.  Budget, asserted per benchmark: certification wall
 time <= max(2x the mapping wall time, an absolute floor) — the floor
-absorbs timer noise on designs that map in a millisecond.
+absorbs timer noise on designs that map in a millisecond.  The same
+budget holds for a rejection: each benchmark's mapping with a planted
+hazard (``seed_hazard``) must be rejected for that hazard, with every
+new hazard replayed on the event simulator, within it too.
 
 The run is recorded as a ``repro-bench-mapping/v1`` snapshot at
 ``benchmarks/results/BENCH_certify.json`` so certify cost is tracked
 alongside the mapping numbers: each row is
 :func:`~repro.obs.export.bench_row` of the map's response plus its
-``certify_*`` keys.  Run with::
+``certify_*`` keys (``certify_hazard_*`` for the planted variant).  Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_certify.py -s
 """
@@ -26,6 +29,7 @@ from repro.conformance import certify_mapping
 from repro.library import anncache
 from repro.obs.export import BENCH_SCHEMA, bench_row, write_bench_snapshot
 from repro.reporting import render_table
+from repro.testing.faults import seed_hazard
 
 from .conftest import RESULTS_DIR, emit
 
@@ -56,40 +60,64 @@ def test_certify_cost_within_budget(annotated_libraries):
             cache_dir=anncache.DISABLED,
         )
         map_seconds = response.map_seconds
-
-        certify_start = time.perf_counter()
-        certificate = certify_mapping(network, result.mapped, library)
-        certify_seconds = time.perf_counter() - certify_start
-
         budget = max(RELATIVE_BUDGET * map_seconds, ABSOLUTE_FLOOR)
-        within = certify_seconds <= budget
-        if not within:
-            violations.append(
-                f"{name}: certify {certify_seconds:.2f}s > "
-                f"budget {budget:.2f}s (map {map_seconds:.2f}s)"
+
+        def timed_certify(label: str, mapped):
+            start = time.perf_counter()
+            certificate = certify_mapping(network, mapped, library)
+            seconds = time.perf_counter() - start
+            within = seconds <= budget
+            if not within:
+                violations.append(
+                    f"{label}: certify {seconds:.2f}s > "
+                    f"budget {budget:.2f}s (map {map_seconds:.2f}s)"
+                )
+            rows.append(
+                (
+                    label,
+                    f"{map_seconds:.3f}s",
+                    f"{seconds:.3f}s",
+                    f"{seconds / max(map_seconds, 1e-9):.1f}x",
+                    certificate.transitions_checked,
+                    certificate.replays,
+                    "ok" if within else "OVER",
+                )
             )
+            return certificate, seconds
+
+        certificate, certify_seconds = timed_certify(name, result.mapped)
         assert certificate.certified, certificate.violations
-        rows.append(
-            (
-                name,
-                f"{map_seconds:.3f}s",
-                f"{certify_seconds:.3f}s",
-                f"{certify_seconds / max(map_seconds, 1e-9):.1f}x",
-                certificate.transitions_checked,
-                "ok" if within else "OVER",
-            )
+        seeded = seed_hazard(result.mapped, network, seed=0)
+        assert seeded is not None, name
+        rejection, rejection_seconds = timed_certify(
+            f"{name}+hazard", seeded.netlist
+        )
+        assert rejection.verdict == "rejected", name
+        assert rejection.equivalent and not rejection.hazard_safe, (
+            rejection.violations
         )
         snapshot_rows[name] = {
             **bench_row(response.to_payload()),
             "certify_seconds": round(certify_seconds, 4),
             "certify_transitions": certificate.transitions_checked,
             "certify_verdict": certificate.verdict,
+            "certify_hazard_seconds": round(rejection_seconds, 4),
+            "certify_hazard_replays": rejection.replays,
+            "certify_hazard_verdict": rejection.verdict,
         }
 
     emit(
         "bench_certify",
         render_table(
-            ["Benchmark", "Map", "Certify", "Ratio", "Transitions", "Budget"],
+            [
+                "Benchmark",
+                "Map",
+                "Certify",
+                "Ratio",
+                "Transitions",
+                "Replays",
+                "Budget",
+            ],
             rows,
             title=(
                 "Certification cost (budget: max("

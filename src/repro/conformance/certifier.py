@@ -21,11 +21,12 @@ using only ground-truth machinery:
   violation.
 * **evidence** — every new hazard is replayed as a
   :class:`~repro.hazards.witness.HazardWitness` on the event-driven
-  simulator (:func:`repro.hazards.witness.replay_witness`), and a replay
-  that does not glitch contradicts the oracle: a ``checker fault``
-  violation.  A rejected output carries the first new hazard of each
-  kind as its counterexample, a concrete, re-runnable glitch, and one
-  violation line per kind with the count.  Certified runs replay a
+  simulator (:func:`repro.hazards.witness.replay_witness`, through one
+  :class:`~repro.hazards.witness.WitnessCircuit` per output), and a
+  replay that does not glitch contradicts the oracle: a ``checker
+  fault`` violation.  A rejected output carries the first new hazard
+  of each kind as its counterexample, a concrete, re-runnable glitch,
+  and one violation line per kind with the count.  Certified runs replay a
   bounded number of shared (allowed) hazards the same way, one per
   section-4 record kind where possible.
 
@@ -45,7 +46,11 @@ many.
 Every run emits a :class:`Certificate` whose ``to_dict`` payload is
 stamped ``schema: repro-cert/v1`` and carries per-output SHA-256
 evidence digests over the canonical per-transition verdict lines, so
-two certifications of the same artifact are byte-comparable.
+two certifications of the same artifact are byte-comparable.  The
+oracle hands the certifier a verdict code per transition, and each
+line is concatenated from per-output tables of point strings and code
+tails; a :class:`~repro.hazards.oracle.TransitionVerdict` is built only
+for a transition whose mapped side has a logic hazard.
 """
 
 from __future__ import annotations
@@ -62,11 +67,15 @@ from ..boolean.cube import popcount
 from ..boolean.paths import LabeledSop, label_expression
 from ..hazards.multilevel import MAX_EVENTS
 from ..hazards.oracle import (
+    CODE_KINDS,
+    CODE_LH,
     TransitionKind,
     TransitionVerdict,
     all_transitions,
     classify_all,
     classify_transition,
+    code_verdict,
+    verdict_code,
 )
 from ..hazards.witness import (
     ALL_KINDS,
@@ -75,6 +84,7 @@ from ..hazards.witness import (
     KIND_STATIC0,
     KIND_STATIC1,
     HazardWitness,
+    WitnessCircuit,
     replay_witness,
 )
 from ..network.netlist import Netlist
@@ -83,8 +93,10 @@ from ..obs.tracer import NULL_TRACER
 
 #: Exhaustive-enumeration ceiling: outputs whose support has at most
 #: this many variables get every ordered transition pair classified
-#: (``4^n`` pairs; at 6 that is 4032 oracle calls per implementation).
-#: Larger supports fall back to the deterministic seeded sample.
+#: (``4^n - 2^n`` pairs, 4032 at 6).  The mapped side is decided once
+#: per transition cube (``classify_all``), the source only where the
+#: mapped side has a logic hazard.  Larger supports fall back to the
+#: deterministic seeded sample.
 DEFAULT_EXHAUSTIVE_LIMIT = 6
 
 #: Seeded sample size per large-support output.
@@ -253,12 +265,10 @@ class Certificate:
 # ----------------------------------------------------------------------
 
 
-def _classify_safe(
-    lsop: LabeledSop, start: int, end: int
-) -> Optional[TransitionVerdict]:
-    """Oracle classification, or ``None`` past the event-lattice limit."""
+def _classify_safe(lsop: LabeledSop, start: int, end: int) -> Optional[int]:
+    """Oracle verdict code, or ``None`` past the event-lattice limit."""
     try:
-        return classify_transition(lsop, start, end)
+        return verdict_code(classify_transition(lsop, start, end))
     except ValueError:
         return None
 
@@ -286,44 +296,60 @@ def _verdict_witness(
     )
 
 
-def _replay(
-    certificate: Certificate,
-    evidence: OutputEvidence,
-    lsop: LabeledSop,
-    witness: HazardWitness,
-    labels: dict[tuple[str, int], str],
-) -> dict:
-    """Replay a witness on the event simulator; check and summarize it.
+class _Replays:
+    """The replays of one output, all through one witness circuit.
 
-    A replay that does not glitch contradicts the oracle's verdict and
-    is a ``checker fault`` violation.  ``labels`` memoizes the
-    ``name:path`` schedule labels, so the replays of one output share
-    one string per path.
+    The circuit is built on the first replay (most outputs have none)
+    and dropped with this object at the end of the output.  ``labels``
+    holds the ``name:path`` schedule labels, so the replays of one
+    output share one string per path.
     """
-    output = evidence.output
-    try:
-        result = replay_witness(lsop, witness, output=output)
-    except ValueError as exc:  # event lattice too large to schedule
-        return {"glitched": None, "skipped": str(exc)}
-    evidence.replays += 1
-    if not result.glitched:
-        certificate.violations.append(
-            f"output {output}: oracle claims a {witness.kind} hazard "
-            f"on {witness.transition_string()} but the replay does "
-            "not glitch (checker fault)"
-        )
-    schedule = []
-    for key in result.schedule:
-        label = labels.get(key)
-        if label is None:
-            label = labels[key] = f"{key[0]}:{key[1]}"
-        schedule.append(label)
-    return {
-        "glitched": bool(result.glitched),
-        "changes": int(result.changes),
-        "expected": int(result.expected),
-        "schedule": schedule,
-    }
+
+    def __init__(self, lsop: LabeledSop, output: str) -> None:
+        self.lsop = lsop
+        self.output = output
+        self.circuit: Optional[WitnessCircuit] = None
+        self.labels: dict[tuple[str, int], str] = {}
+
+    def replay(
+        self,
+        certificate: Certificate,
+        evidence: OutputEvidence,
+        witness: HazardWitness,
+    ) -> dict:
+        """Replay a witness on the event simulator; check and summarize it.
+
+        A replay that does not glitch contradicts the oracle's verdict
+        and is a ``checker fault`` violation.
+        """
+        if self.circuit is None:
+            self.circuit = WitnessCircuit(self.lsop, self.output)
+        try:
+            result = replay_witness(
+                self.lsop, witness, output=self.output, circuit=self.circuit
+            )
+        except ValueError as exc:  # event lattice too large to schedule
+            return {"glitched": None, "skipped": str(exc)}
+        evidence.replays += 1
+        if not result.glitched:
+            certificate.violations.append(
+                f"output {self.output}: oracle claims a {witness.kind} hazard "
+                f"on {witness.transition_string()} but the replay does "
+                "not glitch (checker fault)"
+            )
+        labels = self.labels
+        schedule = []
+        for key in result.schedule:
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = f"{key[0]}:{key[1]}"
+            schedule.append(label)
+        return {
+            "glitched": bool(result.glitched),
+            "changes": int(result.changes),
+            "expected": int(result.expected),
+            "schedule": schedule,
+        }
 
 
 class _Points(dict):
@@ -336,6 +362,16 @@ class _Points(dict):
     def __missing__(self, point: int) -> str:
         text = self[point] = f"{point:0{self.nvars}b}"
         return text
+
+
+#: The tail of a digest line after ``{start}->{end}``, per verdict code:
+#: `` {kind} fh=… lh=…``, and the newline unless the code has a logic
+#: hazard (whose line goes on with `` src=…``).
+_LINE_TAILS = tuple(
+    f" {CODE_KINDS[code >> 2].value} fh={code & 1} lh={code >> 1 & 1}"
+    + ("" if code & CODE_LH else "\n")
+    for code in range(len(CODE_KINDS) << 2)
+)
 
 
 # ----------------------------------------------------------------------
@@ -633,52 +669,59 @@ def _certify_output(
         )
 
     points = _Points(nvars)
+    tails = _LINE_TAILS
+    replays = _Replays(map_ls, output)
     shared: list[TransitionVerdict] = []
     # Source verdicts by unordered pair: a verdict is the same in both
     # directions, so a transition reuses its reverse's.
     source_logic: dict[tuple[int, int], Optional[bool]] = {}
     new: dict[str, list] = {}
-    labels: dict[tuple[str, int], str] = {}
-    for (start, end), mapped_verdict in checked:
-        evidence.transitions += 1
-        line = f"{points[start]}->{points[end]}"
-        if mapped_verdict is None:
+    # The digest lines of one start point, hashed together: SHA-256 is
+    # a stream, so the digest is that of one update per line.
+    lines: list[str] = []
+    head_point, head = -1, ""
+    transitions = 0
+    for (start, end), code in checked:
+        transitions += 1
+        if start != head_point:
+            digest.update("".join(lines).encode())
+            lines.clear()
+            head_point, head = start, points[start] + "->"
+        if code is None:
             # Changing path literals exceed the event lattice: record
             # the skip in the evidence stream instead of guessing.
-            digest.update(f"{line} skipped\n".encode())
+            lines.append(f"{head}{points[end]} skipped\n")
             continue
-        line += (
-            f" {mapped_verdict.kind.value}"
-            f" fh={int(mapped_verdict.function_hazard)}"
-            f" lh={int(mapped_verdict.logic_hazard)}"
-        )
-        if mapped_verdict.logic_hazard:
-            evidence.mapped_hazards += 1
-            evidence.kind_counts[_verdict_kind(mapped_verdict)] += 1
-            pair = (start, end) if start < end else (end, start)
-            if pair in source_logic:
-                source_hazard = source_logic[pair]
-            else:
-                source_verdict = _classify_safe(src_ls, start, end)
-                source_hazard = source_logic[pair] = (
-                    None if source_verdict is None else source_verdict.logic_hazard
-                )
-            if source_hazard is None:
-                # The source side is too wide for the lattice: the
-                # violation cannot be proven, so the transition counts
-                # as shared rather than as a rejection.
-                line += " src=?"
-                evidence.shared_hazards += 1
-            elif source_hazard:
-                line += " src=1"
-                evidence.shared_hazards += 1
-                shared.append(mapped_verdict)
-            else:
-                line += " src=0"
-                _record_new_hazard(
-                    certificate, evidence, map_ls, mapped_verdict, new, labels
-                )
-        digest.update(f"{line}\n".encode())
+        if not code & CODE_LH:
+            lines.append(head + points[end] + tails[code])
+            continue
+        verdict = code_verdict(start, end, code)
+        evidence.mapped_hazards += 1
+        evidence.kind_counts[_verdict_kind(verdict)] += 1
+        pair = (start, end) if start < end else (end, start)
+        if pair in source_logic:
+            source_hazard = source_logic[pair]
+        else:
+            source_code = _classify_safe(src_ls, start, end)
+            source_hazard = source_logic[pair] = (
+                None if source_code is None else bool(source_code & CODE_LH)
+            )
+        if source_hazard is None:
+            # The source side is too wide for the lattice: the
+            # violation cannot be proven, so the transition counts
+            # as shared rather than as a rejection.
+            src = " src=?\n"
+            evidence.shared_hazards += 1
+        elif source_hazard:
+            src = " src=1\n"
+            evidence.shared_hazards += 1
+            shared.append(verdict)
+        else:
+            src = " src=0\n"
+            _record_new_hazard(certificate, evidence, replays, verdict, new)
+        lines.append(head + points[end] + tails[code] + src)
+    digest.update("".join(lines).encode())
+    evidence.transitions = transitions
     for kind, (count, witness) in new.items():
         where = witness.transition_string()
         certificate.violations.append(
@@ -698,7 +741,7 @@ def _certify_output(
             if kind in replayed_kinds:
                 continue
             witness = _verdict_witness(verdict, support, "shared hazard")
-            replay = _replay(certificate, evidence, map_ls, witness, labels)
+            replay = replays.replay(certificate, evidence, witness)
             if replay["glitched"] is None:
                 continue
             replayed_kinds.add(kind)
@@ -722,10 +765,9 @@ def _certify_output(
 def _record_new_hazard(
     certificate: Certificate,
     evidence: OutputEvidence,
-    map_ls: LabeledSop,
+    replays: _Replays,
     verdict: TransitionVerdict,
     new: dict[str, list],
-    labels: dict[tuple[str, int], str],
 ) -> None:
     """A Theorem 3.2 violation: witness it, replay it, reject.
 
@@ -738,7 +780,7 @@ def _record_new_hazard(
     witness = _verdict_witness(
         verdict, evidence.support, "hazard absent from source"
     )
-    replay = _replay(certificate, evidence, map_ls, witness, labels)
+    replay = replays.replay(certificate, evidence, witness)
     first = new.get(witness.kind)
     if first is not None:
         first[0] += 1

@@ -18,6 +18,9 @@ transition space, and every verdict is the same in both directions, so
 :func:`classify_transition` runs once per static cube and once per
 unordered dynamic pair (the proof is in ``docs/conformance.md``).
 :func:`classify_transition` stays the one place a decision is made.
+:func:`classify_all` yields a small int per transition, its verdict
+code (``fh | lh << 1 | kind << 2``); a :class:`TransitionVerdict` is
+built only where a caller needs one (:func:`code_verdict`).
 
 Exponential in the number of inputs.  It backs the production checker
 (:func:`repro.conformance.certify_mapping`, over each output's support),
@@ -89,19 +92,53 @@ def sic_transitions(nvars: int) -> Iterator[tuple[int, int]]:
             yield start, start ^ (1 << var)
 
 
-#: Verdict codes :func:`classify_all` keeps per decision: unset (0),
-#: refused past the event-lattice limit, or ``_DECIDED | fh | lh << 1``.
+#: Bits of a verdict code, as :func:`classify_all` yields it: the
+#: function hazard, the logic hazard, and above them the kind's index in
+#: :data:`CODE_KINDS`, so ``code = fh | lh << 1 | kind << 2``.  The
+#: static kinds come first, so f(start) is the index of a static kind.
+CODE_FH = 1
+CODE_LH = 2
+CODE_KINDS = (
+    TransitionKind.STATIC_0,
+    TransitionKind.STATIC_1,
+    TransitionKind.DYNAMIC,
+)
+_KIND_BITS = {kind: index << 2 for index, kind in enumerate(CODE_KINDS)}
+
+
+def verdict_code(verdict: TransitionVerdict) -> int:
+    """The verdict code of a verdict."""
+    return (
+        _KIND_BITS[verdict.kind]
+        | verdict.function_hazard
+        | verdict.logic_hazard << 1
+    )
+
+
+def code_verdict(start: int, end: int, code: int) -> TransitionVerdict:
+    """The verdict a code stands for on the transition ``start -> end``."""
+    return TransitionVerdict(
+        start, end, CODE_KINDS[code >> 2], bool(code & CODE_FH), bool(code & CODE_LH)
+    )
+
+
+#: What :func:`classify_all`'s tables keep per key: unset (0), refused
+#: past the event-lattice limit, or ``_DECIDED | fh | lh << 1``.
 _REFUSED = 1
 _DECIDED = 4
 
 
-def classify_all(lsop: LabeledSop) -> Iterator[Optional[TransitionVerdict]]:
-    """The verdict of every transition, in :func:`all_transitions` order.
+def classify_all(lsop: LabeledSop) -> Iterator[Optional[int]]:
+    """The verdict code of every transition, in :func:`all_transitions`
+    order.
 
-    Yields what :func:`classify_transition` returns for each ordered
-    pair, or ``None`` where it refuses the event lattice (``ValueError``
-    past :data:`~repro.hazards.multilevel.MAX_EVENTS`), but calls it
-    once per decision:
+    Yields the code (:func:`verdict_code`) of what
+    :func:`classify_transition` returns for each ordered pair, or
+    ``None`` where it refuses the event lattice (``ValueError`` past
+    :data:`~repro.hazards.multilevel.MAX_EVENTS`).  No verdict object is
+    built per transition: a caller decodes the few it needs with
+    :func:`code_verdict`.  It calls :func:`classify_transition` once per
+    decision:
 
     * a static transition's function- and logic-hazard verdicts belong
       to its transition cube: fixed variables are equal at every corner,
@@ -120,48 +157,52 @@ def classify_all(lsop: LabeledSop) -> Iterator[Optional[TransitionVerdict]]:
     """
     size = 1 << lsop.nvars
     values, _ = space_table(lsop.plain_cover(), 0, size - 1)  # f at each point
+    f = [values >> point & 1 for point in range(size)]
+    # Keys of the pairs (low, high), low < high: high's row starts here.
+    rows = [high * (high - 1) // 2 for high in range(size)]
     cubes = bytearray(size * (size - 1) // 2)
     pairs = bytearray(len(cubes))
+    dynamic = _KIND_BITS[TransitionKind.DYNAMIC]
     for start in range(size):
-        f_start = values >> start & 1
-        static_kind = TransitionKind.STATIC_1 if f_start else TransitionKind.STATIC_0
+        f_start = f[start]
+        static = _KIND_BITS[CODE_KINDS[f_start]]
         for end in range(size):
             if start == end:
                 continue
-            if f_start == values >> end & 1:
-                codes, kind = cubes, static_kind
-                low, high = start & end, start | end
+            if f_start == f[end]:
+                table, kind = cubes, static
+                key = rows[start | end] + (start & end)
+            elif start < end:
+                table, kind = pairs, dynamic
+                key = rows[end] + start
             else:
-                codes, kind = pairs, TransitionKind.DYNAMIC
-                low, high = (start, end) if start < end else (end, start)
-            key = high * (high - 1) // 2 + low
-            code = codes[key]
+                table, kind = pairs, dynamic
+                key = rows[start] + end
+            code = table[key]
             if not code:
                 try:
                     verdict = classify_transition(lsop, start, end)
                 except ValueError:
-                    codes[key] = _REFUSED
+                    table[key] = _REFUSED
                     yield None
                     continue
-                codes[key] = (
+                code = table[key] = (
                     _DECIDED | verdict.function_hazard | verdict.logic_hazard << 1
                 )
-                yield verdict
             elif code == _REFUSED:
                 yield None
-            else:
-                yield TransitionVerdict(
-                    start, end, kind, bool(code & 1), bool(code & 2)
-                )
+                continue
+            yield code & 3 | kind
 
 
-def _decided(lsop: LabeledSop) -> Iterator[TransitionVerdict]:
-    """:func:`classify_all` for callers that let a refusal escape: where
-    it yields ``None`` the lattice-limit ``ValueError`` is raised."""
-    for (start, end), verdict in zip(all_transitions(lsop.nvars), classify_all(lsop)):
-        if verdict is None:
+def _decided(lsop: LabeledSop) -> Iterator[tuple[int, int, int]]:
+    """``(start, end, code)`` of every transition, as :func:`classify_all`
+    yields them, for callers that let a refusal escape: where it yields
+    ``None`` the lattice-limit ``ValueError`` is raised."""
+    for (start, end), code in zip(all_transitions(lsop.nvars), classify_all(lsop)):
+        if code is None:
             classify_transition(lsop, start, end)  # raises the refusal
-        yield verdict
+        yield start, end, code
 
 
 def enumerate_hazards(
@@ -171,20 +212,25 @@ def enumerate_hazards(
     result: dict[TransitionKind, list[TransitionVerdict]] = {
         kind: [] for kind in TransitionKind
     }
-    for verdict in _decided(lsop):
-        if verdict.logic_hazard:
+    for start, end, code in _decided(lsop):
+        if code & CODE_LH:
+            verdict = code_verdict(start, end, code)
             result[verdict.kind].append(verdict)
     return result
 
 
 def hazardous_transitions(lsop: LabeledSop) -> list[TransitionVerdict]:
     """Every logic-hazardous transition, in :func:`all_transitions` order."""
-    return [verdict for verdict in _decided(lsop) if verdict.logic_hazard]
+    return [
+        code_verdict(start, end, code)
+        for start, end, code in _decided(lsop)
+        if code & CODE_LH
+    ]
 
 
 def is_logic_hazard_free(lsop: LabeledSop) -> bool:
     """Exhaustive hazard-freedom check (all transition classes)."""
-    return not any(verdict.logic_hazard for verdict in _decided(lsop))
+    return not any(code & CODE_LH for _, _, code in _decided(lsop))
 
 
 def hazard_subset(inner: LabeledSop, outer: LabeledSop) -> bool:
@@ -194,12 +240,10 @@ def hazard_subset(inner: LabeledSop, outer: LabeledSop) -> bool:
     (section 3.2.2) — both implementations must realize the same
     function over the same variable ordering.
     """
-    for (start, end), verdict, other in zip(
-        all_transitions(inner.nvars), _decided(inner), classify_all(outer)
-    ):
-        if verdict.logic_hazard:
+    for (start, end, code), other in zip(_decided(inner), classify_all(outer)):
+        if code & CODE_LH:
             if other is None:
                 classify_transition(outer, start, end)  # raises the refusal
-            if not other.logic_hazard:
+            if not other & CODE_LH:
                 return False
     return True

@@ -10,20 +10,25 @@ Verbeek/Schmaltz style: the claim ships with an executable check, so a
 bug in an analyzer shows up as a witness that fails to glitch, not as a
 silently wrong counter.
 
-Replays are deterministic, not sampled: the subset lattice that
-:func:`repro.hazards.multilevel.transition_has_hazard` decides on whole
-tables is searched here state by state, with back-pointers, to extract
-a *glitching event order* (which path switches when), and the witness
-netlist gives every path its own buffer gate so per-gate delays can
-realize exactly that order.  One simulation, guaranteed glitch.  The
-per-state search is kept on purpose: it is an implementation of the
-lattice independent of the oracle's, so a replay that does not glitch
-exposes a wrong oracle verdict.
+Replays are deterministic, not sampled: :func:`glitch_schedule` builds
+the output over the subset lattice that
+:func:`repro.hazards.multilevel.transition_has_hazard` decides, with
+mask arithmetic on one ``2^k``-bit table, and reads a *glitching event
+order* (which path switches when) off it; the witness netlist gives
+every path its own buffer gate so per-gate delays can realize exactly
+that order.  One simulation, guaranteed glitch.  The independent check
+is the event simulator, not the schedule search: the simulator knows
+nothing of lattices or masks, it only propagates gate values under the
+programmed delays, so a replay that does not glitch exposes a wrong
+oracle verdict (or a wrong schedule) all the same.
+
+All replays of one output share one :class:`WitnessCircuit`: the
+netlist, its wire map and a validated simulator are built once, and
+each replay runs the simulator under its own gate delays.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -33,6 +38,7 @@ from ..network.eventsim import EventSimulator, Waveform, burst_response
 from ..network.netlist import Netlist
 from .multilevel import MAX_EVENTS, transition_has_hazard
 from .oracle import TransitionKind, TransitionVerdict
+from .transition import lattice_masks
 from . import dynamic as _dynamic
 from . import sic as _sic
 from . import static0 as _static0
@@ -160,17 +166,27 @@ def witness_netlist(
     the arbitrary-delay model the hazard algebra assumes.  Products are
     AND gates, the output an OR.  Returns the netlist and the
     ``(variable, path) -> wire node`` map used to program delays.
+    Internal nodes take the netlist's fresh names, so they never collide
+    with the design's input names or with ``output``.
     """
     net = Netlist(f"{output}.witness")
     for name in lsop.names:
         net.add_input(name)
+
+    def fresh(prefix: str) -> str:
+        # The output node is added last, so fresh_name cannot see it.
+        name = net.fresh_name(prefix)
+        while name == output:
+            name = net.fresh_name(prefix)
+        return name
+
     wires: dict[tuple[str, int], str] = {}
     product_nodes: list[str] = []
-    for j, product in enumerate(lsop.products):
+    for product in lsop.products:
         if not product.literals:
             # A constant-true product makes the function 1 — no witness
             # can exist; keep the structure well-formed regardless.
-            const = f"_one{j}"
+            const = fresh("_one")
             net.add_constant(const, True)
             product_nodes.append(const)
             continue
@@ -179,25 +195,55 @@ def witness_netlist(
             key = (lit.name, lit.path)
             wire = wires.get(key)
             if wire is None:
-                wire = f"_w_{lit.name}_{lit.path}"
+                wire = fresh("_w")
                 expr = Var(lit.name) if lit.positive else Not(Var(lit.name))
                 net.add_gate(wire, expr, [lit.name])
                 wires[key] = wire
             fanins.append(wire)
-        pname = f"_p{j}"
+        pname = fresh("_p")
         func = Var(fanins[0]) if len(fanins) == 1 else And([Var(f) for f in fanins])
         net.add_gate(pname, func, fanins)
         product_nodes.append(pname)
     if not product_nodes:
-        net.add_constant("_zero", False)
-        net.add_output(output, "_zero")
+        zero = fresh("_zero")
+        net.add_constant(zero, False)
+        net.add_output(output, zero)
         return net, wires
     if len(product_nodes) == 1:
         net.add_output(output, product_nodes[0])
         return net, wires
-    net.add_gate("_or", Or([Var(p) for p in product_nodes]), product_nodes)
-    net.add_output(output, "_or")
+    root = fresh("_or")
+    net.add_gate(root, Or([Var(p) for p in product_nodes]), product_nodes)
+    net.add_output(output, root)
     return net, wires
+
+
+#: Event spacing vs gate delay: logic gates settle in ``2 * GATE_DELAY``
+#: (AND then OR), far inside the ``SPACING`` between path switches, so
+#: the output visits every scheduled lattice state.
+SPACING = 1.0
+GATE_DELAY = 0.01
+
+
+class WitnessCircuit:
+    """The path-explicit circuit of one labelled SOP, for many replays.
+
+    Holds :func:`witness_netlist`'s netlist for ``output``, its wire map
+    with the keys sorted once, and an
+    :class:`~repro.network.eventsim.EventSimulator` over the validated
+    netlist with every gate at ``GATE_DELAY``.  :func:`replay_witness`
+    runs a retimed copy of that simulator, so no replay's delays reach
+    the next.  A circuit holds no verdict; the certifier keeps one per
+    output for the length of one certification.
+    """
+
+    def __init__(self, lsop: LabeledSop, output: str = "f") -> None:
+        self.output = output
+        self.netlist, self.wires = witness_netlist(lsop, output)
+        self.keys = sorted(self.wires)
+        self.simulator = EventSimulator(
+            self.netlist, {node.name: GATE_DELAY for node in self.netlist.gates()}
+        )
 
 
 def _event_masks(
@@ -240,63 +286,67 @@ def _event_masks(
     return masks, events
 
 
+def _lowest(states: int) -> int:
+    """The lowest state of a non-empty state set."""
+    return (states & -states).bit_length() - 1
+
+
 def glitch_schedule(
     lsop: LabeledSop, start: int, end: int
 ) -> Optional[list[tuple[str, int]]]:
     """A path switching order under which the output provably glitches.
 
-    Walks the subset lattice of ``transition_has_hazard`` state by
-    state, in numeric order, evaluating each state's output when the
-    walk reaches it and stopping at the first glitching one: for a
-    static transition, a reachable event state with the wrong output
-    value; for a dynamic one, a pair ``s1 ⊆ s2`` whose outputs are
-    non-monotone, found with back-pointers kept for the states walked
-    so far (nothing is sized ``2^k`` up front).  The returned list
-    orders the changing ``(variable, path)`` wires so the simulation
-    passes through those states; ``None`` means no glitch exists (the
-    transition is not logic-hazardous).
+    Builds the output over the transition's event lattice as one
+    ``2^k``-bit table (bit ``s``: the output once exactly the events in
+    ``s`` have switched), each product's on-set an AND of event
+    projection masks over :func:`_event_masks`' numbering.  For a static
+    transition the glitching state is the lowest state with the wrong
+    value.  For a dynamic one it is the lowest state outside the set
+    that shows the end value and one event above a state in that set,
+    paired with its predecessor across the lowest such event: the
+    output shows the end value, then leaves it.  These are exactly the
+    states at which a walk of the lattice in numeric order would stop.
+    The returned list orders the changing ``(variable, path)`` wires so
+    the simulation passes through those states; ``None`` means no glitch
+    exists (the transition is not logic-hazardous).
     """
     masks, events = _event_masks(lsop, start, end)
     k = len(events)
     keys: list[tuple[str, int]] = [("", 0)] * k
     for key, event in events.items():
         keys[event] = key
-    plain = lsop.plain_cover()
-    f_start = plain.evaluate(start)
-    f_end = plain.evaluate(end)
-    static = f_start == f_end
-    # A glitch leaves ``mark``: the resting value of a static transition,
-    # or the end value of a dynamic one once the output has shown it.
-    mark = int(f_end)
-    # origin[s]: the subset of s that first showed ``mark`` (-1: none).
-    origin = array("l")
-
-    stages: Optional[list[int]] = None
-    for s in range(1 << k):
-        value = 0
-        for need_sw, need_un in masks:
-            if (s & need_sw) == need_sw and not (s & need_un):
-                value = 1
-                break
-        if static:
-            if value != mark:
-                stages = [s]
-                break
-            continue
-        if value == mark:
-            origin.append(s)
-            continue
-        first = -1
+    up, down, full = lattice_masks(k)
+    out = 0
+    for need_sw, need_un in masks:
+        on = full
         for e in range(k):
-            if s >> e & 1 and origin[s ^ (1 << e)] >= 0:
-                first = origin[s ^ (1 << e)]
-                break
-        if first >= 0:
-            stages = [first, s]
-            break
-        origin.append(-1)
-    if stages is None:
-        return None
+            if need_sw >> e & 1:
+                on &= up[e]
+            if need_un >> e & 1:
+                on &= down[e]
+        out |= on
+    # State 0 is the burst's start point and the top state its end point.
+    f_start = out & 1
+    f_end = out >> (full.bit_length() - 1)
+    # The states that show the end value; a glitch leaves them.
+    shown = out if f_end else full ^ out
+    if f_start == f_end:
+        wrong = full ^ shown
+        if not wrong:
+            return None
+        stages = [_lowest(wrong)]
+    else:
+        above = 0
+        for e, lacking in enumerate(down):
+            above |= (shown & lacking) << (1 << e)
+        above &= full ^ shown
+        if not above:
+            return None
+        s = _lowest(above)
+        e = next(
+            e for e in range(k) if s >> e & 1 and shown >> (s ^ 1 << e) & 1
+        )
+        stages = [s ^ 1 << e, s]
 
     schedule: list[tuple[str, int]] = []
     done = 0
@@ -312,39 +362,36 @@ def glitch_schedule(
     return schedule
 
 
-#: Event spacing vs gate delay: logic gates settle in ``2 * GATE_DELAY``
-#: (AND then OR), far inside the ``SPACING`` between path switches, so
-#: the output visits every scheduled lattice state.
-SPACING = 1.0
-GATE_DELAY = 0.01
-
-
 def replay_witness(
-    lsop: LabeledSop, witness: HazardWitness, output: str = "f"
+    lsop: LabeledSop,
+    witness: HazardWitness,
+    output: str = "f",
+    circuit: Optional[WitnessCircuit] = None,
 ) -> WitnessReplay:
     """Deterministically replay one witness on the event simulator.
 
-    Builds the path-explicit netlist, programs per-path buffer delays to
+    Programs per-path buffer delays of the path-explicit netlist to
     realize a glitching event order from :func:`glitch_schedule`, fires
     the burst with all changing inputs switching at t=0, and reports
     whether the output waveform shows more transitions than the ideal
-    monotone response.
+    monotone response.  ``circuit`` is a :class:`WitnessCircuit` of
+    ``lsop`` to replay on (its own ``output`` name holds); without one,
+    a circuit is built for this replay.
     """
-    net, wires = witness_netlist(lsop, output)
+    if circuit is None:
+        circuit = WitnessCircuit(lsop, output)
     schedule = glitch_schedule(lsop, witness.start, witness.end) or []
     changing = witness.start ^ witness.end
     ordered = list(schedule)
     scheduled = set(ordered)
     # Wires of dropped products still switch physically; let them trail.
-    for key in sorted(wires):
-        name, __ = key
-        var = lsop.index[name]
-        if changing >> var & 1 and key not in scheduled:
+    for key in circuit.keys:
+        if changing >> lsop.index[key[0]] & 1 and key not in scheduled:
             ordered.append(key)
-    delays = {node.name: GATE_DELAY for node in net.gates()}
-    for i, key in enumerate(ordered):
-        delays[wires[key]] = SPACING * (i + 1)
-    simulator = EventSimulator(net, delays)
+    wires = circuit.wires
+    simulator = circuit.simulator.retimed(
+        {wires[key]: SPACING * (i + 1) for i, key in enumerate(ordered)}
+    )
     arrivals = {
         name: 0.0
         for i, name in enumerate(witness.names)
@@ -356,7 +403,7 @@ def replay_witness(
         witness.end_vector(),
         arrival_times=arrivals,
     )
-    wave = waveforms[output]
+    wave = waveforms[circuit.output]
     expected = witness.expected_changes
     return WitnessReplay(
         witness=witness,
@@ -365,7 +412,7 @@ def replay_witness(
         expected=expected,
         waveform=wave,
         schedule=ordered,
-        netlist=net,
+        netlist=circuit.netlist,
     )
 
 

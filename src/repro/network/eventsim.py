@@ -18,6 +18,7 @@ would *hide* glitches, which is exactly what one must not assume).
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import random
@@ -82,6 +83,8 @@ class EventSimulator:
     ) -> None:
         netlist.validate()
         self.netlist = netlist
+        #: Evaluation order of the stable start state, computed once.
+        self.order = netlist.topological_order()
         self.delays: dict[str, float] = {}
         for node in netlist.gates():
             if gate_delays and node.name in gate_delays:
@@ -106,6 +109,19 @@ class EventSimulator:
         }
         return cls(netlist, delays)
 
+    def retimed(self, gate_delays: Mapping[str, float]) -> "EventSimulator":
+        """This simulator with some gate delays replaced.
+
+        The copy shares the validated netlist, its fanouts and its
+        evaluation order, so nothing is rebuilt or re-checked; its
+        delays are a new table, so neither simulator sees the other's.
+        """
+        clone = copy.copy(self)
+        clone.delays = dict(self.delays)
+        for name, delay in gate_delays.items():
+            clone.delays[name] = float(delay)
+        return clone
+
     def run(
         self,
         start: Mapping[str, bool],
@@ -117,9 +133,18 @@ class EventSimulator:
         ``input_edges`` are (time, input name, new value) triples.
         Returns the waveform of every node, settled to quiescence.
         """
-        stable = self.netlist.evaluate(start)
-        waveforms = {name: Waveform(stable[name]) for name in self.netlist.nodes}
-        values = dict(stable)
+        nodes = self.netlist.nodes
+        values: dict[str, bool] = {}
+        for name in self.order:
+            node = nodes[name]
+            if node.is_input():
+                values[name] = bool(start[name])
+            elif node.is_output():
+                values[name] = values[node.fanins[0]]
+            else:
+                assert node.func is not None
+                values[name] = node.func.evaluate(values)
+        waveforms = {name: Waveform(values[name]) for name in nodes}
 
         counter = itertools.count()
         queue: list[tuple[float, int, str, bool]] = []

@@ -300,6 +300,48 @@ class TestReject:
         assert not certificate.cells_ok
 
 
+class TestWitnessNodeNames:
+    """The replay circuit's internal nodes never take a design's signal
+    names: a design whose input or output is named like a wire, product
+    or OR node certifies like any other."""
+
+    #: (signal of ``f = a·b + a'·c``, the name it takes): fixed node
+    #: names, and the first name the fresh-name scheme reaches.
+    RENAMES = [
+        ("a", "_or"),
+        ("a", "_p0"),
+        ("c", "_w_b_0"),
+        ("f", "_or"),
+        ("f", "_p1"),
+        ("a", "_w1"),
+        ("f", "_w1"),
+    ]
+
+    @staticmethod
+    def certify(names: dict[str, str], source: str):
+        def rename(text: str) -> str:
+            return "".join(names.get(ch, ch) for ch in text)
+
+        mapped = Netlist.from_equations({names["f"]: rename("a*b + a'*c")})
+        spec = Netlist.from_equations({names["f"]: rename(source)})
+        return certify_mapping(spec, mapped)
+
+    @pytest.mark.parametrize("signal,name", RENAMES)
+    @pytest.mark.parametrize(
+        # The consensus form rejects the mapping for a new hazard; the
+        # same form certifies it with shared-hazard replays.
+        "source", ["a*b + a'*c + b*c", "a*b + a'*c"]
+    )
+    def test_colliding_names_certify_like_plain_ones(self, signal, name, source):
+        plain = {ch: ch for ch in "abcf"}
+        expected = self.certify(plain, source)
+        assert expected.replays > 0
+        certificate = self.certify({**plain, signal: name}, source)
+        assert certificate.verdict == expected.verdict
+        assert certificate.replays == expected.replays
+        assert certificate.transitions_checked == expected.transitions_checked
+
+
 class TestDeterminism:
     def test_evidence_digest_is_reproducible(self, cmos3):
         source, mapped = _map_catalog("vanbek-opt", cmos3)

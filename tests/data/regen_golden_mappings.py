@@ -19,6 +19,13 @@ hashes every checked transition's verdict: the hazard oracle's pin.
 For every standard library it also records a SHA-256 over each cell's
 exhaustive hazardous-transition verdict list, in order
 (``annotations[library]``): the annotation cache stores those lists.
+And it certifies, at the defaults, the planted-hazard variant
+(``seed_hazard(mapped, source, seed=0)``) of each benchmark's async
+ACTEL mapping, which must be rejected, and records a SHA-256 over the
+canonical JSON of the whole certificate payload but ``elapsed``
+(``rejections[ACTEL][benchmark]``): the pin on new-hazard replays,
+schedules, counterexamples and violation lines, none of which enter
+an evidence digest.
 ``tests/integration/test_golden_mapping.py`` pins the mapper and the
 certifier against this file, so regenerate it ONLY when a change is
 meant to alter results — and say why in the commit that updates it.
@@ -40,6 +47,7 @@ from repro.conformance import certify_mapping
 from repro.conformance.certifier import DEFAULT_EXHAUSTIVE_LIMIT
 from repro.library.standard import load_library
 from repro.mapping.mapper import MappingOptions, async_tmap, map_network
+from repro.testing.faults import seed_hazard
 
 GOLDEN_PATH = HERE / "golden_mappings.json"
 LIBRARY = "CMOS3"
@@ -47,6 +55,7 @@ EXHAUSTIVE_INPUTS = 8
 DIGEST_LIBRARIES = ("ACTEL", "CMOS3", "LSI", "GDT")
 MODES = ("async", "sync")
 CERTIFICATE_LIBRARIES = ("ACTEL", "CMOS3")
+REJECTION_LIBRARIES = ("ACTEL",)
 
 
 def golden_entry(result, certificate) -> dict:
@@ -81,6 +90,29 @@ def evidence_digests(library) -> dict[str, str]:
         result = async_tmap(network, library, MappingOptions())
         certificate = certify_mapping(network, result.mapped, library)
         digests[name] = certificate.evidence_digest
+    return digests
+
+
+def certificate_digest(certificate) -> str:
+    """SHA-256 over the canonical JSON of a certificate payload, without
+    its wall time."""
+    payload = certificate.to_dict()
+    del payload["elapsed"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def rejection_digests(library) -> dict[str, str]:
+    """Payload digest of the rejected certificate of each catalog
+    benchmark's async mapping with a planted hazard."""
+    digests = {}
+    for name in TABLE5_ORDER:
+        network = synthesize_benchmark(name).netlist(name)
+        result = async_tmap(network, library, MappingOptions())
+        seeded = seed_hazard(result.mapped, network, seed=0)
+        certificate = certify_mapping(network, seeded.netlist, library)
+        assert certificate.verdict == "rejected", name
+        digests[name] = certificate_digest(certificate)
     return digests
 
 
@@ -138,12 +170,17 @@ def main() -> int:
     for library_name in CERTIFICATE_LIBRARIES:
         certificates[library_name] = evidence_digests(load_library(library_name))
         print(f"{library_name}: {len(TABLE5_ORDER)} evidence digests")
+    rejections = {}
+    for library_name in REJECTION_LIBRARIES:
+        rejections[library_name] = rejection_digests(load_library(library_name))
+        print(f"{library_name}: {len(TABLE5_ORDER)} rejection digests")
     payload = {
         "annotations": annotations,
         "library": LIBRARY,
         "benchmarks": golden,
         "digests": digests,
         "certificates": certificates,
+        "rejections": rejections,
     }
     GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

@@ -16,10 +16,11 @@ search the certifier replays, must find a glitch exactly where the
 oracle reports a logic hazard on a function-hazard-free transition.
 
 :func:`repro.hazards.oracle.classify_all` decides each static transition
-cube once and each unordered dynamic pair once; on the same stream it
-must yield exactly what :func:`~repro.hazards.oracle.classify_transition`
-returns on every ordered transition, and the two facts its reuse rests
-on are checked on ``classify_transition`` itself.
+cube once and each unordered dynamic pair once, and yields a verdict
+code per transition; on the same stream its codes must decode to
+exactly what :func:`~repro.hazards.oracle.classify_transition` returns
+on every ordered transition, and the two facts its reuse rests on are
+checked on ``classify_transition`` itself.
 """
 
 from __future__ import annotations
@@ -40,11 +41,16 @@ from repro.boolean.paths import (
 )
 from repro.hazards.multilevel import MAX_EVENTS, transition_has_hazard
 from repro.hazards.oracle import (
+    CODE_FH,
+    CODE_KINDS,
+    CODE_LH,
     TransitionKind,
     TransitionVerdict,
     all_transitions,
     classify_all,
     classify_transition,
+    code_verdict,
+    verdict_code,
 )
 from repro.hazards.transition import (
     dynamic_fhf,
@@ -299,11 +305,11 @@ class TestAgainstReferences:
         assert checked > 35_000
 
     def test_glitch_schedule_exists_exactly_on_logic_hazards(self):
-        """The certifier's replay search is independent of the oracle:
-        on every function-hazard-free transition it finds a glitching
-        order iff the oracle reports a logic hazard.  Walking the
-        lattice lazily, it finds the order a walk over a table of every
-        state finds."""
+        """The certifier's replay search agrees with the oracle: on
+        every function-hazard-free transition it finds a glitching
+        order iff the oracle reports a logic hazard.  Reading the
+        glitching states off one lattice table by mask arithmetic, it
+        finds the order a walk over the states in numeric order finds."""
         hazards = clean = 0
         for lsop in random_lsops(SHALLOW):
             if lsop.nvars > 5:
@@ -340,6 +346,14 @@ def per_transition(lsop: LabeledSop) -> list:
     return verdicts
 
 
+def decoded(lsop: LabeledSop) -> list:
+    """``classify_all``'s codes decoded to verdicts, ``None`` kept."""
+    return [
+        None if code is None else code_verdict(start, end, code)
+        for (start, end), code in zip(all_transitions(lsop.nvars), classify_all(lsop))
+    ]
+
+
 def shape(outcome_):
     """A verdict without its endpoints, or the refusal message."""
     if isinstance(outcome_, str):
@@ -349,8 +363,20 @@ def shape(outcome_):
 
 class TestSharedDecisions:
     def test_classify_all_is_the_per_transition_loop(self):
+        """Decoded, the codes are the per-transition verdicts, and
+        ``None`` stands exactly where ``classify_transition`` raises."""
+        codes = set()
         for lsop in random_lsops(SHALLOW + DEEP):
-            assert list(classify_all(lsop)) == per_transition(lsop)
+            verdicts = per_transition(lsop)
+            assert decoded(lsop) == verdicts
+            codes |= {verdict_code(v) for v in verdicts if v is not None}
+        # Every kind shows up clean, with a function hazard and with a
+        # logic hazard.
+        assert codes == {
+            kind << 2 | bits
+            for kind in range(len(CODE_KINDS))
+            for bits in (0, CODE_FH, CODE_LH)
+        }
 
     def test_static_verdicts_belong_to_the_cube_and_all_reverse(self):
         """Every corner pair of a cube on which f is constant gets the
@@ -417,7 +443,7 @@ class TestLatticeLimit:
         # classify_all yields None exactly where classify_transition
         # refuses, sharing each refusal across the cube's corners and
         # both directions.
-        assert list(classify_all(lsop)) == per_transition(lsop)
+        assert decoded(lsop) == per_transition(lsop)
 
     def test_the_largest_lattice_is_decided(self):
         # Twenty paths of one variable, both polarities: a vacuous

@@ -24,6 +24,7 @@ from repro.boolean.expr import parse
 from repro.boolean.paths import label_cover, label_expression
 from repro.hazards.analyzer import analyze_cover, analyze_expression
 from repro.hazards.multilevel import transition_has_hazard
+from repro.hazards.oracle import TransitionKind, hazardous_transitions
 from repro.hazards.witness import (
     ALL_KINDS,
     KIND_MIC,
@@ -31,6 +32,7 @@ from repro.hazards.witness import (
     KIND_STATIC0,
     KIND_STATIC1,
     HazardWitness,
+    WitnessCircuit,
     analysis_witnesses,
     glitch_schedule,
     replay_witness,
@@ -38,6 +40,8 @@ from repro.hazards.witness import (
     witness_for_record,
     witness_netlist,
 )
+
+from .test_oracle_reference import SHALLOW, random_lsops
 
 
 def _witnesses_of_kind(analysis, kind):
@@ -173,3 +177,46 @@ class TestWitnessInfrastructure:
         capped = analysis_witnesses(analysis, per_class=1)
         kinds = [witness.kind for _, witness in capped]
         assert len(kinds) == len(set(kinds))  # at most one per class
+
+
+def _replay_record(replay):
+    return (
+        replay.glitched,
+        replay.changes,
+        replay.expected,
+        replay.schedule,
+        replay.waveform.initial,
+        replay.waveform.edges,
+    )
+
+
+class TestSharedCircuit:
+    def test_replays_through_one_circuit_equal_fresh_replays(self):
+        """All replays of one implementation may share one circuit:
+        each replay, run in order through the shared circuit, equals
+        the replay through a circuit built for it alone, down to the
+        output's waveform edges, so no replay's delays reach the next."""
+        kinds = {
+            TransitionKind.STATIC_0: KIND_STATIC0,
+            TransitionKind.STATIC_1: KIND_STATIC1,
+            TransitionKind.DYNAMIC: KIND_MIC,
+        }
+        replays = 0
+        for lsop in random_lsops(SHALLOW):
+            if lsop.nvars > 5:
+                continue
+            circuit = WitnessCircuit(lsop)
+            for verdict in hazardous_transitions(lsop):
+                witness = HazardWitness(
+                    kind=kinds[verdict.kind],
+                    start=verdict.start,
+                    end=verdict.end,
+                    nvars=lsop.nvars,
+                    names=tuple(lsop.names),
+                )
+                shared = replay_witness(lsop, witness, circuit=circuit)
+                fresh = replay_witness(lsop, witness)
+                assert _replay_record(shared) == _replay_record(fresh)
+                assert shared.glitched, shared.describe()
+                replays += 1
+        assert replays >= 100

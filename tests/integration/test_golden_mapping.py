@@ -10,8 +10,12 @@ evidence digest of each async ACTEL and CMOS3 mapping's certificate is
 pinned too: it hashes every checked transition's verdict, so a change
 to the hazard oracle must prove it altered none.  So is a SHA-256 over
 every library cell's exhaustive hazardous-transition verdicts, the
-lists the annotation cache stores.  Any intentional change that alters
-results must regenerate the file::
+lists the annotation cache stores.  Last, the planted-hazard variant of
+each async ACTEL mapping must be rejected with a pinned certificate: a
+SHA-256 over its whole payload but the wall time, so new-hazard
+replays, their schedules, counterexamples and violation lines are
+pinned too.  Any intentional change that alters results must
+regenerate the file::
 
     PYTHONPATH=src python tests/data/regen_golden_mappings.py
 
@@ -34,6 +38,7 @@ from repro.conformance import certify_mapping
 from repro.conformance.certifier import DEFAULT_EXHAUSTIVE_LIMIT
 from repro.library.standard import ALL_LIBRARIES, load_library
 from repro.mapping.mapper import MappingOptions, async_tmap, map_network
+from repro.testing.faults import seed_hazard
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_mappings.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -41,6 +46,9 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 #: Libraries whose catalog certificates are pinned: ACTEL is where the
 #: hazard filter fires, CMOS3 the golden library.
 CERTIFICATE_LIBRARIES = ("ACTEL", "CMOS3")
+
+#: Libraries whose planted-hazard rejections are pinned.
+REJECTION_LIBRARIES = ("ACTEL",)
 
 #: Networks with at most this many inputs get every transition of every
 #: output classified, past the certifier's default of 6 support
@@ -78,6 +86,9 @@ def test_golden_file_covers_the_whole_catalog():
     for digests in GOLDEN["certificates"].values():
         assert sorted(digests) == sorted(TABLE5_ORDER)
     assert sorted(GOLDEN["annotations"]) == sorted(ALL_LIBRARIES)
+    assert sorted(GOLDEN["rejections"]) == sorted(REJECTION_LIBRARIES)
+    for digests in GOLDEN["rejections"].values():
+        assert sorted(digests) == sorted(TABLE5_ORDER)
 
 
 @pytest.mark.parametrize(
@@ -149,6 +160,37 @@ def test_certificates_are_byte_identical(library_name, libraries):
             changed.append(bench)
     assert not changed, (
         f"{library_name}: certificate evidence of {changed} changed — "
+        "regenerate tests/data/golden_mappings.json if this is intentional"
+    )
+
+
+def certificate_digest(certificate) -> str:
+    """SHA-256 over the canonical JSON of a certificate payload, without
+    its wall time."""
+    payload = certificate.to_dict()
+    del payload["elapsed"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("library_name", REJECTION_LIBRARIES)
+def test_rejected_certificates_are_byte_identical(library_name, libraries):
+    if library_name not in libraries:
+        libraries[library_name] = load_library(library_name)
+    library = libraries[library_name]
+    expected = GOLDEN["rejections"][library_name]
+    changed = []
+    for bench in TABLE5_ORDER:
+        network = synthesize_benchmark(bench).netlist(bench)
+        result = async_tmap(network, library, MappingOptions())
+        seeded = seed_hazard(result.mapped, network, seed=0)
+        certificate = certify_mapping(network, seeded.netlist, library)
+        assert certificate.verdict == "rejected", bench
+        assert certificate.equivalent and not certificate.hazard_safe, bench
+        if certificate_digest(certificate) != expected[bench]:
+            changed.append(bench)
+    assert not changed, (
+        f"{library_name}: rejected certificate of {changed} changed — "
         "regenerate tests/data/golden_mappings.json if this is intentional"
     )
 
