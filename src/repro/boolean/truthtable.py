@@ -61,23 +61,26 @@ def cofactor(table: int, var: int, value: bool, nvars: int) -> int:
     """Truth table of the cofactor, still over ``nvars`` variables.
 
     The cofactored variable becomes a don't-care dimension (both halves
-    equal), which keeps all tables in one universe.
+    equal), which keeps all tables in one universe.  Bits of ``table``
+    above ``2^nvars`` are ignored; ``nvars <= TT_MAX_VARS``.
     """
-    block = 1 << var
-    period = block << 1
-    result = 0
-    for base in range(0, 1 << nvars, period):
-        lo = (table >> base) & ((1 << block) - 1)
-        hi = (table >> (base + block)) & ((1 << block) - 1)
-        keep = hi if value else lo
-        result |= keep << base
-        result |= keep << (base + block)
-    return result
+    high = projection_masks(nvars)[var]
+    shift = 1 << var
+    if value:
+        half = table & high
+        return half | half >> shift
+    half = table & (table_mask(nvars) ^ high)
+    return half | half << shift
 
 
 def depends_on(table: int, var: int, nvars: int) -> bool:
-    """True iff the function actually depends on variable ``var``."""
-    return cofactor(table, var, False, nvars) != cofactor(table, var, True, nvars)
+    """True iff the function actually depends on variable ``var``.
+
+    Bit ``p`` of ``table ^ table >> 2^var`` compares ``f(p)`` with
+    ``f(p | 2^var)``; only the points where ``var`` is 0 are read.
+    """
+    low = table_mask(nvars) ^ projection_masks(nvars)[var]
+    return bool((table ^ table >> (1 << var)) & low)
 
 
 def support(table: int, nvars: int) -> list[int]:
@@ -118,16 +121,11 @@ def ones_count(table: int, nvars: int) -> int:
 def cofactor_signature(table: int, var: int, nvars: int) -> tuple[int, int]:
     """(|f_{var=0}|, |f_{var=1}|) minterm counts — a permutation-covariant
     per-variable signature used to prune the matching search."""
-    zeros = 0
-    ones = 0
-    bit = 1 << var
-    for point in range(1 << nvars):
-        if table >> point & 1:
-            if point & bit:
-                ones += 1
-            else:
-                zeros += 1
-    return zeros, ones
+    high = projection_masks(nvars)[var]
+    return (
+        (table & (table_mask(nvars) ^ high)).bit_count(),
+        (table & high).bit_count(),
+    )
 
 
 def signature(table: int, nvars: int) -> tuple[int, tuple[tuple[int, int], ...]]:

@@ -23,7 +23,7 @@ Two comparison modes are provided:
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,34 +53,83 @@ from .types import (
 EXHAUSTIVE_MAX_VARS = 7
 
 
-@dataclass
 class HazardAnalysis:
     """The logic-hazard behaviour of one implementation.
 
-    ``plain`` is the label-free flattened SOP (static-hazard-equivalent
-    to the implementation); ``lsop`` the path-labelled flattening used
-    for dynamic/vacuous-term analysis; ``verdicts`` (when computed) the
-    exhaustive list of logic-hazardous transitions.
+    ``lsop`` is the path-labelled flattening used for dynamic and
+    vacuous-term analysis, and the only part the exact filter reads of a
+    subnetwork; ``plain`` the label-free flattened SOP
+    (static-hazard-equivalent to the implementation), by default
+    ``lsop.plain_cover()``; ``verdicts`` (when computed) the exhaustive
+    list of logic-hazardous transitions.
+
+    The four section-4 record lists (``static1``, ``static0``,
+    ``mic_dynamic``, ``sic_dynamic``) are given together, or derived
+    from ``lsop`` by the multilevel procedures the first time one of
+    them is read (:attr:`records_computed` tells whether that happened).
+    A screened cluster thus pays for its records only when the record
+    filter reads them.
     """
 
-    names: list[str]
-    plain: Cover
-    lsop: LabeledSop
-    static1: list[Static1Hazard] = field(default_factory=list)
-    static0: list[Static0Hazard] = field(default_factory=list)
-    mic_dynamic: list[MicDynamicHazard] = field(default_factory=list)
-    sic_dynamic: list[SicDynamicHazard] = field(default_factory=list)
-    verdicts: Optional[list[TransitionVerdict]] = None
+    def __init__(
+        self,
+        names: Sequence[str],
+        lsop: LabeledSop,
+        plain: Optional[Cover] = None,
+        static1: Optional[list[Static1Hazard]] = None,
+        static0: Optional[list[Static0Hazard]] = None,
+        mic_dynamic: Optional[list[MicDynamicHazard]] = None,
+        sic_dynamic: Optional[list[SicDynamicHazard]] = None,
+        verdicts: Optional[list[TransitionVerdict]] = None,
+    ) -> None:
+        self.names = list(names)
+        self.lsop = lsop
+        self._plain = plain
+        self._records = (
+            None
+            if static1 is None
+            else (static1, static0, mic_dynamic, sic_dynamic)
+        )
+        self.verdicts = verdicts
+
+    @property
+    def plain(self) -> Cover:
+        return self._plain if self._plain is not None else self.lsop.plain_cover()
+
+    @property
+    def records_computed(self) -> bool:
+        return self._records is not None
+
+    def _record_lists(self) -> tuple:
+        if self._records is None:
+            lsop = self.lsop
+            self._records = (
+                find_static1_hazards(self.plain),
+                find_static0_hazards(lsop),
+                find_mic_dyn_haz_multilevel(lsop),
+                find_sic_dynamic_hazards(lsop),
+            )
+        return self._records
+
+    @property
+    def static1(self) -> list[Static1Hazard]:
+        return self._record_lists()[0]
+
+    @property
+    def static0(self) -> list[Static0Hazard]:
+        return self._record_lists()[1]
+
+    @property
+    def mic_dynamic(self) -> list[MicDynamicHazard]:
+        return self._record_lists()[2]
+
+    @property
+    def sic_dynamic(self) -> list[SicDynamicHazard]:
+        return self._record_lists()[3]
 
     @property
     def has_hazards(self) -> bool:
-        if self.verdicts is not None:
-            return bool(self.verdicts) or bool(
-                self.static1 or self.static0 or self.mic_dynamic or self.sic_dynamic
-            )
-        return bool(
-            self.static1 or self.static0 or self.mic_dynamic or self.sic_dynamic
-        )
+        return bool(self.verdicts) or any(self._record_lists())
 
     def summary(self) -> HazardSummary:
         return HazardSummary(
@@ -178,17 +227,8 @@ def analyze_expression(
     if names is None:
         names = sorted(expr.support())
     names = list(names)
-    lsop = label_expression(expr, names)
-    plain = lsop.plain_cover()
-    analysis = HazardAnalysis(
-        names=names,
-        plain=plain,
-        lsop=lsop,
-        static1=find_static1_hazards(plain),
-        static0=find_static0_hazards(lsop),
-        mic_dynamic=find_mic_dyn_haz_multilevel(lsop),
-        sic_dynamic=find_sic_dynamic_hazards(lsop),
-    )
+    analysis = HazardAnalysis(names, label_expression(expr, names))
+    analysis._record_lists()  # the whole battery, up front
     if exhaustive:
         analysis.ensure_verdicts()
     if metrics is not None:

@@ -22,11 +22,8 @@ from __future__ import annotations
 
 from ..boolean.paths import LabeledSop
 from .dynamic import find_mic_dyn_haz_2level
-from .transition import lattice_masks, upward_closed
+from .transition import MAX_EVENTS, lattice_masks, upward_closed
 from .types import MicDynamicHazard
-
-#: Refuse lattice analysis past this many changing path literals.
-MAX_EVENTS = 20
 
 
 def _event_table(lsop: LabeledSop, start: int, end: int) -> tuple[int, tuple]:

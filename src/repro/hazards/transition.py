@@ -23,9 +23,8 @@ from typing import Iterator
 from ..boolean.cover import Cover
 from ..boolean.cube import Cube
 
-#: Lattices of up to this many events keep their masks (tables of at
-#: most 2 KiB).  Larger ones are rare and are rebuilt on each use.
-CACHED_EVENTS = 14
+#: Refuse lattice analysis past this many changing path literals.
+MAX_EVENTS = 20
 
 _LATTICES: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
 
@@ -36,6 +35,13 @@ def lattice_masks(k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     State ``s`` is bit ``s`` of a ``2^k``-bit table; ``up[i]`` holds the
     states in which event ``i`` has happened, ``down[i]`` the others,
     and ``full`` every state.
+
+    Every lattice of at most :data:`MAX_EVENTS` events, the largest the
+    oracle decides, is built once and kept: ``2k + 1`` masks of ``2^k``
+    bits, about 9.5 MiB for all 21 lattices, 5 MiB of it at ``k = 20``.  A
+    wider space (only :func:`space_table`'s function-hazard test over
+    more than ``MAX_EVENTS`` changing variables asks for one) is built
+    on each call and not kept.
     """
     cached = _LATTICES.get(k)
     if cached is None:
@@ -51,7 +57,7 @@ def lattice_masks(k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
                 width <<= 1
             up.append(mask)
         cached = (tuple(up), tuple(full ^ mask for mask in up), full)
-        if k <= CACHED_EVENTS:
+        if k <= MAX_EVENTS:
             _LATTICES[k] = cached
     return cached
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Optional
 
+from ..boolean.paths import label_expression
 from ..hazards.analyzer import (
     HazardAnalysis,
-    analyze_expression,
     find_subset_violation,
     hazards_subset,
 )
@@ -52,6 +52,10 @@ class CoverStats:
     ``cluster_cap_hits`` counts cone nodes whose enumeration stopped at
     the per-node cluster cap (``enumerate_clusters``'s
     ``max_clusters_per_node``); it reads 0 on the whole catalog.
+    ``cluster_analyses`` counts screened clusters whose section-4 record
+    lists were computed: only the record filter reads them
+    (``filter_mode="paper"``, or a cell too wide for exhaustive
+    verdicts), so it reads 0 on the catalog at the defaults.
 
     ``CoverStats`` is the per-cone accumulator; the run-level sink is
     the :class:`repro.obs.metrics.MetricsRegistry`
@@ -70,6 +74,7 @@ class CoverStats:
     dc_waivers: int = 0
     filter_invocations: int = 0
     cluster_cap_hits: int = 0
+    cluster_analyses: int = 0
     cones: int = 0
     cone_seconds: float = 0.0
 
@@ -134,9 +139,13 @@ def cover_cone(
     rejected hazardous cell gets a second chance: hazards no specified
     burst can excite are waived (paper section 6's extension).
 
-    Each cluster is analysed at most once per cone, on its first
-    hazardous match; the filter itself is a pure function of (cell,
-    cluster, pin binding) and runs on every hazardous match.
+    Each cluster's path-labelled SOP is built at most once per cone, on
+    its first hazardous match; the filter itself is a pure function of
+    (cell, cluster, pin binding) and runs on every hazardous match.  The
+    exact filter reads only that SOP; a cluster's section-4 record lists
+    are computed, once, only when the record filter reads them
+    (``filter_mode="paper"``, or a cell too wide for exhaustive
+    verdicts), and counted in ``stats.cluster_analyses``.
 
     ``tracer`` (a :class:`repro.obs.tracer.Tracer`) records the two
     phases of the cone — cluster enumeration (section 3.1.3's candidate
@@ -181,15 +190,18 @@ def cover_cone(
             clusters=sum(len(v) for v in clusters.values()),
         )
 
-    # Per-cone memo: repeated hazardous matches on one cluster reuse the
-    # analysis instead of re-running the section-4 algorithms.
+    # Per-cone memo: repeated hazardous matches on one cluster reuse its
+    # labelled SOP, and its record lists once the record filter has
+    # computed them.
     analysis_memo: dict[tuple[str, tuple[str, ...]], HazardAnalysis] = {}
 
     def cluster_analysis(cluster: Cluster, expr) -> HazardAnalysis:
         key = (cluster.root, cluster.leaves)
         analysis = analysis_memo.get(key)
         if analysis is None:
-            analysis = analyze_expression(expr, cluster.leaves)
+            analysis = HazardAnalysis(
+                cluster.leaves, label_expression(expr, cluster.leaves)
+            )
             analysis_memo[key] = analysis
         return analysis
 
@@ -303,6 +315,9 @@ def cover_cone(
             filter_invocations=stats.filter_invocations,
             selections=len(cover.selections),
         )
+    stats.cluster_analyses += sum(
+        analysis.records_computed for analysis in analysis_memo.values()
+    )
     return cover
 
 

@@ -11,9 +11,10 @@ the classical recursive cut enumeration on a tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+from ..boolean.expr import Expr, Var
 from ..network.netlist import Netlist
 from ..network.partition import Cone
 
@@ -25,12 +26,23 @@ class Cluster:
     ``root`` is the cluster output node; ``leaves`` the ordered input
     signals; ``members`` the gate nodes replaced when the cluster is
     chosen; ``depth`` the gate depth between leaves and root.
+
+    ``parts`` holds, per fanin of the root gate, the absorbed child
+    cluster, or ``None`` where the cluster cuts (the fanin is a leaf);
+    :func:`cluster_expression` builds the expression from them.  Parts
+    and the cached expression take no part in equality or hashing.
     """
 
     root: str
     leaves: tuple[str, ...]
     members: frozenset[str]
     depth: int
+    parts: tuple[Optional["Cluster"], ...] = field(
+        default=(), compare=False, repr=False
+    )
+    #: Set by :func:`cluster_expression`; a plain class attribute, not a
+    #: field, so outside the cluster's identity.
+    _expression = None
 
     @property
     def num_inputs(self) -> int:
@@ -72,6 +84,8 @@ def enumerate_clusters(
             if fanin in members and fanin not in leaves:
                 opts.extend(node_clusters(fanin))
             options.append(opts)
+        # The option taken at each fanin on the current path: the parts.
+        chosen: list[Optional[Cluster]] = [None] * len(options)
 
         def combine(index: int, leaf_acc: list[str], member_acc: set[str], depth_acc: int) -> None:
             nonlocal truncated
@@ -94,11 +108,13 @@ def enumerate_clusters(
                         leaves=ordered,
                         members=frozenset(member_acc),
                         depth=depth_acc + 1,
+                        parts=tuple(chosen),
                     )
                 )
                 return
             fanin = node.fanins[index]
             for option in options[index]:
+                chosen[index] = option
                 if option is None:
                     if len(set(leaf_acc) | {fanin}) > max_inputs:
                         continue
@@ -127,11 +143,53 @@ def enumerate_clusters(
     return clusters
 
 
-def cluster_expression(netlist: Netlist, cluster: Cluster):
+def cluster_expression(netlist: Netlist, cluster: Cluster) -> Expr:
     """The cluster's structural expression over its leaf names.
 
     Pure substitution of the member gates' functions — the expression
     mirrors the subnetwork being replaced, which is what both matching
-    (function) and the async filter (structure) need.
+    (function) and the async filter (structure) need.  It equals
+    ``netlist.collapse(cluster.root, stop_at=set(cluster.leaves))``
+    node for node, but is built from the cluster's parts: the root
+    gate's function with each absorbed fanin replaced by its part's
+    expression.  Each expression is built once and kept on its cluster,
+    so a part absorbed by many clusters of a cone is built once.
     """
-    return netlist.collapse(cluster.root, stop_at=set(cluster.leaves))
+    # Parts recurse through ``_expression``, so a timer wrapped around
+    # this function sees one call per cluster covering asks for.
+    return _expression(netlist, cluster)
+
+
+def _expression(netlist: Netlist, cluster: Cluster) -> Expr:
+    expr = cluster._expression
+    if expr is None:
+        expr = _substitute_parts(netlist, cluster)
+        if expr is None:
+            expr = netlist.collapse(cluster.root, stop_at=set(cluster.leaves))
+        # The dataclass is frozen; ``_expression`` is no field of it.
+        object.__setattr__(cluster, "_expression", expr)
+    return expr
+
+
+def _substitute_parts(netlist: Netlist, cluster: Cluster) -> Optional[Expr]:
+    """The root gate's function over its parts' expressions.
+
+    ``None`` when the parts do not define the structure: a cluster
+    built by hand (no parts), or a fanin the gate reads twice through
+    two different child clusters, where only the stop set ``collapse``
+    shares between them does.
+    """
+    node = netlist.nodes[cluster.root]
+    if len(cluster.parts) != len(node.fanins):
+        return None
+    mapping: dict[str, Expr] = {}
+    for fanin, part in zip(node.fanins, cluster.parts):
+        # A fanin the gate reads twice and the cluster cuts at one
+        # position is a leaf at both, as in ``collapse``.
+        if fanin in cluster.leaves:
+            mapping[fanin] = Var(fanin)
+            continue
+        sub = _expression(netlist, part)
+        if mapping.setdefault(fanin, sub) is not sub:
+            return None
+    return node.func.substitute(mapping)

@@ -1,5 +1,7 @@
 """Tests for truth-table utilities used by Boolean matching."""
 
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -39,6 +41,78 @@ class TestBasics:
                 for p in range(16)
             )
             assert (var in support) == flips
+
+
+def cofactor_by_points(table, var, value, nvars):
+    """Reference for ``tt.cofactor``: copy the kept half of each
+    ``2^(var+1)``-bit period into both halves."""
+    block = 1 << var
+    result = 0
+    for base in range(0, 1 << nvars, block << 1):
+        lo = (table >> base) & ((1 << block) - 1)
+        hi = (table >> (base + block)) & ((1 << block) - 1)
+        keep = hi if value else lo
+        result |= keep << base
+        result |= keep << (base + block)
+    return result
+
+
+def depends_on_by_points(table, var, nvars):
+    """Reference for ``tt.depends_on``: the two cofactors differ."""
+    return cofactor_by_points(table, var, False, nvars) != cofactor_by_points(
+        table, var, True, nvars
+    )
+
+
+def cofactor_signature_by_points(table, var, nvars):
+    """Reference for ``tt.cofactor_signature``: count the on-set points
+    on each side of ``var``."""
+    zeros = ones = 0
+    for point in range(1 << nvars):
+        if table >> point & 1:
+            if point >> var & 1:
+                ones += 1
+            else:
+                zeros += 1
+    return zeros, ones
+
+
+class TestMaskKernelsAgainstLoops:
+    """The mask-and-popcount kernels equal their per-point loops,
+    including on tables carrying stray bits above ``2^nvars``."""
+
+    @staticmethod
+    def tables():
+        rng = random.Random(20)
+        for nvars in range(9):
+            size = 1 << nvars
+            for _ in range(60):
+                table = rng.getrandbits(size)
+                yield nvars, table
+                # Stray bits above the table must be ignored.
+                yield nvars, table | rng.getrandbits(24) << size
+
+    def test_cofactor(self):
+        for nvars, table in self.tables():
+            for var in range(nvars):
+                for value in (False, True):
+                    assert tt.cofactor(table, var, value, nvars) == (
+                        cofactor_by_points(table, var, value, nvars)
+                    ), (nvars, table, var, value)
+
+    def test_depends_on(self):
+        for nvars, table in self.tables():
+            for var in range(nvars):
+                assert tt.depends_on(table, var, nvars) == (
+                    depends_on_by_points(table, var, nvars)
+                ), (nvars, table, var)
+
+    def test_cofactor_signature(self):
+        for nvars, table in self.tables():
+            for var in range(nvars):
+                assert tt.cofactor_signature(table, var, nvars) == (
+                    cofactor_signature_by_points(table, var, nvars)
+                ), (nvars, table, var)
 
 
 class TestPermutation:

@@ -25,7 +25,12 @@ ACTEL mapping, which must be rejected, and records a SHA-256 over the
 canonical JSON of the whole certificate payload but ``elapsed``
 (``rejections[ACTEL][benchmark]``): the pin on new-hazard replays,
 schedules, counterexamples and violation lines, none of which enter
-an evidence digest.
+an evidence digest.  Finally, it maps every benchmark onto ACTEL with the
+async mapper under the paper's record-list filter
+(``MappingOptions(filter_mode="paper")``) and records the SHA-256 of
+each mapped BLIF (``paper[ACTEL][benchmark]``): the pin on the one
+path on which a standard library can read a cluster's section-4
+records.
 ``tests/integration/test_golden_mapping.py`` pins the mapper and the
 certifier against this file, so regenerate it ONLY when a change is
 meant to alter results — and say why in the commit that updates it.
@@ -56,6 +61,7 @@ DIGEST_LIBRARIES = ("ACTEL", "CMOS3", "LSI", "GDT")
 MODES = ("async", "sync")
 CERTIFICATE_LIBRARIES = ("ACTEL", "CMOS3")
 REJECTION_LIBRARIES = ("ACTEL",)
+PAPER_LIBRARIES = ("ACTEL",)
 
 
 def golden_entry(result, certificate) -> dict:
@@ -77,6 +83,17 @@ def mapped_digests(library, mode: str) -> dict[str, str]:
     for name in TABLE5_ORDER:
         network = synthesize_benchmark(name).netlist(name)
         result = map_network(network, library, MappingOptions(), mode=mode)
+        digests[name] = text_digest(netlist_blif(result.mapped))
+    return digests
+
+
+def paper_digests(library) -> dict[str, str]:
+    """SHA-256 of the async mapped BLIF of every catalog benchmark under
+    the paper's record-list filter."""
+    digests = {}
+    for name in TABLE5_ORDER:
+        network = synthesize_benchmark(name).netlist(name)
+        result = async_tmap(network, library, MappingOptions(filter_mode="paper"))
         digests[name] = text_digest(netlist_blif(result.mapped))
     return digests
 
@@ -174,6 +191,10 @@ def main() -> int:
     for library_name in REJECTION_LIBRARIES:
         rejections[library_name] = rejection_digests(load_library(library_name))
         print(f"{library_name}: {len(TABLE5_ORDER)} rejection digests")
+    paper = {}
+    for library_name in PAPER_LIBRARIES:
+        paper[library_name] = paper_digests(load_library(library_name))
+        print(f"{library_name}: {len(TABLE5_ORDER)} paper-filter digests")
     payload = {
         "annotations": annotations,
         "library": LIBRARY,
@@ -181,6 +202,7 @@ def main() -> int:
         "digests": digests,
         "certificates": certificates,
         "rejections": rejections,
+        "paper": paper,
     }
     GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

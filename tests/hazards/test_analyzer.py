@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 from repro.boolean.expr import parse
+from repro.boolean.paths import label_expression
 from repro.hazards.analyzer import (
     HazardAnalysis,
     analyze_cover,
@@ -45,6 +46,61 @@ class TestAnalyze:
         wide = " + ".join(f"x{i}*y{i}" for i in range(5))
         analysis = analyze_expression(parse(wide))
         assert analysis.ensure_verdicts() is None
+
+
+def records(analysis):
+    return (
+        analysis.static1,
+        analysis.static0,
+        analysis.mic_dynamic,
+        analysis.sic_dynamic,
+    )
+
+
+class TestRecordsOnFirstRead:
+    """An analysis built from its labelled SOP alone derives the
+    section-4 record lists when one is first read: the same lists
+    ``analyze_expression`` computes up front."""
+
+    def test_derived_records_equal_the_eager_ones(self):
+        for text in [
+            "s'*a + s*b",
+            "(s + b)*(s' + a)",
+            "(w + x')*(w' + y)*(x + z)",
+            "s*a + s'*(b + s*c)",
+        ]:
+            expr = parse(text)
+            names = sorted(expr.support())
+            eager = analyze_expression(expr, names)
+            lazy = HazardAnalysis(names, label_expression(expr, names))
+            assert eager.records_computed
+            assert not lazy.records_computed
+            assert records(lazy) == records(eager), text
+            assert lazy.records_computed
+
+    def test_only_the_record_filter_computes_them(self):
+        # A static-0 hazard (the vacuous s*s' product): the record filter
+        # must read the target's static-0 records.
+        expr = parse("(s + b)*(s' + a)")
+        cell = analyze_expression(expr, MUXN, exhaustive=True)
+        assert cell.static0
+        target = HazardAnalysis(MUXN, label_expression(expr, MUXN))
+        assert hazards_subset(cell, target)
+        assert not target.records_computed  # exact: the labelled SOP only
+        assert hazards_subset(cell, target, mode="paper")
+        assert target.records_computed
+
+    def test_a_cell_too_wide_for_verdicts_reads_them(self):
+        # No exhaustive verdicts past EXHAUSTIVE_MAX_VARS inputs, so the
+        # exact filter falls back to the record lists.
+        expr = parse(" + ".join(f"(s{i} + b{i})*(s{i}' + a{i})" for i in range(3)))
+        names = sorted(expr.support())
+        cell = analyze_expression(expr, names, exhaustive=True)
+        assert cell.ensure_verdicts() is None
+        target = HazardAnalysis(names, label_expression(expr, names))
+        assert hazards_subset(cell, target)
+        assert target.records_computed
+        assert records(target) == records(analyze_expression(expr, names))
 
 
 class TestFilterBasics:

@@ -14,8 +14,10 @@ lists the annotation cache stores.  Last, the planted-hazard variant of
 each async ACTEL mapping must be rejected with a pinned certificate: a
 SHA-256 over its whole payload but the wall time, so new-hazard
 replays, their schedules, counterexamples and violation lines are
-pinned too.  Any intentional change that alters results must
-regenerate the file::
+pinned too.  So is each async ACTEL netlist mapped under the paper's
+record-list filter (``filter_mode="paper"``), the one path on which a
+standard library can read a cluster's section-4 records.  Any
+intentional change that alters results must regenerate the file::
 
     PYTHONPATH=src python tests/data/regen_golden_mappings.py
 
@@ -49,6 +51,9 @@ CERTIFICATE_LIBRARIES = ("ACTEL", "CMOS3")
 
 #: Libraries whose planted-hazard rejections are pinned.
 REJECTION_LIBRARIES = ("ACTEL",)
+
+#: Libraries whose async netlists under ``filter_mode="paper"`` are pinned.
+PAPER_LIBRARIES = ("ACTEL",)
 
 #: Networks with at most this many inputs get every transition of every
 #: output classified, past the certifier's default of 6 support
@@ -89,6 +94,9 @@ def test_golden_file_covers_the_whole_catalog():
     assert sorted(GOLDEN["rejections"]) == sorted(REJECTION_LIBRARIES)
     for digests in GOLDEN["rejections"].values():
         assert sorted(digests) == sorted(TABLE5_ORDER)
+    assert sorted(GOLDEN["paper"]) == sorted(PAPER_LIBRARIES)
+    for digests in GOLDEN["paper"].values():
+        assert sorted(digests) == sorted(TABLE5_ORDER)
 
 
 @pytest.mark.parametrize(
@@ -104,12 +112,32 @@ def test_mapped_blifs_are_byte_identical(library_name, mode, libraries):
     for bench in TABLE5_ORDER:
         network = synthesize_benchmark(bench).netlist(bench)
         result = map_network(network, library, MappingOptions(), mode=mode)
-        # The per-node cluster cap never truncates on the catalog.
+        # The per-node cluster cap never truncates on the catalog, and
+        # the exact filter never needs a cluster's record lists.
         assert result.stats.cluster_cap_hits == 0, bench
+        assert result.stats.cluster_analyses == 0, bench
         if text_digest(netlist_blif(result.mapped)) != expected[bench]:
             changed.append(bench)
     assert not changed, (
         f"{library_name} {mode}: mapped BLIF of {changed} changed — "
+        "regenerate tests/data/golden_mappings.json if this is intentional"
+    )
+
+
+@pytest.mark.parametrize("library_name", PAPER_LIBRARIES)
+def test_paper_filter_blifs_are_byte_identical(library_name, libraries):
+    if library_name not in libraries:
+        libraries[library_name] = load_library(library_name)
+    library = libraries[library_name]
+    expected = GOLDEN["paper"][library_name]
+    changed = []
+    for bench in TABLE5_ORDER:
+        network = synthesize_benchmark(bench).netlist(bench)
+        result = async_tmap(network, library, MappingOptions(filter_mode="paper"))
+        if text_digest(netlist_blif(result.mapped)) != expected[bench]:
+            changed.append(bench)
+    assert not changed, (
+        f"{library_name} paper filter: mapped BLIF of {changed} changed — "
         "regenerate tests/data/golden_mappings.json if this is intentional"
     )
 

@@ -12,7 +12,7 @@ from repro.library import Library, minimal_teaching_library
 from repro.library.standard import load_library
 from repro.mapping.cover import ConeCover, CoverStats, cover_cone
 from repro.mapping.cuts import enumerate_clusters
-from repro.mapping.mapper import async_tmap
+from repro.mapping.mapper import MappingOptions, async_tmap
 from repro.network.decompose import async_tech_decomp
 from repro.network.netlist import Netlist
 from repro.network.partition import partition
@@ -149,6 +149,23 @@ GAPPED_SPEC = [
     ("AO22", "a*b + c*d", None, 2.0),
     ("OA22", "(a + b)*(c + d)", None, 2.0),
 ]
+
+
+class TestClusterRecordAnalyses:
+    @pytest.mark.parametrize("filter_mode", ["exact", "paper"])
+    def test_only_the_record_filter_computes_cluster_records(self, filter_mode):
+        # The inverting mux matches ACTEL's MUX21I_1X, whose static-0
+        # record the paper filter checks against the cluster's records;
+        # the exact filter reads only the cluster's labelled SOP.
+        result = async_tmap(
+            Netlist.from_equations({"f": "(s*a + s'*b)'"}),
+            load_library("ACTEL"),
+            MappingOptions(filter_mode=filter_mode),
+        )
+        assert result.cell_usage() == {"MUX21I_1X": 1}
+        analyses = result.stats.cluster_analyses
+        assert (analyses > 0) == (filter_mode == "paper")
+        assert result.metrics.counter("cover.cluster_analyses").value == analyses
 
 
 class TestMatchOnlyWhatTheLibraryCan:

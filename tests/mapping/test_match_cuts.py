@@ -1,12 +1,15 @@
 """Tests for cluster enumeration and Boolean matching."""
 
+import pytest
+
 from repro.boolean.expr import parse
+from repro.burstmode.benchmarks import synthesize_benchmark
 from repro.library import minimal_teaching_library
 from repro.mapping.cuts import cluster_expression, enumerate_clusters
 from repro.mapping.match import expression_truth_table, match_cluster
 from repro.network.decompose import async_tech_decomp
 from repro.network.netlist import Netlist
-from repro.network.partition import partition
+from repro.network.partition import Cone, partition
 
 
 def decomposed_single_cone(equations):
@@ -57,6 +60,57 @@ class TestClusterEnumeration:
                 full = decomposed.evaluate(env)
                 cluster_env = {leaf: full[leaf] for leaf in cluster.leaves}
                 assert expr.evaluate(cluster_env) == full[cluster.root]
+
+
+def assert_expressions_equal_collapse(netlist, clusters):
+    """Every cluster's part-built expression is node for node the
+    reference ``collapse`` at its leaves; returns the cluster count."""
+    count = 0
+    for group in clusters.values():
+        for cluster in group:
+            expected = netlist.collapse(cluster.root, stop_at=set(cluster.leaves))
+            assert cluster_expression(netlist, cluster) == expected, cluster
+            count += 1
+    return count
+
+
+class TestClusterExpressionFromParts:
+    @pytest.mark.parametrize("design", ["dme-fast", "pe-send-ifc", "oscsi-ctrl", "abcs"])
+    @pytest.mark.parametrize("max_inputs", [6, 8])  # ACTEL's widest cell; default
+    def test_equals_collapse_on_catalog_cones(self, design, max_inputs):
+        decomposed = async_tech_decomp(synthesize_benchmark(design).netlist(design))
+        count = 0
+        for cone in partition(decomposed):
+            clusters = enumerate_clusters(decomposed, cone, max_inputs=max_inputs)
+            count += assert_expressions_equal_collapse(decomposed, clusters)
+        assert count > 100
+
+    def test_gate_reading_one_fanin_twice(self):
+        # g reads x at fanin positions 0 and 2.  x (two clusters: cut t,
+        # or absorb it) is a cone member here, so g's clusters cut x at
+        # one position and absorb it at the other, or absorb two
+        # different clusters of x; ``collapse`` makes x a leaf at both
+        # positions as soon as one cuts it.
+        net = Netlist()
+        for name in "abcd":
+            net.add_input(name)
+        net.add_gate("t", parse("a*b"))
+        net.add_gate("x", parse("t + c"))
+        net.add_gate("g", parse("x*d + x'"), fanins=["x", "d", "x"])
+        cone = Cone(root="g", members=["g", "x", "t"], leaves=list("abcd"))
+        clusters = enumerate_clusters(net, cone)
+        assert len(clusters["x"]) == 2
+        assert len(clusters["g"]) == 9
+        assert assert_expressions_equal_collapse(net, clusters) == 12
+        # The clusters that cut x at one position and absorb it at the
+        # other see x as a leaf at both.
+        mixed = [
+            c for c in clusters["g"]
+            if "x" in c.leaves and "t" in c.members | set(c.leaves)
+        ]
+        assert mixed
+        for cluster in mixed:
+            assert cluster_expression(net, cluster) == parse("x*d + x'")
 
 
 class TestMatching:
