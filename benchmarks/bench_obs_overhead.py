@@ -3,14 +3,12 @@
 The tracing/metrics design budget is <5% overhead with tracing
 *disabled* (the default: every instrumented call site sees
 ``NULL_TRACER``, a shared no-op context manager).  This harness
-measures five configurations over the whole Table-5 catalog on ACTEL
+measures four configurations over the whole Table-5 catalog on ACTEL
 and CMOS3 and reports relative cost:
 
 * ``baseline``  — no tracer, no registry (post-instrumentation default);
 * ``metrics``   — a live ``MetricsRegistry`` (absorbed once per run);
 * ``traced``    — a live ``Tracer`` recording the full span tree;
-* ``logged``    — tracer plus a live ``repro-log/v1`` event handler
-  (the ``--log FILE`` configuration, events written to disk);
 * ``explain``   — the full decision-provenance recorder
   (``MappingOptions(explain=True)``), including witness extraction for
   every hazard rejection.
@@ -35,7 +33,6 @@ import time
 
 from repro.burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
 from repro.mapping.mapper import MappingOptions, async_tmap
-from repro.obs.log import event_log
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.reporting import render_table
@@ -70,22 +67,13 @@ def run_workload(
     return time.perf_counter() - start
 
 
-def run_logged(annotated_libraries, log_path) -> float:
-    """The ``--log FILE`` configuration: tracer plus live event handler."""
-    with event_log(log_path):
-        return run_workload(annotated_libraries, tracer=Tracer())
-
-
-def test_observability_overhead(annotated_libraries, tmp_path):
+def test_observability_overhead(annotated_libraries):
     configs = {
         "baseline": lambda: run_workload(annotated_libraries),
         "metrics": lambda: run_workload(
             annotated_libraries, metrics=MetricsRegistry()
         ),
         "traced": lambda: run_workload(annotated_libraries, tracer=Tracer()),
-        "logged": lambda: run_logged(
-            annotated_libraries, tmp_path / "events.jsonl"
-        ),
         "explain": lambda: run_workload(annotated_libraries, explain=True),
     }
     timings = {name: [] for name in configs}
@@ -107,9 +95,7 @@ def test_observability_overhead(annotated_libraries, tmp_path):
         "per match.  Enabled tracing stays cheap because spans are "
         "per-phase/per-cone; enabled explain does per-candidate work\n"
         "(records plus witness extraction per hazard rejection), so its "
-        "row is expected to cost real time.  The logged row shares the "
-        "traced budget: events fire per run (map.done), never per cone\n"
-        "or per match, so an attached --log handler stays in the noise."
+        "row is expected to cost real time."
     )
     emit(
         "obs_overhead",

@@ -238,19 +238,6 @@ def run_map(
         # fired this attempt, so the fallback pass runs clean.
         fallback = "trivial-cover"
         deadline_site = exc.site
-        from ..obs import log as obs_log
-
-        if obs_log.enabled():
-            obs_log.event(
-                "repro.api",
-                "map.fallback",
-                level="warning",
-                trace_id=getattr(tracer, "trace_id", None),
-                design=request.design_name,
-                library=request.library,
-                deadline_seconds=request.deadline_seconds,
-                deadline_site=deadline_site,
-            )
         fallback_options = _mapping_options(
             request,
             cache_dir=cache_dir,

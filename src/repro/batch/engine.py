@@ -46,7 +46,6 @@ from typing import Callable, Optional, Sequence, Union
 
 from ..deadline import DeadlineExceeded
 from ..library import anncache
-from ..obs import log as obs_log
 from ..obs.export import BENCH_SCHEMA, bench_row
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, SpanContext, Tracer
@@ -330,24 +329,6 @@ class _Engine:
             sum(1 for root in grafted for _ in root.walk())
         )
 
-    def _event(self, state: Optional[_JobState], name: str, **fields) -> None:
-        """Emit one engine event, correlated to the batch trace."""
-        if not obs_log.enabled():
-            return
-        span = None
-        if state is not None and state.span is not None:
-            span = state.span
-        elif self._span is not None:
-            span = self._span
-        obs_log.event(
-            "repro.batch",
-            name,
-            trace_id=self.tracer.trace_id,
-            span_id=getattr(span, "span_id", None) or None,
-            job_id=state.job.job_id if state is not None else None,
-            **fields,
-        )
-
     # -- settlement ------------------------------------------------------
     def _settle_success(self, state: _JobState, payload: dict) -> None:
         record = dict(payload)
@@ -359,11 +340,6 @@ class _Engine:
         if record.get("fallback"):
             self.metrics.counter("batch.jobs_fallback").inc()
             self.metrics.counter("batch.deadline_hits").inc()
-            self._event(
-                state, "job.fallback",
-                fallback=record["fallback"],
-                deadline_site=record.get("deadline_site"),
-            )
         if self.output_dir is not None:
             self.output_dir.mkdir(parents=True, exist_ok=True)
             artifact = state.job.artifact_name()
@@ -384,12 +360,6 @@ class _Engine:
             record.get("worker_seconds", 0.0)
         )
         self.metrics.histogram("batch.attempts").observe(state.attempt)
-        self._event(
-            state, "job.ok",
-            attempts=state.attempt,
-            worker_seconds=record.get("worker_seconds"),
-            area=record.get("area"),
-        )
         span = state.span
         self._finish_span(state, "ok")
         self._graft_worker_trace(span, trace)
@@ -410,10 +380,6 @@ class _Engine:
         self.records[state.index] = record
         self.metrics.counter("batch.jobs_failed").inc()
         self.metrics.histogram("batch.attempts").observe(state.attempt)
-        self._event(
-            state, "job.failed", level="warning",
-            status=status, error=error, attempts=state.attempt,
-        )
         self._finish_span(state, status)
         self._journal_result(record)
         self._progress(record)
@@ -446,11 +412,6 @@ class _Engine:
         state.backoffs.append(delay)
         state.next_eligible = time.monotonic() + delay
         self.metrics.counter("batch.retries").inc()
-        self._event(
-            state, "job.retry", level="warning",
-            attempt=state.attempt, reason=failure.reason,
-            backoff_seconds=round(delay, 4),
-        )
         self._finish_span(state, f"retry:{failure.reason}")
         return True
 
@@ -490,10 +451,6 @@ class _Engine:
         """
         self.pool_breaks += 1
         self.metrics.counter("batch.pool_breaks").inc()
-        self._event(
-            None, "batch.quarantine", level="warning",
-            jobs=[s.job.job_id for s in survivors],
-        )
         self.backend.restart()
         for state in sorted(survivors, key=lambda s: s.index):
             self._finish_span(state, "pool-break")
@@ -613,22 +570,6 @@ class _Engine:
         elapsed = time.perf_counter() - started
         self.metrics.gauge("batch.elapsed_seconds").set(round(elapsed, 4))
         results = [self.records[index] for index in range(len(self.jobs))]
-        if obs_log.enabled():
-            counts: dict[str, int] = {}
-            for record in results:
-                status = str(record.get("status"))
-                counts[status] = counts.get(status, 0) + 1
-            obs_log.event(
-                "repro.batch",
-                "batch.done",
-                trace_id=self.tracer.trace_id,
-                span_id=getattr(self._span, "span_id", None) or None,
-                jobs=len(self.jobs),
-                counts=counts,
-                elapsed_seconds=round(elapsed, 4),
-                backend=self.backend.name,
-                workers=self.workers,
-            )
         return BatchReport(
             results=results,
             backend=self.backend.name,

@@ -37,7 +37,6 @@ from ..api.facade import (
 )
 from ..api.schema import BATCH_OPTION_NAMES, ApiError, MapRequest, MapResponse
 from ..library import anncache
-from ..obs import log as obs_log
 from ..obs.tracer import SpanContext, Tracer
 from ..testing import faults
 from ..testing.faults import FaultPlan
@@ -174,24 +173,19 @@ def execute_job(
     )
     try:
         started = time.perf_counter()
-        with obs_log.log_context(
-            job_id=job.job_id,
-            trace_id=tracer.trace_id if tracer is not None else None,
-            attempt=attempt,
-        ):
-            library = shared_library(job.library)
-            request = job.to_request(deadline_seconds)
-            if result_cache:
-                import dataclasses
+        library = shared_library(job.library)
+        request = job.to_request(deadline_seconds)
+        if result_cache:
+            import dataclasses
 
-                request = dataclasses.replace(request, result_cache=True)
-            response = execute_map(
-                request,
-                library=library,
-                cache_dir=cache_dir,
-                metrics=metrics,
-                tracer=tracer,
-            )
+            request = dataclasses.replace(request, result_cache=True)
+        response = execute_map(
+            request,
+            library=library,
+            cache_dir=cache_dir,
+            metrics=metrics,
+            tracer=tracer,
+        )
         payload = _result_payload(job, response)
         payload["worker_seconds"] = round(time.perf_counter() - started, 4)
         if tracer is not None:

@@ -104,6 +104,7 @@ class LabeledSop:
         self.index = {name: i for i, name in enumerate(self.names)}
         self._plain: Optional[Cover] = None
         self._path_literals: Optional[tuple] = None
+        self._path_wires: tuple[tuple[str, int], ...] = ()
 
     @property
     def nvars(self) -> int:
@@ -137,9 +138,10 @@ class LabeledSop:
     def path_literals(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Each product as ``(variable bit, path id, phase bit)`` triples.
 
-        The path id numbers the distinct ``(name, path)`` wires; the
-        phase bit is the variable bit of a positive literal, else 0.
-        Compiled once, like :meth:`plain_cover`.
+        The path id numbers the distinct ``(name, path)`` wires, which
+        :meth:`path_wires` lists in id order; the phase bit is the
+        variable bit of a positive literal, else 0.  Compiled once, like
+        :meth:`plain_cover`.
         """
         if self._path_literals is None:
             ids: dict[tuple[str, int], int] = {}
@@ -154,7 +156,13 @@ class LabeledSop:
                 )
                 for product in self.products
             )
+            self._path_wires = tuple(ids)
         return self._path_literals
+
+    def path_wires(self) -> tuple[tuple[str, int], ...]:
+        """The ``(name, path)`` wire of each :meth:`path_literals` id."""
+        self.path_literals()
+        return self._path_wires
 
     def __len__(self) -> int:
         return len(self.products)

@@ -86,9 +86,6 @@ RESULT_CACHE_VERSION = 3
 RESULT_SCHEMA = "repro-result-cache/v1"
 
 _ENV_TOGGLE = "REPRO_RESULT_CACHE"
-_ENV_MAX_ENTRIES = "REPRO_RESULT_CACHE_MAX_ENTRIES"
-_ENV_MAX_BYTES = "REPRO_RESULT_CACHE_MAX_BYTES"
-_ENV_MEMORY_ENTRIES = "REPRO_RESULT_CACHE_MEMORY_ENTRIES"
 
 #: Disk-tier bounds (both enforced after every store, oldest first).
 DEFAULT_MAX_ENTRIES = 256
@@ -110,16 +107,6 @@ RESULT_KEY_FIELDS = (
     "verify",
     "explain",
 )
-
-
-def _int_env(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return default
 
 
 def resolve_result_cache_dir(cache_dir: CacheDir = None) -> Optional[Path]:
@@ -264,7 +251,7 @@ class MemoryTier:
 
 #: The process-wide memory tier (the daemon's and batch workers' warm
 #: path).  Tests size it down or :func:`clear_result_cache` it.
-MEMORY = MemoryTier(_int_env(_ENV_MEMORY_ENTRIES, DEFAULT_MEMORY_ENTRIES))
+MEMORY = MemoryTier()
 
 
 # ----------------------------------------------------------------------
@@ -357,21 +344,13 @@ class ResultCache:
         self,
         cache_dir: CacheDir = None,
         memory: Optional[MemoryTier] = None,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
+        max_bytes: int = DEFAULT_MAX_BYTES,
     ) -> None:
         self.disk_dir = resolve_result_cache_dir(cache_dir)
         self.memory = memory if memory is not None else MEMORY
-        self.max_entries = (
-            max_entries
-            if max_entries is not None
-            else _int_env(_ENV_MAX_ENTRIES, DEFAULT_MAX_ENTRIES)
-        )
-        self.max_bytes = (
-            max_bytes
-            if max_bytes is not None
-            else _int_env(_ENV_MAX_BYTES, DEFAULT_MAX_BYTES)
-        )
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
 
     # -- lookup -----------------------------------------------------
     def lookup(self, key: str, metrics=None) -> Optional[tuple[str, dict]]:

@@ -757,11 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record the run as a repro-trace/v1 span tree at FILE",
     )
     map_cmd.add_argument(
-        "--log",
-        metavar="FILE",
-        help="append repro-log/v1 structured events to FILE",
-    )
-    map_cmd.add_argument(
         "--metrics",
         action="store_true",
         help="print the run's metrics snapshot",
@@ -882,11 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="FILE",
         help="record the run as a repro-trace/v1 span tree at FILE",
-    )
-    batch.add_argument(
-        "--log",
-        metavar="FILE",
-        help="append repro-log/v1 structured events to FILE",
     )
     batch.add_argument(
         "--metrics",
@@ -1046,12 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the service's repro-trace/v1 span forest at shutdown",
     )
     serve_cmd.add_argument(
-        "--log",
-        metavar="FILE",
-        help="append repro-log/v1 structured events (including the "
-        "per-request access log) to FILE",
-    )
-    serve_cmd.add_argument(
         "--metrics-file",
         metavar="FILE",
         help="write the repro-metrics/v1 snapshot at shutdown",
@@ -1099,20 +1083,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    log_path = getattr(args, "log", None)
-    if not log_path:
-        return args.func(args)
-    # --log: every structured event the command (and, on in-process
-    # backends, its workers) emits goes to one JSON-lines file.  The
-    # handler is installed before any pool is created so forked
-    # process-pool workers inherit it.
-    from .obs.log import close_event_log, configure_event_log
-
-    handler = configure_event_log(log_path)
-    try:
-        return args.func(args)
-    finally:
-        close_event_log(handler)
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -39,9 +39,7 @@ it, and every ``verify`` verdict (``repro map --verify``, ``repro batch
 defaults.
 
 Outputs whose support exceeds ``exhaustive_limit`` are *sampled*, not
-proven; the ``conformance.outputs_sampled`` counter and the
-``sampled_outputs`` field of the ``certify.verdict`` log event say how
-many.
+proven; the ``conformance.outputs_sampled`` counter says how many.
 
 Every run emits a :class:`Certificate` whose ``to_dict`` payload is
 stamped ``schema: repro-cert/v1`` and carries per-output SHA-256
@@ -559,23 +557,6 @@ def certify_mapping(
     certificate.evidence_digest = overall.hexdigest()
     certificate.elapsed = time.perf_counter() - started
     sampled = sum(1 for e in certificate.outputs if e.method == "sampled")
-    from ..obs import log as obs_log
-
-    if obs_log.enabled():
-        obs_log.event(
-            "repro.conformance",
-            "certify.verdict",
-            level="info" if certificate.certified else "warning",
-            trace_id=getattr(tracer, "trace_id", None),
-            design=certificate.design,
-            library=certificate.library,
-            verdict=certificate.verdict,
-            violations=len(certificate.violations),
-            outputs_checked=certificate.outputs_checked,
-            sampled_outputs=sampled,
-            transitions_checked=certificate.transitions_checked,
-            elapsed_seconds=round(certificate.elapsed, 4),
-        )
     if metrics is not None:
         metrics.counter("conformance.certificates").inc()
         if not certificate.certified:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .witness import HazardWitness
@@ -259,20 +259,41 @@ def hazards_subset(
     ``mapping[i]`` (the Boolean match's pin binding); identity when
     omitted.  See the module docstring for the two modes.
     """
-    if mapping is None:
-        mapping = list(range(cell.nvars))
-    mapping = list(mapping)
+    mapping = _binding(cell, mapping)
+    return next(_offences(cell, target, mapping, mode), None) is None
+
+
+def _binding(cell: HazardAnalysis, mapping: Optional[Sequence[int]]) -> list[int]:
+    return list(range(cell.nvars)) if mapping is None else list(mapping)
+
+
+def _offences(
+    cell: HazardAnalysis,
+    target: HazardAnalysis,
+    mapping: list[int],
+    mode: str,
+) -> Iterator[object]:
+    """Each hazard of ``cell`` that ``target`` does not share, in a fixed
+    order and lazily: the one walk behind :func:`hazards_subset` and
+    :func:`find_subset_violation`.
+
+    The exact mode yields the cell's :class:`TransitionVerdict` objects
+    whose transition, carried through ``mapping``, does not glitch the
+    target.  The record walk (``"paper"``, or a cell too wide to
+    enumerate) yields cell-space section-4 records.
+    """
     if mode == "exact":
         verdicts = cell.ensure_verdicts()
         if verdicts is not None:
+            nvars = cell.nvars
             for verdict in verdicts:
-                start = _map_point(verdict.start, mapping, cell.nvars)
-                end = _map_point(verdict.end, mapping, cell.nvars)
+                start = _map_point(verdict.start, mapping, nvars)
+                end = _map_point(verdict.end, mapping, nvars)
                 if not transition_has_hazard(target.lsop, start, end):
-                    return False
-            return True
-        # Too large to enumerate — fall through to the record filter.
-    return _paper_filter(cell, target, mapping)
+                    yield verdict
+            return
+        # Too large to enumerate — fall through to the record walk.
+    yield from _record_offences(cell, target, mapping)
 
 
 def _condition_exhibited(records, var: int, condition: Cover, nvars: int) -> bool:
@@ -294,39 +315,43 @@ def _condition_exhibited(records, var: int, condition: Cover, nvars: int) -> boo
     return union.contains_cover(condition)
 
 
-def _paper_filter(
+def _record_offences(
     cell: HazardAnalysis,
     target: HazardAnalysis,
     mapping: list[int],
-) -> bool:
-    """The record-list filter, per hazard class (paper section 3.2.2)."""
+) -> Iterator[object]:
+    """The record-list walk, per hazard class (paper section 3.2.2)."""
     nvars = target.nvars
 
     # Static-1: exact two-cover criterion — every transition safe in the
     # cell must be safe in the target, i.e. every cube of the target's
     # flattened cover lies inside a single cube of the mapped cell cover.
+    # A cube that is not names the cell's own hazard record, mapped back
+    # through the (injective) binding.
     mapped_cell_cover = cell.plain.remap(mapping, nvars)
     for cube in target.plain.dedup():
         if not mapped_cell_cover.single_cube_contains(cube):
-            return False
+            inverse = [0] * nvars
+            for i, m in enumerate(mapping):
+                inverse[m] = i
+            yield Static1Hazard(cube.remap(inverse, cell.nvars))
 
     for s0 in cell.static0:
         mapped = s0.remap(mapping, nvars)
         if not _condition_exhibited(
             target.static0, mapped.var, mapped.condition, nvars
         ):
-            return False
+            yield s0
     for sic in cell.sic_dynamic:
         mapped = sic.remap(mapping, nvars)
         if not _condition_exhibited(
             target.sic_dynamic, mapped.var, mapped.condition, nvars
         ):
-            return False
+            yield sic
     for dyn in cell.mic_dynamic:
         mapped = dyn.remap(mapping, nvars)
         if not transition_has_hazard(target.lsop, mapped.start, mapped.end):
-            return False
-    return True
+            yield dyn
 
 
 @dataclass(frozen=True)
@@ -356,85 +381,33 @@ def find_subset_violation(
 ) -> Optional[SubsetViolation]:
     """First hazard of ``cell`` that ``target`` does not share.
 
-    The provenance twin of :func:`hazards_subset`: same walk, same
-    modes, but instead of a verdict it returns the offending hazard —
-    ``None`` iff the filter would accept.  Pure and deterministic (the
-    record lists and verdicts are in fixed order), so the explain layer
-    gets identical reasons on every run.
+    The provenance twin of :func:`hazards_subset`: the same walk, but
+    instead of a verdict it returns the first offending hazard with a
+    witness — ``None`` iff the filter would accept.  Pure and
+    deterministic (the record lists and verdicts are in fixed order), so
+    the explain layer gets identical reasons on every run.
     """
-    from .witness import witness_for_verdict
+    from .witness import witness_for_record, witness_for_verdict
 
-    if mapping is None:
-        mapping = list(range(cell.nvars))
-    mapping = list(mapping)
-    if mode == "exact":
-        verdicts = cell.ensure_verdicts()
-        if verdicts is not None:
-            for verdict in verdicts:
-                start = _map_point(verdict.start, mapping, cell.nvars)
-                end = _map_point(verdict.end, mapping, cell.nvars)
-                if not transition_has_hazard(target.lsop, start, end):
-                    witness = witness_for_verdict(verdict, cell)
-                    return SubsetViolation(
-                        witness.kind, witness.detail, witness, start, end
-                    )
-            return None
-        # Too large to enumerate — fall through to the record walk.
-    return _paper_violation(cell, target, mapping)
-
-
-def _paper_violation(
-    cell: HazardAnalysis,
-    target: HazardAnalysis,
-    mapping: list[int],
-) -> Optional[SubsetViolation]:
-    """Record-list walk mirroring :func:`_paper_filter`, returning the
-    first offending record instead of a bare verdict."""
-    from .witness import witness_for_record
-
-    nvars = target.nvars
-
-    def violation_from(record) -> SubsetViolation:
-        witness = witness_for_record(record, cell)
-        if witness is not None:
-            start = _map_point(witness.start, mapping, cell.nvars)
-            end = _map_point(witness.end, mapping, cell.nvars)
-        else:  # no spanning transition (degenerate record) — still report
-            start = end = 0
-        kind = witness.kind if witness is not None else "unknown"
-        return SubsetViolation(
-            kind, record.describe(cell.names), witness, start, end
-        )
-
-    # Static-1: a target cube not held by one mapped cell cube means the
-    # cell is hazardous over that subcube where the target is safe; map
-    # the cube back through the (injective) binding to name the cell's
-    # own hazard record.
-    mapped_cell_cover = cell.plain.remap(mapping, nvars)
-    inverse = [0] * nvars
-    for i, m in enumerate(mapping):
-        inverse[m] = i
-    for cube in target.plain.dedup():
-        if not mapped_cell_cover.single_cube_contains(cube):
-            return violation_from(Static1Hazard(cube.remap(inverse, cell.nvars)))
-
-    for s0 in cell.static0:
-        mapped = s0.remap(mapping, nvars)
-        if not _condition_exhibited(
-            target.static0, mapped.var, mapped.condition, nvars
-        ):
-            return violation_from(s0)
-    for sic in cell.sic_dynamic:
-        mapped = sic.remap(mapping, nvars)
-        if not _condition_exhibited(
-            target.sic_dynamic, mapped.var, mapped.condition, nvars
-        ):
-            return violation_from(sic)
-    for dyn in cell.mic_dynamic:
-        mapped = dyn.remap(mapping, nvars)
-        if not transition_has_hazard(target.lsop, mapped.start, mapped.end):
-            return violation_from(dyn)
-    return None
+    mapping = _binding(cell, mapping)
+    offence = next(_offences(cell, target, mapping, mode), None)
+    if offence is None:
+        return None
+    if isinstance(offence, TransitionVerdict):
+        witness = witness_for_verdict(offence, cell)
+        detail = witness.detail
+    else:
+        witness = witness_for_record(offence, cell)
+        detail = offence.describe(cell.names)
+    if witness is None:  # no spanning transition (degenerate record)
+        return SubsetViolation("unknown", detail, None, 0, 0)
+    return SubsetViolation(
+        witness.kind,
+        detail,
+        witness,
+        _map_point(witness.start, mapping, cell.nvars),
+        _map_point(witness.end, mapping, cell.nvars),
+    )
 
 
 def static1_census(cover: Cover) -> list[Static1Hazard]:

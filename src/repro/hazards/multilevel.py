@@ -26,9 +26,12 @@ from .transition import MAX_EVENTS, lattice_masks, upward_closed
 from .types import MicDynamicHazard
 
 
-def _event_table(lsop: LabeledSop, start: int, end: int) -> tuple[int, tuple]:
-    """The output over the transition's event lattice, and its
-    :func:`~repro.hazards.transition.lattice_masks`.
+def _event_table(
+    lsop: LabeledSop, start: int, end: int
+) -> tuple[int, tuple, dict[int, int]]:
+    """The output over the transition's event lattice, its
+    :func:`~repro.hazards.transition.lattice_masks`, and the
+    ``path id -> event`` numbering.
 
     Each changing labelled literal (physical path) is an event, numbered
     in order of first appearance; bit ``s`` of the table is the output
@@ -63,7 +66,7 @@ def _event_table(lsop: LabeledSop, start: int, end: int) -> tuple[int, tuple]:
         for event, switched in need:
             on &= up[event] if switched else down[event]
         out |= on
-    return out, (up, down, full)
+    return out, (up, down, full), events
 
 
 def transition_has_hazard(lsop: LabeledSop, start: int, end: int) -> bool:
@@ -80,7 +83,7 @@ def transition_has_hazard(lsop: LabeledSop, start: int, end: int) -> bool:
     logic hazards must pre-filter with
     :func:`repro.hazards.transition.is_fhf`.
     """
-    out, (_, down, full) = _event_table(lsop, start, end)
+    out, (_, down, full), _ = _event_table(lsop, start, end)
     f_start = out & 1
     if f_start == out >> (full.bit_length() - 1):
         return out != (full if f_start else 0)

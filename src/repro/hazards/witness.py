@@ -36,9 +36,8 @@ from ..boolean.expr import And, Not, Or, Var
 from ..boolean.paths import LabeledSop
 from ..network.eventsim import EventSimulator, Waveform, burst_response
 from ..network.netlist import Netlist
-from .multilevel import MAX_EVENTS, transition_has_hazard
+from .multilevel import _event_table, transition_has_hazard
 from .oracle import TransitionKind, TransitionVerdict
-from .transition import lattice_masks
 from . import dynamic as _dynamic
 from . import sic as _sic
 from . import static0 as _static0
@@ -246,46 +245,6 @@ class WitnessCircuit:
         )
 
 
-def _event_masks(
-    lsop: LabeledSop, start: int, end: int
-) -> tuple[list[tuple[int, int]], dict[tuple[str, int], int]]:
-    """Product on/off masks over the changing path events.
-
-    Numbers the events as :func:`repro.hazards.multilevel
-    .transition_has_hazard` does, with the same limit, and keeps the
-    ``(variable, path) -> event bit`` map so a glitching state can be
-    decompiled back into a wire switching order.
-    """
-    changing = start ^ end
-    events: dict[tuple[str, int], int] = {}
-    masks: list[tuple[int, int]] = []
-    for product in lsop.products:
-        need_switched = 0
-        need_unswitched = 0
-        alive = True
-        for lit in product.literals:
-            var = lsop.index[lit.name]
-            bit = 1 << var
-            if not changing & bit:
-                if bool(start & bit) != lit.positive:
-                    alive = False
-                    break
-                continue
-            key = (lit.name, lit.path)
-            event = events.setdefault(key, len(events))
-            if bool(end & bit) == lit.positive:
-                need_switched |= 1 << event
-            else:
-                need_unswitched |= 1 << event
-        if alive:
-            masks.append((need_switched, need_unswitched))
-    if len(events) > MAX_EVENTS:
-        raise ValueError(
-            f"{len(events)} changing path literals exceed the lattice limit"
-        )
-    return masks, events
-
-
 def _lowest(states: int) -> int:
     """The lowest state of a non-empty state set."""
     return (states & -states).bit_length() - 1
@@ -296,35 +255,28 @@ def glitch_schedule(
 ) -> Optional[list[tuple[str, int]]]:
     """A path switching order under which the output provably glitches.
 
-    Builds the output over the transition's event lattice as one
+    Reads the output over the transition's event lattice as one
     ``2^k``-bit table (bit ``s``: the output once exactly the events in
-    ``s`` have switched), each product's on-set an AND of event
-    projection masks over :func:`_event_masks`' numbering.  For a static
-    transition the glitching state is the lowest state with the wrong
-    value.  For a dynamic one it is the lowest state outside the set
-    that shows the end value and one event above a state in that set,
-    paired with its predecessor across the lowest such event: the
-    output shows the end value, then leaves it.  These are exactly the
-    states at which a walk of the lattice in numeric order would stop.
+    ``s`` have switched) off :func:`repro.hazards.multilevel
+    ._event_table`, the table :func:`transition_has_hazard` decides,
+    with its numbering of the changing ``(variable, path)`` wires.  For
+    a static transition the glitching state is the lowest state with
+    the wrong value.  For a dynamic one it is the lowest state outside
+    the set that shows the end value and one event above a state in
+    that set, paired with its predecessor across the lowest such event:
+    the output shows the end value, then leaves it.  These are exactly
+    the states at which a walk of the lattice in numeric order would
+    stop.
     The returned list orders the changing ``(variable, path)`` wires so
     the simulation passes through those states; ``None`` means no glitch
     exists (the transition is not logic-hazardous).
     """
-    masks, events = _event_masks(lsop, start, end)
+    out, (_, down, full), events = _event_table(lsop, start, end)
     k = len(events)
+    wires = lsop.path_wires()
     keys: list[tuple[str, int]] = [("", 0)] * k
-    for key, event in events.items():
-        keys[event] = key
-    up, down, full = lattice_masks(k)
-    out = 0
-    for need_sw, need_un in masks:
-        on = full
-        for e in range(k):
-            if need_sw >> e & 1:
-                on &= up[e]
-            if need_un >> e & 1:
-                on &= down[e]
-        out |= on
+    for path, event in events.items():
+        keys[event] = wires[path]
     # State 0 is the burst's start point and the top state its end point.
     f_start = out & 1
     f_end = out >> (full.bit_length() - 1)

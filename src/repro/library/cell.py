@@ -34,6 +34,13 @@ class LibraryCell:
     family: str = "logic"
     analysis: Optional[HazardAnalysis] = None
     _truth_table: Optional[int] = field(default=None, repr=False)
+    #: ``is_hazardous`` of the analysis ``_hazardous_of``: the answer is
+    #: fixed once an analysis is attached, and covering reads it on every
+    #: match.
+    _hazardous_of: Optional[HazardAnalysis] = field(
+        default=None, repr=False, compare=False
+    )
+    _hazardous: bool = field(default=False, repr=False, compare=False)
 
     @classmethod
     def from_text(
@@ -87,12 +94,16 @@ class LibraryCell:
 
     @property
     def is_hazardous(self) -> bool:
-        if self.analysis is None:
+        analysis = self.analysis
+        if analysis is None:
             raise RuntimeError(
                 f"cell {self.name!r} not annotated; call annotate() or "
                 "Library.annotate_hazards() first"
             )
-        return self.analysis.has_hazards
+        if analysis is not self._hazardous_of:
+            self._hazardous_of = analysis
+            self._hazardous = analysis.has_hazards
+        return self._hazardous
 
     def __repr__(self) -> str:
         return f"LibraryCell({self.name!r}, {self.expression.to_string()!r})"

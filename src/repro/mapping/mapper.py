@@ -32,7 +32,6 @@ from ..library.library import AnnotationReport, Library
 from ..network.decompose import async_tech_decomp, tech_decomp
 from ..network.netlist import Netlist
 from ..network.partition import partition
-from ..obs import log as obs_log
 from ..obs.explain import ConeExplain, ExplainLog
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -138,9 +137,7 @@ def tmap(
     tracer = options.tracer or NULL_TRACER
     metrics = options.metrics if options.metrics is not None else MetricsRegistry()
     start = time.perf_counter()
-    with tracer.span(
-        "tmap", design=network.name, library=library.name
-    ) as root_span:
+    with tracer.span("tmap", design=network.name, library=library.name):
         decomposed = tech_decomp(network, tracer=tracer)
         result = _map_decomposed(
             network,
@@ -153,7 +150,6 @@ def tmap(
         )
     result.elapsed = time.perf_counter() - start
     _finalize_metrics(result)
-    _log_map_done(result, network, library, tracer, root_span)
     return result
 
 
@@ -174,9 +170,7 @@ def async_tmap(
     metrics = options.metrics if options.metrics is not None else MetricsRegistry()
     annotate_elapsed = 0.0
     annotation_report = None
-    with tracer.span(
-        "async_tmap", design=network.name, library=library.name
-    ) as root_span:
+    with tracer.span("async_tmap", design=network.name, library=library.name):
         faults.fire("annotate.library", options.deadline)
         if options.deadline is not None:
             options.deadline.check("annotate.library")
@@ -202,28 +196,7 @@ def async_tmap(
     result.annotate_elapsed = annotate_elapsed
     result.annotation_report = annotation_report
     _finalize_metrics(result)
-    _log_map_done(result, network, library, tracer, root_span)
     return result
-
-
-def _log_map_done(result, network, library, tracer, root_span) -> None:
-    """Emit the run-level ``map.done`` event (no-op without ``--log``)."""
-    if not obs_log.enabled():
-        return
-    obs_log.event(
-        "repro.mapping",
-        "map.done",
-        trace_id=tracer.trace_id,
-        span_id=root_span.span_id or None,
-        design=network.name,
-        library=library.name,
-        mode=result.mode,
-        area=result.area,
-        delay=round(result.delay, 4),
-        cones=result.stats.cones,
-        cluster_cap_hits=result.stats.cluster_cap_hits,
-        elapsed_seconds=round(result.elapsed, 4),
-    )
 
 
 def map_network(

@@ -75,38 +75,27 @@ def expression_truth_table(expr: Expr, order: Sequence[str]) -> int:
     return walk(expr)
 
 
-def find_matches(
-    library: Library,
-    table: int,
-    num_inputs: int,
-    limit_per_cell: Optional[int] = 1,
-) -> Iterator[Match]:
+def find_matches(library: Library, table: int, num_inputs: int) -> Iterator[Match]:
     """Yield matches of a cluster truth table against the library.
 
     Only cells with the same pin count and permutation-invariant
     signature are tried (constant and degenerate cluster functions never
-    match a well-formed cell).  ``limit_per_cell`` bounds how many
-    distinct bindings to produce per cell — one suffices for hazard-free
-    cells, while the async filter may want alternatives for hazardous
-    ones.
+    match a well-formed cell).  Each cell yields its first binding only.
     """
     mask = tt.table_mask(num_inputs)
     table &= mask
     if table == 0 or table == mask:
         return
     for cell in library.candidates(table, num_inputs):
-        count = 0
-        for perm in tt.match_permutations(
-            table, cell.truth_table(), num_inputs, limit=limit_per_cell
-        ):
+        perm = next(
+            tt.match_permutations(table, cell.truth_table(), num_inputs), None
+        )
+        if perm is not None:
             yield Match(cell, perm)
-            count += 1
-            if limit_per_cell is not None and count >= limit_per_cell:
-                break
 
 
 #: ``(table, nvars) -> matches``: one mapping run's answers, for one
-#: library and one ``limit_per_cell``; an empty tuple records "no match".
+#: library; an empty tuple records "no match".
 MatchMemo = dict[tuple[int, int], tuple[Match, ...]]
 
 
@@ -114,7 +103,6 @@ def match_cluster(
     library: Library,
     expr: Expr,
     leaves: Sequence[str],
-    limit_per_cell: Optional[int] = 1,
     memo: Optional[MatchMemo] = None,
 ) -> list[Match]:
     """All cell matches for a cluster given by expression + leaf order.
@@ -122,8 +110,7 @@ def match_cluster(
     A leaf count no cell has returns ``[]`` before any truth table is
     built.  A match list depends only on the cluster's ``(table,
     nvars)``, so with a ``memo`` each distinct function is matched
-    once per run; the memo must not outlive the run's library and
-    ``limit_per_cell``.
+    once per run; the memo must not outlive the run's library.
     """
     nvars = len(leaves)
     if not library.by_pin_count(nvars):
@@ -136,9 +123,7 @@ def match_cluster(
         # cell of that pin count and would bind a floating pin; skip them.
         matches = ()
         if all(tt.depends_on(table, i, nvars) for i in range(nvars)):
-            matches = tuple(
-                find_matches(library, table, nvars, limit_per_cell)
-            )
+            matches = tuple(find_matches(library, table, nvars))
         if memo is not None:
             memo[key] = matches
     return list(matches)

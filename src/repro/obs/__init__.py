@@ -30,7 +30,6 @@ from .explain import (
 )
 from .export import (
     BENCH_SCHEMA,
-    LOG_SCHEMA,
     METRICS_SCHEMA,
     TRACE_SCHEMA,
     explain_to_dict,
@@ -44,16 +43,6 @@ from .export import (
     write_explain,
     write_metrics,
     write_trace,
-)
-from .log import (
-    configure_event_log,
-    close_event_log,
-    event,
-    event_log,
-    log_context,
-    read_log,
-    use_tracer,
-    validate_log_line,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .regression import (
@@ -82,7 +71,6 @@ __all__ = [
     "ExplainLog",
     "Gauge",
     "Histogram",
-    "LOG_SCHEMA",
     "METRICS_SCHEMA",
     "MetricsRegistry",
     "NULL_TRACER",
@@ -93,24 +81,16 @@ __all__ = [
     "TRACE_HEADER",
     "TRACE_SCHEMA",
     "Tracer",
-    "close_event_log",
     "compare_snapshots",
-    "configure_event_log",
-    "event",
-    "event_log",
     "explain_to_dict",
     "load_bench_snapshot",
     "load_explain",
-    "log_context",
     "metrics_to_dict",
     "parse_prometheus_text",
     "prometheus_text",
-    "read_log",
     "render_explain",
     "trace_to_dict",
-    "use_tracer",
     "validate_explain_payload",
-    "validate_log_line",
     "verify_explain_witnesses",
     "write_bench_snapshot",
     "write_explain",

@@ -34,9 +34,6 @@ from .tracer import Tracer
 
 TRACE_SCHEMA = "repro-trace/v1"
 METRICS_SCHEMA = "repro-metrics/v1"
-#: The JSONL event log (schema and validator owned by
-#: :mod:`repro.obs.log`; the stamp is re-exported here with its peers).
-LOG_SCHEMA = "repro-log/v1"
 BENCH_SCHEMA = "repro-bench-mapping/v1"
 #: Conformance certificates (schema owned by
 #: :mod:`repro.conformance.certifier`; the stamp lives here so the

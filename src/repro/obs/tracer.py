@@ -187,8 +187,8 @@ class Tracer:
         self._next_id = 1
         #: Run-scoped correlation id.  Every process participating in
         #: one logical run (CLI client, daemon, pool workers) builds its
-        #: tracer with the same id, so the stitched tree — and every
-        #: ``repro-log/v1`` line — shares one handle.
+        #: tracer with the same id, so the stitched tree shares one
+        #: handle.
         self.trace_id = trace_id or _new_trace_id()
         # Clock anchor: spans are stamped with ``perf_counter``, which
         # is not comparable across processes.  The (epoch, perf) pair

@@ -65,7 +65,6 @@ from ..api.schema import (
     parse_request,
 )
 from ..library import anncache
-from ..obs import log as obs_log
 from ..obs.export import (
     metrics_to_dict,
     prometheus_text,
@@ -245,56 +244,28 @@ class MappingService:
         query = urllib.parse.parse_qs(parts.query)
         name = endpoint.rsplit("/", 1)[-1] or "root"
         started = time.perf_counter()
-        status, span_id, trace_id = 500, None, None
-        context: Optional[SpanContext] = None
-        # One access-log event and one per-endpoint latency sample for
-        # *every* request, including malformed and 404 ones (finally).
+        # One per-endpoint latency sample for *every* request, including
+        # malformed and 404 ones (finally).
         try:
             try:
                 context = SpanContext.parse(trace_header)
             except ValueError as exc:
                 self.metrics.counter("service.errors").inc()
-                status = 400
-                return status, {
+                return 400, {
                     "error": f"bad {TRACE_HEADER} header: {exc}"
                 }, {}
             if method == "GET" and endpoint == "/healthz":
-                status, body, headers = 200, self._health(), {}
-            elif method == "GET" and endpoint == "/metrics":
-                status, body, headers = self._metrics_endpoint(query)
-            else:
-                kind = ENDPOINT_KINDS.get(endpoint)
-                if kind is None or method != "POST":
-                    status = 404
-                    body = {"error": f"no such endpoint: {method} {path}"}
-                    headers = {}
-                else:
-                    span_box: dict = {}
-                    status, body, headers = self._dispatch(
-                        endpoint, kind, payload, context, span_box
-                    )
-                    span_id = span_box.get("span_id")
-                    trace_id = span_box.get("trace_id")
-            return status, body, headers
+                return 200, self._health(), {}
+            if method == "GET" and endpoint == "/metrics":
+                return self._metrics_endpoint(query)
+            kind = ENDPOINT_KINDS.get(endpoint)
+            if kind is None or method != "POST":
+                return 404, {"error": f"no such endpoint: {method} {path}"}, {}
+            return self._dispatch(endpoint, kind, payload, context)
         finally:
-            elapsed = time.perf_counter() - started
             self.metrics.histogram(
                 f"service.request.latency.{name}"
-            ).observe(elapsed)
-            if obs_log.enabled():
-                obs_log.event(
-                    "repro.service",
-                    "request",
-                    trace_id=trace_id or (
-                        context.trace_id if context else self.tracer.trace_id
-                    ),
-                    span_id=span_id,
-                    endpoint=name,
-                    method=method,
-                    status=status,
-                    seconds=round(elapsed, 6),
-                    queue_depth=self.inflight,
-                )
+            ).observe(time.perf_counter() - started)
 
     def _metrics_endpoint(self, query: dict):
         fmt = (query.get("format") or ["json"])[0]
@@ -342,7 +313,6 @@ class MappingService:
         kind,
         payload: Optional[dict],
         context: Optional[SpanContext] = None,
-        span_box: Optional[dict] = None,
     ):
         name = endpoint.rsplit("/", 1)[-1]
         self.metrics.counter("service.requests").inc()
@@ -389,9 +359,7 @@ class MappingService:
             )
             if context is not None:
                 request_span.set_attr(remote_parent=context.span_id)
-            if span_box is not None:
-                span_box["span_id"] = request_span.span_id or None
-                span_box["trace_id"] = tracer.trace_id
+            status = 500
             try:
                 # A process pool cannot share the registry (or the fault
                 # plan's thread-local state) across the pickle fence.
@@ -407,7 +375,12 @@ class MappingService:
                     else None,
                 )
                 body = future.result()
+                status = 200
+            except ApiError:
+                status = 400
+                raise
             finally:
+                request_span.set_attr(status=status)
                 tracer.finish_span(request_span)
             if context is not None and isinstance(body, dict):
                 worker_trace = body.pop("trace", None)

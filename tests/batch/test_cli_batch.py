@@ -1,7 +1,7 @@
 """End-to-end coverage of the ``repro batch`` command line.
 
 Drives :func:`repro.cli.main` in-process through the happy path, resume,
-``--check`` verification, fault injection, snapshot/trace/log export,
+``--check`` verification, fault injection, snapshot/trace export,
 and every documented non-zero exit code.
 """
 
@@ -13,7 +13,6 @@ import pytest
 
 from repro.cli import main
 from repro.obs.export import BENCH_SCHEMA, TRACE_SCHEMA
-from repro.obs.log import read_log
 
 from tests.batch.util import DEPTH, SMALL
 
@@ -75,14 +74,12 @@ class TestHappyPath:
     def test_bench_snapshot_and_trace_export(self, tmp_path, ann_cache, capsys):
         snapshot = tmp_path / "snap.json"
         trace = tmp_path / "trace.json"
-        log = tmp_path / "log.jsonl"
         code = batch(
             tmp_path, ann_cache,
             "--backend", "processes", "--workers", "2",
             "--verify",
             "--bench-snapshot", str(snapshot),
             "--trace", str(trace),
-            "--log", str(log),
             "--metrics",
         )
         assert code == 0
@@ -112,15 +109,6 @@ class TestHappyPath:
         assert len(jobs) == len(SMALL)
         for job in jobs:
             assert "async_tmap" in {c["name"] for c in job["children"]}
-
-        # Coordinator and forked workers log under the run's trace_id.
-        lines = read_log(log)
-        assert {line["trace_id"] for line in lines} == {payload["trace_id"]}
-        events = {line["event"] for line in lines}
-        assert {"map.done", "job.ok", "batch.done"} <= events
-        for line in lines:
-            if line["event"] == "job.ok":
-                assert line["job_id"] and line["span_id"] is not None
 
     def test_sync_mode_maps_the_burst_mode_flow(self, tmp_path, ann_cache):
         assert batch(

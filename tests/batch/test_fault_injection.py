@@ -23,6 +23,7 @@ import pytest
 
 from repro.batch import text_digest
 from repro.deadline import Deadline, DeadlineExceeded, checked_sleep
+from repro.obs.tracer import Tracer
 from repro.testing import faults
 from repro.testing.faults import FaultInjected, FaultPlan, FaultSpec
 
@@ -177,8 +178,10 @@ class TestDeadline:
 class TestRetryAndDegradation:
     def test_transient_fault_is_retried_with_backoff(self, backend, ann_cache):
         plan = FaultPlan.parse([f"raise@cover.cone#{SMALL[0]}"])
+        tracer = Tracer()
         report, metrics = run(
-            make_jobs(), backend, ann_cache, retries=2, fault_plan=plan
+            make_jobs(), backend, ann_cache, retries=2, fault_plan=plan,
+            tracer=tracer,
         )
         assert report.ok
         chu, van = by_id(report, CHU), by_id(report, VAN)
@@ -187,6 +190,15 @@ class TestRetryAndDegradation:
         assert van["attempts"] == 1 and van["backoff_seconds"] == []
         assert metrics.counter("batch.retries").value == 1
         assert metrics.counter("batch.jobs_ok").value == 2
+        # Each attempt is a batch_job span whose status says how it ended.
+        attempts = [
+            (span.attrs["attempt"], span.attrs["status"])
+            for span in tracer.all_spans()
+            if span.name == "batch_job" and span.attrs["job"] == CHU
+        ]
+        assert [attempt for attempt, _ in attempts] == [1, 2]
+        assert attempts[0][1].startswith("retry:transient: ")
+        assert attempts[1][1] == "ok"
 
     def test_backoff_grows_exponentially(self, backend, ann_cache):
         plan = FaultPlan.parse([f"raise@cover.cone#{SMALL[0]}*2"])

@@ -20,7 +20,6 @@ from repro.library import anncache
 from repro.library.standard import load_library
 from repro.mapping.mapper import MappingOptions, async_tmap, map_network
 from repro.network.netlist import Netlist
-from repro.obs import log as obs_log
 from repro.obs.export import CERT_SCHEMA
 from repro.obs.metrics import MetricsRegistry
 from repro.testing.faults import seed_hazard
@@ -112,31 +111,23 @@ class TestAccept:
             certificate = certify_mapping(net, result.mapped, mini_library)
             assert certificate.certified, (text, certificate.violations)
 
-    def test_sampled_path_for_wide_supports(self, tmp_path):
+    def test_sampled_path_for_wide_supports(self):
         # Every output has a 3-variable support; a limit of 2 forces the
         # seeded sample on all four, ``samples`` transitions each, and
-        # the fallback is counted and logged rather than silent.
+        # the fallback is counted rather than silent.
         net = Netlist.from_equations(
             {f"f{i}": f"x{i}*y{i} + x{i}'*z{i}" for i in range(4)}
         )
         metrics = MetricsRegistry()
-        log_path = tmp_path / "events.jsonl"
-        with obs_log.event_log(log_path):
-            certificate = certify_mapping(
-                net, net.copy(), exhaustive_limit=2, samples=50,
-                metrics=metrics,
-            )
+        certificate = certify_mapping(
+            net, net.copy(), exhaustive_limit=2, samples=50, metrics=metrics
+        )
         assert certificate.certified
         assert {e.method for e in certificate.outputs} == {"sampled"}
         assert certificate.transitions_checked == 4 * 50
         snapshot = metrics.snapshot()
         assert snapshot["conformance.outputs_sampled"]["value"] == 4
         assert snapshot["conformance.outputs_checked"]["value"] == 4
-        (verdict,) = [
-            line for line in obs_log.read_log(log_path)
-            if line["event"] == "certify.verdict"
-        ]
-        assert verdict["fields"]["sampled_outputs"] == 4
 
 
 class TestReject:

@@ -13,7 +13,13 @@ import json
 import pytest
 
 from repro.library import anncache
-from repro.library.standard import cmos3, minimal_teaching_library
+from repro.library.standard import (
+    actel_act1,
+    cmos3,
+    gdt,
+    lsi9k,
+    minimal_teaching_library,
+)
 from repro.mapping.mapper import MappingOptions, async_tmap
 from repro.network.netlist import Netlist
 
@@ -53,6 +59,20 @@ class TestDiskAnnotationCache:
             )
             if cold_cell.analysis.verdicts is not None:
                 assert cold_cell.analysis.verdicts == warm_cell.analysis.verdicts
+
+    @pytest.mark.parametrize("build", [actel_act1, cmos3, gdt, lsi9k])
+    def test_is_hazardous_cold_and_from_disk(self, build, tmp_path):
+        # The shared instance is annotated cold; its analyses, stored and
+        # replayed into a fresh instance, arrive from disk.
+        cold = build()
+        cold_report = cold.annotate_hazards(cache_dir=anncache.DISABLED)
+        anncache.store_annotations(cold, True, cold_report.elapsed, tmp_path)
+        warm = build.__wrapped__()
+        assert warm.annotate_hazards(cache_dir=tmp_path).source == "disk"
+        for library in (cold, warm):
+            assert [cell.is_hazardous for cell in library.cells] == [
+                cell.analysis.has_hazards for cell in library.cells
+            ]
 
     def test_memory_short_circuit(self, tmp_path):
         library = cmos3.__wrapped__()

@@ -37,6 +37,17 @@ class TestLibraryCell:
         cell.annotate()
         assert not cell.is_hazardous
 
+    def test_is_hazardous_follows_the_attached_analysis(self):
+        mux = LibraryCell.from_text("MUX21", "s'*a + s*b", delay=1.0)
+        and2 = LibraryCell.from_text("AND2", "a*b", delay=1.0)
+        mux.annotate()
+        assert mux.is_hazardous
+        mux.analysis = and2.annotate()
+        assert not mux.is_hazardous
+        mux.analysis = None
+        with pytest.raises(RuntimeError):
+            __ = mux.is_hazardous
+
     def test_mux_cell_is_hazardous(self):
         cell = LibraryCell.from_text("MUX21", "s'*a + s*b", delay=1.0)
         cell.annotate()

@@ -8,6 +8,7 @@ import repro.mapping.cover as cover_module
 import repro.mapping.match as match_module
 from repro.api.facade import netlist_blif
 from repro.burstmode.benchmarks import synthesize_benchmark
+from repro.hazards.analyzer import find_subset_violation
 from repro.library import Library, minimal_teaching_library
 from repro.library.standard import load_library
 from repro.mapping.cover import ConeCover, CoverStats, cover_cone
@@ -16,7 +17,6 @@ from repro.mapping.mapper import MappingOptions, async_tmap
 from repro.network.decompose import async_tech_decomp
 from repro.network.netlist import Netlist
 from repro.network.partition import partition
-from repro.obs.log import event_log, read_log
 
 
 def decompose(equations):
@@ -68,7 +68,7 @@ def largest_cone(cones):
 
 
 class TestClusterCaps:
-    def test_per_node_cluster_cap(self, monkeypatch, mini_library, tmp_path):
+    def test_per_node_cluster_cap(self, monkeypatch, mini_library):
         decomposed, cones = decompose(
             {"f": "a*b*c*d + a'*b'*c'*d' + a*b'*c*d'"}
         )
@@ -111,22 +111,14 @@ class TestClusterCaps:
         cover_cone(decomposed, cone, mini_library, stats=stats)
         assert stats.cluster_cap_hits == len(expected) > 0
 
-        # A run publishes the count as a counter and in ``map.done``.
-        log_path = tmp_path / "events.jsonl"
-        with event_log(log_path):
-            result = async_tmap(
-                Netlist.from_equations(
-                    {"f": "a*b*c*d + a'*b'*c'*d' + a*b'*c*d'"}
-                ),
-                mini_library,
-            )
+        # A run publishes the count as a counter.
+        result = async_tmap(
+            Netlist.from_equations({"f": "a*b*c*d + a'*b'*c'*d' + a*b'*c*d'"}),
+            mini_library,
+        )
         hits = result.stats.cluster_cap_hits
         assert hits >= len(expected)
         assert result.metrics.counter("cover.cluster_cap_hits").value == hits
-        (done,) = [
-            line for line in read_log(log_path) if line["event"] == "map.done"
-        ]
-        assert done["fields"]["cluster_cap_hits"] == hits
 
     def test_uncapped_superset_of_capped(self):
         decomposed, cones = decompose({"f": "a*b + c*d"})
@@ -168,6 +160,36 @@ class TestClusterRecordAnalyses:
         assert result.metrics.counter("cover.cluster_analyses").value == analyses
 
 
+class TestFilterAgreesWithItsViolationWalk:
+    @pytest.mark.parametrize("filter_mode", ["exact", "paper"])
+    def test_every_screen_agrees(self, monkeypatch, filter_mode):
+        # ``find_subset_violation`` finds no offence exactly when the
+        # screen accepts.  Every catalog screen on ACTEL rejects, so the
+        # inverting mux (accepted as MUX21I_1X) supplies the accepts.
+        screen = cover_module.hazards_subset
+        outcomes: list[bool] = []
+
+        def checked(cell, target, mapping=None, mode="exact"):
+            accepted = screen(cell, target, mapping=mapping, mode=mode)
+            violation = find_subset_violation(
+                cell, target, mapping=mapping, mode=mode
+            )
+            assert (violation is None) == accepted
+            outcomes.append(accepted)
+            return accepted
+
+        monkeypatch.setattr(cover_module, "hazards_subset", checked)
+        library = load_library("ACTEL")
+        networks = [
+            synthesize_benchmark(name).netlist(name)
+            for name in ("dme-fast", "pe-send-ifc")
+        ]
+        networks.append(Netlist.from_equations({"f": "(s*a + s'*b)'"}))
+        for network in networks:
+            async_tmap(network, library, MappingOptions(filter_mode=filter_mode))
+        assert outcomes.count(False) >= 125 and outcomes.count(True) >= 1
+
+
 class TestMatchOnlyWhatTheLibraryCan:
     def test_truth_tables_only_at_pin_counts_a_cell_has(self, monkeypatch):
         library = Library.from_spec("GAPPED", GAPPED_SPEC)
@@ -201,9 +223,9 @@ class TestMatchOnlyWhatTheLibraryCan:
             tables.append((table, len(order)))
             return table
 
-        def find_spy(library, table, num_inputs, limit_per_cell=1):
+        def find_spy(library, table, num_inputs):
             searched.append((table, num_inputs))
-            return search(library, table, num_inputs, limit_per_cell)
+            return search(library, table, num_inputs)
 
         monkeypatch.setattr(match_module, "expression_truth_table", tt_spy)
         monkeypatch.setattr(match_module, "find_matches", find_spy)

@@ -9,13 +9,13 @@ yields ONE well-formed tree spanning three processes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import urllib.request
 
 import pytest
 
 from repro.api.schema import MapRequest
-from repro.obs import log as obs_log
 from repro.obs.export import parse_prometheus_text
 from repro.obs.tracer import TRACE_HEADER, Tracer
 
@@ -47,6 +47,7 @@ def test_traced_request_round_trips_one_tree(make_service, backend):
     assert "async_tmap" in spans, "worker mapping tree missing"
     request_span = spans["service.request"]
     assert request_span.attrs["remote_parent"] == root.span_id
+    assert request_span.attrs["status"] == 200
     # One root: the client's; everything else hangs beneath it.
     assert tracer.roots() == [root]
 
@@ -63,6 +64,18 @@ def test_untraced_request_has_no_trace_key(make_service, tmp_path):
         assert client.map(REQUEST).trace is None
     roots = [span.name for span in service.tracer.roots()]
     assert roots == ["service.request"] * 2
+
+
+def test_request_span_records_the_response_status(make_service, tmp_path):
+    from repro.service.client import ServiceError
+
+    service, client = make_service(trace_path=tmp_path / "trace.json")
+    client.map(REQUEST)
+    with pytest.raises(ServiceError) as excinfo:
+        client.map(dataclasses.replace(REQUEST, design="no-such-design"))
+    assert excinfo.value.status == 400
+    statuses = [span.attrs["status"] for span in service.tracer.roots()]
+    assert statuses == [200, 400]
 
 
 def test_malformed_trace_header_is_rejected(make_service):
@@ -124,20 +137,3 @@ def test_metrics_unknown_format_is_rejected(make_service):
     with pytest.raises(ServiceError) as excinfo:
         client._request("GET", "/metrics?format=xml", None)
     assert excinfo.value.status == 400
-
-
-def test_access_log_lines_carry_the_request_trace_id(make_service, tmp_path):
-    service, client = make_service()
-    log_path = tmp_path / "access.jsonl"
-    with obs_log.event_log(log_path):
-        tracer, root, response = _traced_map(client)
-    lines = obs_log.read_log(log_path)
-    requests = [l for l in lines if l["event"] == "request"]
-    assert requests, "daemon must emit a per-request access-log event"
-    line = requests[-1]
-    assert line["trace_id"] == tracer.trace_id
-    assert line["span_id"] is not None
-    assert line["fields"]["endpoint"] == "map"
-    assert line["fields"]["status"] == 200
-    assert line["fields"]["seconds"] > 0
-    assert "queue_depth" in line["fields"]

@@ -164,6 +164,22 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "dme", "CMOS3", "--log", "events.jsonl"],
+            ["batch", "dme", "--log", "events.jsonl"],
+            ["serve", "--log", "events.jsonl"],
+        ],
+    )
+    def test_removed_log_flag_is_rejected(self, argv, capsys):
+        # Traces and metrics are the observability surface; there is no
+        # separate event log.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_map_cache_dir_cold_then_warm(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "ann")
         # Fresh (uncached) library instances so annotation really runs.
