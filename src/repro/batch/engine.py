@@ -308,7 +308,8 @@ class _Engine:
             # In-process workers share the run's registry (same policy
             # as the service daemon), so worker-side telemetry — the
             # cache.result.* counters above all — lands in one place;
-            # process-pool workers cannot share an in-memory registry.
+            # a process-pool worker cannot share an in-memory registry,
+            # so it ships a snapshot of its own, merged on settlement.
             metrics=(
                 self.metrics if self.backend.name != "processes" else None
             ),
@@ -335,6 +336,9 @@ class _Engine:
         blif = record.pop("blif", "")
         explain = record.pop("explain", None)
         trace = record.pop("trace", None)
+        worker_metrics = record.pop("metrics", None)
+        if worker_metrics is not None:
+            self.metrics.merge(worker_metrics)
         record["attempts"] = state.attempt
         record["backoff_seconds"] = list(state.backoffs)
         if record.get("fallback"):

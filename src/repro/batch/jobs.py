@@ -37,6 +37,7 @@ from ..api.facade import (
 )
 from ..api.schema import BATCH_OPTION_NAMES, ApiError, MapRequest, MapResponse
 from ..library import anncache
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import SpanContext, Tracer
 from ..testing import faults
 from ..testing.faults import FaultPlan
@@ -148,8 +149,10 @@ def execute_job(
     handled inside the facade by degrading to the trivial depth-1 cover
     and reporting ``fallback="trivial-cover"`` — graceful degradation,
     not failure.  ``metrics`` (usable on in-process backends only)
-    routes the run's telemetry into a shared registry; process-pool
-    workers leave it ``None``.
+    routes the run's telemetry into a shared registry.  A worker given
+    none (a process-pool worker cannot share the coordinator's) records
+    into its own and ships its snapshot back as ``payload["metrics"]``
+    for the engine to merge.
 
     ``trace_context`` (pickled with the submission, like ``fault_plan``)
     carries the coordinator's ``trace_id`` across the process fence:
@@ -171,6 +174,7 @@ def execute_job(
         if trace_context is not None
         else None
     )
+    own_metrics = MetricsRegistry() if metrics is None else None
     try:
         started = time.perf_counter()
         library = shared_library(job.library)
@@ -183,13 +187,15 @@ def execute_job(
             request,
             library=library,
             cache_dir=cache_dir,
-            metrics=metrics,
+            metrics=metrics if own_metrics is None else own_metrics,
             tracer=tracer,
         )
         payload = _result_payload(job, response)
         payload["worker_seconds"] = round(time.perf_counter() - started, 4)
         if tracer is not None:
             payload["trace"] = tracer.to_dict()
+        if own_metrics is not None:
+            payload["metrics"] = own_metrics.snapshot()
         return payload
     finally:
         faults.clear_plan()

@@ -142,10 +142,16 @@ class LabeledSop:
         :meth:`path_wires` lists in id order; the phase bit is the
         variable bit of a positive literal, else 0.  Compiled once, like
         :meth:`plain_cover`.
+
+        A wire carries one phase (:func:`label_expression` and
+        :func:`label_cover` give every literal occurrence its own path),
+        and the hazard oracle's closed forms rely on it: a wire read in
+        both phases raises ``TypeError`` (not the ``ValueError`` of a
+        lattice refusal).
         """
         if self._path_literals is None:
             ids: dict[tuple[str, int], int] = {}
-            self._path_literals = tuple(
+            compiled = tuple(
                 tuple(
                     (
                         1 << self.index[lit.name],
@@ -156,6 +162,18 @@ class LabeledSop:
                 )
                 for product in self.products
             )
+            positive = negative = 0  # path ids read in each phase
+            for literals in compiled:
+                for _, path, phase in literals:
+                    if phase:
+                        positive |= 1 << path
+                    else:
+                        negative |= 1 << path
+            both = positive & negative
+            if both:
+                name, path = list(ids)[(both & -both).bit_length() - 1]
+                raise TypeError(f"wire {name}#{path} is read in both phases")
+            self._path_literals = compiled
             self._path_wires = tuple(ids)
         return self._path_literals
 

@@ -12,13 +12,12 @@ using only ground-truth machinery:
 * **hazard containment** is checked per output over the output's
   *support* (transitions on non-support inputs cannot glitch it): the
   collapsed path-labelled structures of both networks are classified
-  with the exhaustive event-lattice oracle — every ordered transition
-  pair when the support is small
-  (:func:`repro.hazards.oracle.classify_all`, which decides each
-  transition cube once), a deterministic seeded sample otherwise
-  (:func:`repro.hazards.oracle.classify_transition`).  Any transition
-  where the mapped output has a logic hazard the source lacks is a
-  violation.
+  with the exact event-lattice oracle — every ordered transition pair
+  when the support is small (:func:`repro.hazards.oracle.classify_rows`,
+  which decides a whole start row at once), a deterministic seeded
+  sample otherwise (:func:`repro.hazards.oracle.classify_transition`).
+  Any transition where the mapped output has a logic hazard the source
+  lacks is a violation.
 * **evidence** — every new hazard is replayed as a
   :class:`~repro.hazards.witness.HazardWitness` on the event-driven
   simulator (:func:`repro.hazards.witness.replay_witness`, through one
@@ -45,10 +44,12 @@ Every run emits a :class:`Certificate` whose ``to_dict`` payload is
 stamped ``schema: repro-cert/v1`` and carries per-output SHA-256
 evidence digests over the canonical per-transition verdict lines, so
 two certifications of the same artifact are byte-comparable.  The
-oracle hands the certifier a verdict code per transition, and each
-line is concatenated from per-output tables of point strings and code
-tails; a :class:`~repro.hazards.oracle.TransitionVerdict` is built only
-for a transition whose mapped side has a logic hazard.
+oracle hands the certifier one row of verdict masks per start point;
+the row's lines are one join of per-output ``{end}{tail}`` strings, and
+only a transition whose mapped side has a logic hazard (checked against
+the source, replayed where new) or a refusal gets a line of its own.  A
+:class:`~repro.hazards.oracle.TransitionVerdict` is built only for a
+mapped logic hazard.
 """
 
 from __future__ import annotations
@@ -65,12 +66,13 @@ from ..boolean.cube import popcount
 from ..boolean.paths import LabeledSop, label_expression
 from ..hazards.multilevel import MAX_EVENTS
 from ..hazards.oracle import (
+    CODE_FH,
     CODE_KINDS,
     CODE_LH,
+    Row,
     TransitionKind,
     TransitionVerdict,
-    all_transitions,
-    classify_all,
+    classify_rows,
     classify_transition,
     code_verdict,
     verdict_code,
@@ -91,8 +93,8 @@ from ..obs.tracer import NULL_TRACER
 
 #: Exhaustive-enumeration ceiling: outputs whose support has at most
 #: this many variables get every ordered transition pair classified
-#: (``4^n - 2^n`` pairs, 4032 at 6).  The mapped side is decided once
-#: per transition cube (``classify_all``), the source only where the
+#: (``4^n - 2^n`` pairs, 4032 at 6).  The mapped side is decided a
+#: start row at a time (``classify_rows``), the source only where the
 #: mapped side has a logic hazard.  Larger supports fall back to the
 #: deterministic seeded sample.
 DEFAULT_EXHAUSTIVE_LIMIT = 6
@@ -371,6 +373,116 @@ _LINE_TAILS = tuple(
     for code in range(len(CODE_KINDS) << 2)
 )
 
+#: The kind bits of a verdict code, by :data:`CODE_KINDS` index: the
+#: static kinds first, at f(start), then the dynamic one.
+_KIND_CODES = tuple(index << 2 for index in range(len(CODE_KINDS)))
+_DYNAMIC_CODE = _KIND_CODES[CODE_KINDS.index(TransitionKind.DYNAMIC)]
+
+
+class _RowPieces:
+    """The digest lines of one start point's row, without their common
+    head ``{start}->``: each transition's ``{end}{tail}`` piece, so the
+    row's text is ``head + head.join(pieces)``.
+
+    The pieces of the transitions with neither a logic hazard nor a
+    refusal are read off tables built once per output and f(start)
+    (one pair per end point, without and with a function hazard); the
+    caller replaces the others.
+    """
+
+    def __init__(self, points: "_Points", nvars: int) -> None:
+        self.points = points
+        self.ends = range(1 << nvars)
+        self.tables: dict[int, list[tuple[str, str]]] = {}
+
+    def clean(self, row: Row) -> list[str]:
+        """Every end's piece, as if no transition of the row had a
+        logic hazard or a refusal (the start's own slot included)."""
+        pairs = self.tables.get(row.value)
+        if pairs is None:
+            static = _KIND_CODES[row.value]
+            points = self.points
+            pairs = self.tables[row.value] = [
+                (
+                    points[end] + _LINE_TAILS[code],
+                    points[end] + _LINE_TAILS[code | CODE_FH],
+                )
+                for end in self.ends
+                for code in (_DYNAMIC_CODE if row.dynamic >> end & 1 else static,)
+            ]
+        fh = row.fh
+        return [pair[fh >> end & 1] for end, pair in enumerate(pairs)]
+
+
+class _Containment:
+    """The per-transition half of an output's hazard check: a digest
+    line per transition, the source check and the replay of every
+    mapped logic hazard the source lacks.
+
+    ``shared`` collects the mapped hazards the source shares (the
+    positive replay evidence draws on them), and ``new`` counts the new
+    ones per kind (``kind -> [count, first witness]``).
+    """
+
+    def __init__(
+        self,
+        certificate: Certificate,
+        evidence: OutputEvidence,
+        src_ls: LabeledSop,
+        replays: _Replays,
+        points: _Points,
+    ) -> None:
+        self.certificate = certificate
+        self.evidence = evidence
+        self.src_ls = src_ls
+        self.replays = replays
+        self.points = points
+        self.shared: list[TransitionVerdict] = []
+        # Source verdicts by unordered pair: a verdict is the same in
+        # both directions, so a transition reuses its reverse's.
+        self.source_logic: dict[tuple[int, int], Optional[bool]] = {}
+        self.new: dict[str, list] = {}
+
+    def piece(self, start: int, end: int, code: Optional[int]) -> str:
+        """The digest line of ``start -> end`` after its ``{start}->``
+        head, checking the source where the mapped side has a logic
+        hazard."""
+        points = self.points
+        if code is None:
+            # Changing path literals exceed the event lattice: record
+            # the skip in the evidence stream instead of guessing.
+            return points[end] + " skipped\n"
+        if not code & CODE_LH:
+            return points[end] + _LINE_TAILS[code]
+        evidence = self.evidence
+        verdict = code_verdict(start, end, code)
+        evidence.mapped_hazards += 1
+        evidence.kind_counts[_verdict_kind(verdict)] += 1
+        pair = (start, end) if start < end else (end, start)
+        if pair in self.source_logic:
+            source_hazard = self.source_logic[pair]
+        else:
+            source_code = _classify_safe(self.src_ls, start, end)
+            source_hazard = self.source_logic[pair] = (
+                None if source_code is None else bool(source_code & CODE_LH)
+            )
+        if source_hazard is None:
+            # The source side is too wide for the lattice: the
+            # violation cannot be proven, so the transition counts
+            # as shared rather than as a rejection.
+            src = " src=?\n"
+            evidence.shared_hazards += 1
+        elif source_hazard:
+            src = " src=1\n"
+            evidence.shared_hazards += 1
+            self.shared.append(verdict)
+        else:
+            src = " src=0\n"
+            _record_new_hazard(
+                self.certificate, evidence, self.replays, verdict, self.new
+            )
+        return points[end] + _LINE_TAILS[code] + src
+
 
 # ----------------------------------------------------------------------
 # Transition selection for large supports
@@ -637,71 +749,47 @@ def _certify_output(
         return evidence
 
     # -- hazard containment -----------------------------------------
+    points = _Points(nvars)
+    check = _Containment(
+        certificate, evidence, src_ls, _Replays(map_ls, output), points
+    )
+    transitions = 0
     if method == "exhaustive":
-        checked = zip(all_transitions(nvars), classify_all(map_ls))
+        pieces = _RowPieces(points, nvars)
+        for row in classify_rows(map_ls) if nvars else ():
+            start = row.start
+            row_pieces = pieces.clean(row)
+            # Only a mapped logic hazard or a refusal is a transition's
+            # own work, in end order: the source check and the replays.
+            own = row.lh | row.refused
+            while own:
+                low = own & -own
+                own ^= low
+                end = low.bit_length() - 1
+                row_pieces[end] = check.piece(start, end, row.code(end))
+            del row_pieces[start]
+            head = points[start] + "->"
+            digest.update((head + head.join(row_pieces)).encode())
+            transitions += len(row_pieces)
     else:
         rng = random.Random(f"repro-cert:{seed}:{output}")
         counts = _path_counts(src_ls)
         for var, count in _path_counts(map_ls).items():
             counts[var] = counts.get(var, 0) + count
-        checked = (
-            ((start, end), _classify_safe(map_ls, start, end))
-            for start, end in _sampled_transitions(nvars, samples, rng, counts)
-        )
-
-    points = _Points(nvars)
-    tails = _LINE_TAILS
-    replays = _Replays(map_ls, output)
-    shared: list[TransitionVerdict] = []
-    # Source verdicts by unordered pair: a verdict is the same in both
-    # directions, so a transition reuses its reverse's.
-    source_logic: dict[tuple[int, int], Optional[bool]] = {}
-    new: dict[str, list] = {}
-    # The digest lines of one start point, hashed together: SHA-256 is
-    # a stream, so the digest is that of one update per line.
-    lines: list[str] = []
-    head_point, head = -1, ""
-    transitions = 0
-    for (start, end), code in checked:
-        transitions += 1
-        if start != head_point:
-            digest.update("".join(lines).encode())
-            lines.clear()
-            head_point, head = start, points[start] + "->"
-        if code is None:
-            # Changing path literals exceed the event lattice: record
-            # the skip in the evidence stream instead of guessing.
-            lines.append(f"{head}{points[end]} skipped\n")
-            continue
-        if not code & CODE_LH:
-            lines.append(head + points[end] + tails[code])
-            continue
-        verdict = code_verdict(start, end, code)
-        evidence.mapped_hazards += 1
-        evidence.kind_counts[_verdict_kind(verdict)] += 1
-        pair = (start, end) if start < end else (end, start)
-        if pair in source_logic:
-            source_hazard = source_logic[pair]
-        else:
-            source_code = _classify_safe(src_ls, start, end)
-            source_hazard = source_logic[pair] = (
-                None if source_code is None else bool(source_code & CODE_LH)
-            )
-        if source_hazard is None:
-            # The source side is too wide for the lattice: the
-            # violation cannot be proven, so the transition counts
-            # as shared rather than as a rejection.
-            src = " src=?\n"
-            evidence.shared_hazards += 1
-        elif source_hazard:
-            src = " src=1\n"
-            evidence.shared_hazards += 1
-            shared.append(verdict)
-        else:
-            src = " src=0\n"
-            _record_new_hazard(certificate, evidence, replays, verdict, new)
-        lines.append(head + points[end] + tails[code] + src)
-    digest.update("".join(lines).encode())
+        # The digest lines of one start point, hashed together: SHA-256
+        # is a stream, so the digest is that of one update per line.
+        lines: list[str] = []
+        head_point, head = -1, ""
+        for start, end in _sampled_transitions(nvars, samples, rng, counts):
+            transitions += 1
+            if start != head_point:
+                digest.update("".join(lines).encode())
+                lines.clear()
+                head_point, head = start, points[start] + "->"
+            code = _classify_safe(map_ls, start, end)
+            lines.append(head + check.piece(start, end, code))
+        digest.update("".join(lines).encode())
+    shared, new = check.shared, check.new
     evidence.transitions = transitions
     for kind, (count, witness) in new.items():
         where = witness.transition_string()
@@ -722,7 +810,7 @@ def _certify_output(
             if kind in replayed_kinds:
                 continue
             witness = _verdict_witness(verdict, support, "shared hazard")
-            replay = replays.replay(certificate, evidence, witness)
+            replay = check.replays.replay(certificate, evidence, witness)
             if replay["glitched"] is None:
                 continue
             replayed_kinds.add(kind)

@@ -6,67 +6,31 @@ producing candidate transitions, then examine the original multilevel
 structure on exactly those transitions and discard false hazards.
 
 For step 3 the paper suggests path labelling or ternary simulation on
-the specific transitions.  We use an exact event-lattice decision
-procedure on the path-labelled SOP: during a burst each labelled literal
-(physical path) switches once at an arbitrary time, so the reachable
-circuit states are precisely the monotone subsets of switch events.
-Because *every* monotone event order is possible under the arbitrary
-gate/wire delay model, "the output can glitch" reduces to a subset-
-lattice query on ``k`` changing path literals.  It is decided on the
-whole ``2^k``-state table at once: each product's on-set is an AND of
-event projection masks, and the test is one comparison (static) or
-``k`` shift tests (dynamic) — exact, and cheap at cell/cluster sizes.
+the specific transitions.  We use an exact decision on the
+path-labelled SOP: during a burst each labelled literal (physical path)
+switches once at an arbitrary time, so the reachable circuit states are
+precisely the subsets of switch events (the event lattice).  The
+lattice is never built: since a path carries one phase, each event
+either turns a literal on (a *rising* event: the literal is false at the
+start) or off (a *falling* event), and the three questions the lattice
+asks have closed forms in each live product's rising and falling events
+(section 4's cube conditions on the labelled SOP):
+
+* static-1 — a glitch iff no live product is free of changing literals
+  (§4.1.1's containment test);
+* static-0 — a glitch iff any product is live (§4.1.2's vacuous terms);
+* dynamic — an intersection test over the products (§4.2).
+
+The proofs are in ``docs/conformance.md``; the lattice walked state by
+state is the reference of ``tests/hazards/test_oracle_reference.py``.
 """
 
 from __future__ import annotations
 
 from ..boolean.paths import LabeledSop
 from .dynamic import find_mic_dyn_haz_2level
-from .transition import MAX_EVENTS, lattice_masks, upward_closed
+from .transition import MAX_EVENTS
 from .types import MicDynamicHazard
-
-
-def _event_table(
-    lsop: LabeledSop, start: int, end: int
-) -> tuple[int, tuple, dict[int, int]]:
-    """The output over the transition's event lattice, its
-    :func:`~repro.hazards.transition.lattice_masks`, and the
-    ``path id -> event`` numbering.
-
-    Each changing labelled literal (physical path) is an event, numbered
-    in order of first appearance; bit ``s`` of the table is the output
-    once exactly the events in ``s`` have switched.  A literal of a
-    changing variable is true either only before or only after its path
-    switches, so a product's on-set is the AND of one projection mask
-    per literal.  Products with a false fixed literal are dropped.
-    """
-    changing = start ^ end
-    events: dict[int, int] = {}
-    number = events.setdefault
-    live: list[list[tuple[int, bool]]] = []
-    for literals in lsop.path_literals():
-        need = []
-        for bit, path, phase in literals:
-            if changing & bit:
-                # (event, switched): a literal false at ``start`` needs
-                # its path to have switched, a true one needs it not to.
-                switched = (start & bit) != phase
-                need.append((number(path, len(events)), switched))
-            elif (start & bit) != phase:
-                break
-        else:
-            live.append(need)
-    k = len(events)
-    if k > MAX_EVENTS:
-        raise ValueError(f"{k} changing path literals exceed the lattice limit")
-    up, down, full = lattice_masks(k)
-    out = 0
-    for need in live:
-        on = full
-        for event, switched in need:
-            on &= up[event] if switched else down[event]
-        out |= on
-    return out, (up, down, full), events
 
 
 def transition_has_hazard(lsop: LabeledSop, start: int, end: int) -> bool:
@@ -75,19 +39,73 @@ def transition_has_hazard(lsop: LabeledSop, start: int, end: int) -> bool:
     For a static transition (f equal at the endpoints) the answer is
     True iff some reachable event-state evaluates to the opposite value;
     for a dynamic transition, iff the output can be non-monotone (rise
-    then fall for 0→1, fall then rise for 1→0) before settling: the
-    states showing the final value are not upward closed.
+    then fall for 0→1, fall then rise for 1→0) before settling.
+
+    Each product with no false fixed literal is *live*; its changing
+    path ids split into ``R`` (false at ``start``: the product needs
+    them to switch) and ``F`` (true at ``start``: it needs them not to).
+    A live product is on at state ``S`` iff ``R ⊆ S`` and ``F ∩ S = ∅``,
+    so f(start) is "some live ``R`` is empty" and f(end) "some live
+    ``F`` is empty".  Then:
+
+    * static-1: hazard iff every live product has a changing literal;
+    * static-0: hazard iff some product is live;
+    * dynamic, oriented 0→1 (a 1→0 transition swaps every ``R`` and
+      ``F``; verdicts are direction-symmetric): hazard iff some live
+      ``P`` with ``F_P ≠ ∅`` has ``⋂{F_Q : Q live, R_Q ⊆ R_P,
+      F_Q ⊆ F_P} ≠ ∅``.  The products in that intersection are exactly
+      those on at ``R_P ∪ (every falling event ∖ F_P)``, where ``P`` holds
+      the output at 1; switching one common event turns them all off.
+
+    Like the lattice it replaces, it refuses (``ValueError``) a
+    transition with more than :data:`MAX_EVENTS` changing path literals,
+    counting every one the scan meets, including those of a product a
+    later false fixed literal kills.
 
     Note: on transitions that carry a *function* hazard this necessarily
     returns True for every implementation; callers interested only in
     logic hazards must pre-filter with
     :func:`repro.hazards.transition.is_fhf`.
     """
-    out, (_, down, full), _ = _event_table(lsop, start, end)
-    f_start = out & 1
-    if f_start == out >> (full.bit_length() - 1):
-        return out != (full if f_start else 0)
-    return not upward_closed(full ^ out if f_start else out, down)
+    changing = start ^ end
+    seen = 0
+    live: list[tuple[int, int]] = []
+    f_start = f_end = False
+    for literals in lsop.path_literals():
+        rising = falling = 0
+        for bit, path, phase in literals:
+            if changing & bit:
+                if (start & bit) != phase:
+                    rising |= 1 << path
+                else:
+                    falling |= 1 << path
+            elif (start & bit) != phase:
+                seen |= rising | falling
+                break
+        else:
+            seen |= rising | falling
+            live.append((rising, falling))
+            f_start = f_start or not rising
+            f_end = f_end or not falling
+    k = seen.bit_count()
+    if k > MAX_EVENTS:
+        raise ValueError(f"{k} changing path literals exceed the lattice limit")
+    if f_start == f_end:
+        if f_start:
+            return all(rising or falling for rising, falling in live)
+        return bool(live)
+    if f_start:
+        live = [(falling, rising) for rising, falling in live]
+    for r_p, f_p in live:
+        if not f_p:
+            continue
+        common = f_p
+        for r_q, f_q in live:
+            if not (r_q & ~r_p or f_q & ~f_p):
+                common &= f_q
+        if common:
+            return True
+    return False
 
 
 def find_mic_dyn_haz_multilevel(lsop: LabeledSop) -> list[MicDynamicHazard]:

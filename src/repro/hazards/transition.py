@@ -11,9 +11,11 @@ filter ignores them, but the dynamic-hazard detector needs to recognize
 
 Both FHF tests are one mask test on the cover's truth table over the
 transition space (:func:`space_table`): ``2^d`` bits for ``d`` changing
-variables, whatever the support width.  The same lattice arithmetic
-(:func:`lattice_masks`, :func:`upward_closed`) decides the event lattice
-of :func:`repro.hazards.multilevel.transition_has_hazard`.
+variables, whatever the support width.  The same projection masks
+(:func:`lattice_masks`) index the changing sets of a whole start row in
+:func:`repro.hazards.oracle.classify_rows`, and the event lattice a
+replay's glitch schedule is read off
+(:func:`repro.hazards.witness.glitch_schedule`).
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ def lattice_masks(k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     states in which event ``i`` has happened, ``down[i]`` the others,
     and ``full`` every state.
 
-    Every lattice of at most :data:`MAX_EVENTS` events, the largest the
-    oracle decides, is built once and kept: ``2k + 1`` masks of ``2^k``
-    bits, about 9.5 MiB for all 21 lattices, 5 MiB of it at ``k = 20``.  A
-    wider space (only :func:`space_table`'s function-hazard test over
-    more than ``MAX_EVENTS`` changing variables asks for one) is built
-    on each call and not kept.
+    Every lattice of at most :data:`MAX_EVENTS` events, the largest a
+    replay schedules, is built once and kept: ``2k + 1`` masks of
+    ``2^k`` bits, about 9.5 MiB for all 21 lattices, 5 MiB of it at
+    ``k = 20``.  A wider space (only :func:`space_table`'s
+    function-hazard test over more than ``MAX_EVENTS`` changing
+    variables asks for one) is built on each call and not kept.
     """
     cached = _LATTICES.get(k)
     if cached is None:

@@ -11,12 +11,12 @@ bug in an analyzer shows up as a witness that fails to glitch, not as a
 silently wrong counter.
 
 Replays are deterministic, not sampled: :func:`glitch_schedule` builds
-the output over the subset lattice that
-:func:`repro.hazards.multilevel.transition_has_hazard` decides, with
-mask arithmetic on one ``2^k``-bit table, and reads a *glitching event
-order* (which path switches when) off it; the witness netlist gives
-every path its own buffer gate so per-gate delays can realize exactly
-that order.  One simulation, guaranteed glitch.  The independent check
+the output over the event lattice whose glitches
+:func:`repro.hazards.multilevel.transition_has_hazard` decides in closed
+form, with mask arithmetic on one ``2^k``-bit table, and reads a
+*glitching event order* (which path switches when) off it; the witness
+netlist gives every path its own buffer gate so per-gate delays can
+realize exactly that order.  One simulation, guaranteed glitch.  The independent check
 is the event simulator, not the schedule search: the simulator knows
 nothing of lattices or masks, it only propagates gate values under the
 programmed delays, so a replay that does not glitch exposes a wrong
@@ -36,8 +36,9 @@ from ..boolean.expr import And, Not, Or, Var
 from ..boolean.paths import LabeledSop
 from ..network.eventsim import EventSimulator, Waveform, burst_response
 from ..network.netlist import Netlist
-from .multilevel import _event_table, transition_has_hazard
+from .multilevel import transition_has_hazard
 from .oracle import TransitionKind, TransitionVerdict
+from .transition import MAX_EVENTS, lattice_masks
 from . import dynamic as _dynamic
 from . import sic as _sic
 from . import static0 as _static0
@@ -245,6 +246,50 @@ class WitnessCircuit:
         )
 
 
+def _event_table(
+    lsop: LabeledSop, start: int, end: int
+) -> tuple[int, tuple, dict[int, int]]:
+    """The output over the transition's event lattice, its
+    :func:`~repro.hazards.transition.lattice_masks`, and the
+    ``path id -> event`` numbering.
+
+    Each changing labelled literal (physical path) is an event, numbered
+    in order of first appearance; bit ``s`` of the table is the output
+    once exactly the events in ``s`` have switched.  A literal of a
+    changing variable is true either only before or only after its path
+    switches, so a product's on-set is the AND of one projection mask
+    per literal.  Products with a false fixed literal are dropped.  It
+    refuses where :func:`transition_has_hazard` does.
+    """
+    changing = start ^ end
+    events: dict[int, int] = {}
+    number = events.setdefault
+    live: list[list[tuple[int, bool]]] = []
+    for literals in lsop.path_literals():
+        need = []
+        for bit, path, phase in literals:
+            if changing & bit:
+                # (event, switched): a literal false at ``start`` needs
+                # its path to have switched, a true one needs it not to.
+                switched = (start & bit) != phase
+                need.append((number(path, len(events)), switched))
+            elif (start & bit) != phase:
+                break
+        else:
+            live.append(need)
+    k = len(events)
+    if k > MAX_EVENTS:
+        raise ValueError(f"{k} changing path literals exceed the lattice limit")
+    up, down, full = lattice_masks(k)
+    out = 0
+    for need in live:
+        on = full
+        for event, switched in need:
+            on &= up[event] if switched else down[event]
+        out |= on
+    return out, (up, down, full), events
+
+
 def _lowest(states: int) -> int:
     """The lowest state of a non-empty state set."""
     return (states & -states).bit_length() - 1
@@ -257,9 +302,9 @@ def glitch_schedule(
 
     Reads the output over the transition's event lattice as one
     ``2^k``-bit table (bit ``s``: the output once exactly the events in
-    ``s`` have switched) off :func:`repro.hazards.multilevel
-    ._event_table`, the table :func:`transition_has_hazard` decides,
-    with its numbering of the changing ``(variable, path)`` wires.  For
+    ``s`` have switched) off :func:`_event_table`, with its numbering
+    of the changing ``(variable, path)`` wires.  The oracle decides the
+    same lattice in closed form; only a replay needs its states.  For
     a static transition the glitching state is the lowest state with
     the wrong value.  For a dynamic one it is the lowest state outside
     the set that shows the end value and one event above a state in

@@ -201,13 +201,17 @@ class MetricsRegistry:
             items = sorted(self._instruments.items())
         return {name: instrument.to_dict() for name, instrument in items}
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one.
+    def merge(self, other: Union["MetricsRegistry", dict]) -> None:
+        """Fold another registry, or its :meth:`snapshot`, into this one.
 
         Counters add, histograms combine their summaries, gauges take
-        the other registry's value (last write wins, as always).
+        the other registry's value (last write wins, as always).  A
+        snapshot is how a process-pool worker's registry crosses back to
+        the batch coordinator.
         """
-        for name, instrument in other.snapshot().items():
+        if isinstance(other, MetricsRegistry):
+            other = other.snapshot()
+        for name, instrument in other.items():
             if instrument["type"] == "counter":
                 self.counter(name).inc(instrument["value"])
             elif instrument["type"] == "gauge":

@@ -110,6 +110,30 @@ class TestHappyPath:
         for job in jobs:
             assert "async_tmap" in {c["name"] for c in job["children"]}
 
+    def test_process_workers_ship_their_counters(
+        self, tmp_path, ann_cache, capsys
+    ):
+        """A process-pool worker's ``cover.*`` and ``conformance.*``
+        counters reach the run's metrics, as a thread worker's do."""
+        printed = {}
+        for backend in ("threads", "processes"):
+            code = batch(
+                tmp_path / backend, ann_cache,
+                "--backend", backend, "--workers", "2",
+                "--libraries", "CMOS3", "--verify", "--metrics",
+                designs=(SMALL[0],),
+            )
+            assert code == 0
+            out = capsys.readouterr().out
+            lines = out.split("metrics:\n", 1)[1].splitlines()
+            printed[backend] = dict(
+                line.strip().split(" = ", 1) for line in lines if " = " in line
+            )
+        for name in ("cover.clusters", "conformance.certificates"):
+            assert printed["processes"][name] == printed["threads"][name]
+        assert printed["processes"]["conformance.certificates"] == "1"
+        assert int(printed["processes"]["cover.clusters"]) > 0
+
     def test_sync_mode_maps_the_burst_mode_flow(self, tmp_path, ann_cache):
         assert batch(
             tmp_path, ann_cache, "--sync", designs=(SMALL[0],)

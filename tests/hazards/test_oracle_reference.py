@@ -1,23 +1,26 @@
-"""The whole-table hazard oracle against the per-state loops it replaced.
+"""The hazard oracle against the per-state loops it replaced.
 
 :func:`repro.hazards.multilevel.transition_has_hazard` decides the event
-lattice with mask arithmetic, and :func:`repro.hazards.transition
-.static_fhf` / :func:`~repro.hazards.transition.dynamic_fhf` test one
-truth table over the transition space.  The straightforward versions
-they replaced live here as references: the lattice walked state by
-state, the static test by cover tautology, and the dynamic test minterm
-by minterm.
+lattice in closed form, from each live product's rising and falling path
+events, and :func:`repro.hazards.transition.static_fhf` /
+:func:`~repro.hazards.transition.dynamic_fhf` test one truth table over
+the transition space.  The straightforward versions they replaced live
+here as references: the lattice walked state by state, the static test
+by cover tautology, and the dynamic test minterm by minterm.
 
 A seeded stream of random expressions over 1–7 variables, labelled by
 :func:`~repro.boolean.paths.label_expression` so that vacuous products
-and reconvergent paths occur, is checked on every ordered transition.
+and reconvergent paths occur, is checked on every ordered transition,
+function-hazard transitions included.
 :func:`repro.hazards.witness.glitch_schedule`, the independent per-state
 search the certifier replays, must find a glitch exactly where the
 oracle reports a logic hazard on a function-hazard-free transition.
 
-:func:`repro.hazards.oracle.classify_all` decides each static transition
-cube once and each unordered dynamic pair once, and yields a verdict
-code per transition; on the same stream its codes must decode to
+:func:`repro.hazards.oracle.classify_all` reads
+:func:`~repro.hazards.oracle.classify_rows`, which decides a whole start
+row with masks and the remaining transitions once per cube or unordered
+pair; on the same stream, at the lattice limit, and on the committed
+benchmark mappings and catalog networks, its codes must decode to
 exactly what :func:`~repro.hazards.oracle.classify_transition` returns
 on every ordered transition, and the two facts its reuse rests on are
 checked on ``classify_transition`` itself.
@@ -25,7 +28,9 @@ checked on ``classify_transition`` itself.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +55,9 @@ from repro.hazards.oracle import (
     classify_all,
     classify_transition,
     code_verdict,
+    hazard_subset,
+    hazardous_transitions,
+    is_logic_hazard_free,
     verdict_code,
 )
 from repro.hazards.transition import (
@@ -361,6 +369,52 @@ def shape(outcome_):
     return outcome_.kind, outcome_.function_hazard, outcome_.logic_hazard
 
 
+def reference_subset(inner: list, outer: list):
+    """``hazard_subset`` read off two per-transition verdict lists:
+    ``"refused"`` where the walk meets a refusal it must raise."""
+    for mine, theirs in zip(inner, outer):
+        if mine is None:
+            return "refused"
+        if mine.logic_hazard:
+            if theirs is None:
+                return "refused"
+            if not theirs.logic_hazard:
+                return False
+    return True
+
+
+PERFBENCH_DATA = Path(__file__).resolve().parents[2] / "perfbench" / "data"
+
+
+def committed_lsops(max_vars: int):
+    """The labelled SOP of every distinct output of at most ``max_vars``
+    support variables: the benchmark's designs and their committed
+    mappings under both objectives, then the catalog networks."""
+    from repro.api.facade import read_blif_text
+    from repro.burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
+
+    designs = json.loads((PERFBENCH_DATA / "manifest.json").read_text())
+    networks = []
+    for entry in designs["designs"].values():
+        files = [entry["source"]]
+        files += [entry["mappings"][goal]["blif"] for goal in ("area", "delay")]
+        for name in files:
+            networks.append(read_blif_text((PERFBENCH_DATA / name).read_text()))
+    networks += [synthesize_benchmark(name).netlist(name) for name in TABLE5_ORDER]
+    seen = set()
+    for network in networks:
+        for output in network.outputs:
+            expr = network.collapse(output)
+            support = sorted(expr.support())
+            if len(support) > max_vars:
+                continue
+            lsop = label_expression(expr, support)
+            key = (str(lsop), tuple(support))
+            if key not in seen:
+                seen.add(key)
+                yield lsop
+
+
 class TestSharedDecisions:
     def test_classify_all_is_the_per_transition_loop(self):
         """Decoded, the codes are the per-transition verdicts, and
@@ -377,6 +431,56 @@ class TestSharedDecisions:
             for kind in range(len(CODE_KINDS))
             for bits in (0, CODE_FH, CODE_LH)
         }
+
+    def test_committed_outputs(self):
+        """The same on every output of at most 7 variables of the
+        benchmark's committed ACTEL mappings, their sources and the
+        catalog networks, whose lattices reach the limit."""
+        checked = refused = 0
+        for lsop in committed_lsops(7):
+            verdicts = per_transition(lsop)
+            assert decoded(lsop) == verdicts
+            checked += len(verdicts)
+            refused += verdicts.count(None)
+        assert checked > 500_000 and refused > 0
+
+    def test_exhaustive_checks_read_the_codes(self):
+        """The checks built on the rows (the hazardous transitions, in
+        order; freedom; the subset test, refusals raised where the
+        per-transition loop meets them) agree with the loop."""
+        lsops = list(random_lsops(SHALLOW + DEEP))
+        subsets_checked = 0
+        for index, lsop in enumerate(lsops):
+            verdicts = per_transition(lsop)
+            first_refusal = next(
+                (i for i, v in enumerate(verdicts) if v is None), len(verdicts)
+            )
+            hazards = [v for v in verdicts[:first_refusal] if v.logic_hazard]
+            if first_refusal < len(verdicts):
+                with pytest.raises(ValueError):
+                    hazardous_transitions(lsop)
+            else:
+                assert hazardous_transitions(lsop) == hazards
+            if hazards:
+                assert not is_logic_hazard_free(lsop)
+            elif first_refusal < len(verdicts):
+                with pytest.raises(ValueError):
+                    is_logic_hazard_free(lsop)
+            else:
+                assert is_logic_hazard_free(lsop)
+            # The subset test against the next expression of the same
+            # width, and against itself.
+            for other in (lsop, lsops[(index + 1) % len(lsops)]):
+                if other.nvars != lsop.nvars:
+                    continue
+                expected = reference_subset(verdicts, per_transition(other))
+                result = outcome(hazard_subset, lsop, other)
+                if expected == "refused":
+                    assert str(result).startswith("ValueError")
+                else:
+                    assert result == expected
+                subsets_checked += 1
+        assert subsets_checked > 60
 
     def test_static_verdicts_belong_to_the_cube_and_all_reverse(self):
         """Every corner pair of a cube on which f is constant gets the
@@ -451,6 +555,75 @@ class TestLatticeLimit:
         lsop = self.lsop(0, MAX_EVENTS)
         assert transition_has_hazard(lsop, 0b000, 0b100)
         assert reference_transition_has_hazard(lsop, 0b000, 0b100)
+
+
+class TestClosedForm:
+    """Hand-built labelled SOPs on which each closed form has a job."""
+
+    def agree(self, lsop: LabeledSop, start: int, end: int) -> bool:
+        """The closed form's verdict, checked against the lattice walk
+        in both directions."""
+        verdict = transition_has_hazard(lsop, start, end)
+        assert verdict == reference_transition_has_hazard(lsop, start, end)
+        assert transition_has_hazard(lsop, end, start) == verdict
+        assert reference_transition_has_hazard(lsop, end, start) == verdict
+        return verdict
+
+    def test_vacuous_static_0_pulse(self):
+        # a#0·a'#1·b never holds, but pulses while a is in transit.
+        lsop = sop([("a", 0, True), ("a", 1, False), ("b", 0, True)], names=["a", "b"])
+        assert self.agree(lsop, 0b10, 0b11)  # b = 1: the product is live
+        assert not self.agree(lsop, 0b00, 0b01)  # b = 0 kills it
+        codes = dict(zip(all_transitions(2), classify_all(lsop)))
+        assert codes[0b10, 0b11] == CODE_LH  # static-0, no function hazard
+        assert codes[0b00, 0b01] == 0
+
+    def test_static_1_needs_a_product_free_of_changing_literals(self):
+        names = ["a", "b"]
+        # a·b + a·b' across b's change: each product has a changing
+        # literal, so the output can drop; adding a covers it.
+        ab = [("a", 0, True), ("b", 0, True)]
+        ab_ = [("a", 1, True), ("b", 1, False)]
+        lsop = sop(ab, ab_, names=names)
+        assert self.agree(lsop, 0b01, 0b11)
+        covered = sop(ab, ab_, [("a", 2, True)], names=names)
+        assert not self.agree(covered, 0b01, 0b11)
+
+    def test_dynamic_witness_needs_other_products_falling_events(self):
+        """a·b' + a·c' + b·c from 000 to 111, with a's path shared by
+        the first two products.  Once a rises, both hold the output at
+        1, and no single falling event turns both off: the glitch needs
+        c#0 to fall first (the witness state {a, c#0}, where a·b' holds
+        the output alone), then b#0."""
+        names = ["a", "b", "c"]
+        lsop = sop(
+            [("a", 0, True), ("b", 0, False)],
+            [("a", 0, True), ("c", 0, False)],
+            [("b", 1, True), ("c", 1, True)],
+            names=names,
+        )
+        assert lsop.path_wires()[0] == ("a", 0)  # one wire, two products
+        assert classify_transition(lsop, 0b000, 0b111) == TransitionVerdict(
+            0b000, 0b111, TransitionKind.DYNAMIC, False, True
+        )
+        assert self.agree(lsop, 0b000, 0b111)
+        schedule = glitch_schedule(lsop, 0b000, 0b111)
+        assert schedule.index(("c", 0)) < schedule.index(("b", 0))
+
+    def test_shared_paths_switch_once(self):
+        """a·(b + c) distributes to a#0·b#0 + a#0·c#0: the one wire
+        a#0 switches once for both products, so the burst a↑ b↓ with
+        c = 1 is clean (a·c holds the output once a has risen).  A wire
+        read in both phases is no labelling, and is refused."""
+        a, b, c = Var("a"), Var("b"), Var("c")
+        shared = label_expression(And([a, Or([b, c])]), ["a", "b", "c"])
+        assert len(shared.path_wires()) == 3
+        for start, end in all_transitions(3):
+            self.agree(shared, start, end)
+        assert not transition_has_hazard(shared, 0b110, 0b101)
+        both = sop([("a", 0, True), ("b", 0, True)], [("a", 0, False)], names=["a", "b"])
+        with pytest.raises(TypeError):
+            both.path_literals()
 
 
 def test_lattice_masks_are_projection_tables():
