@@ -129,17 +129,23 @@ def resolve_cache_dir(cache_dir: CacheDir = None) -> Optional[Path]:
 
 
 def library_fingerprint(library: "Library") -> str:
-    """Content hash of everything the annotation result depends on."""
-    from .. import __version__
+    """Content hash of everything the annotation result depends on.
 
-    hasher = hashlib.sha256()
-    hasher.update(f"v{CACHE_VERSION}|{__version__}|{library.name}".encode())
-    for cell in library.cells:
-        hasher.update(
-            f"|{cell.name}|{cell.expression.to_string()}"
-            f"|{','.join(cell.pins)}|{cell.area}|{cell.delay}".encode()
-        )
-    return hasher.hexdigest()
+    A library's cells are fixed once it is built, so the hash is
+    computed on the first call and kept on the library.
+    """
+    if library._fingerprint is None:
+        from .. import __version__
+
+        hasher = hashlib.sha256()
+        hasher.update(f"v{CACHE_VERSION}|{__version__}|{library.name}".encode())
+        for cell in library.cells:
+            hasher.update(
+                f"|{cell.name}|{cell.expression.to_string()}"
+                f"|{','.join(cell.pins)}|{cell.area}|{cell.delay}".encode()
+            )
+        library._fingerprint = hasher.hexdigest()
+    return library._fingerprint
 
 
 def annotation_path(

@@ -77,6 +77,8 @@ class Library:
             self._signatures.setdefault(key, []).append(cell)
         self.annotated = False
         self._annotation_report: Optional[AnnotationReport] = None
+        #: Filled in by :func:`repro.library.anncache.library_fingerprint`.
+        self._fingerprint: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.cells)

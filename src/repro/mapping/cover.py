@@ -164,10 +164,14 @@ def cover_cone(
     Only work that can produce a match is done: clusters are enumerated
     up to ``min(max_inputs, library.max_pins)`` leaves (a cluster's
     leaves are the union of its children's, so every narrower cluster
-    is still built, in the same order), and each distinct cluster
-    function is matched once per ``match_memo`` (see
+    is still built, in the same order), a cluster whose leaf count no
+    cell has gets no expression, and each distinct cluster function is
+    matched once per ``match_memo`` (see
     :func:`repro.mapping.match.match_cluster`).  The mapper passes one
-    memo per run; without one, the memo lasts one cone.
+    memo per run; without one, the memo lasts one cone.  A cluster's
+    leaf cost (the sum of its leaves' best costs, their maximum for
+    ``objective="delay"``) is computed once, at its first accepted
+    match.
     """
     if stats is None:
         stats = CoverStats()
@@ -205,6 +209,7 @@ def cover_cone(
             analysis_memo[key] = analysis
         return analysis
 
+    delay = objective == "delay"
     best: dict[str, tuple[float, Optional[Selection]]] = {
         leaf: (0.0, None) for leaf in cone.leaves
     }
@@ -219,10 +224,13 @@ def cover_cone(
         champion_cost = float("inf")
         champion_record = None
         for cluster in node_clusters:
+            if not library.by_pin_count(len(cluster.leaves)):
+                continue
             expr = cluster_expression(netlist, cluster)
             matches = match_cluster(
                 library, expr, cluster.leaves, memo=match_memo
             )
+            leaf_cost: Optional[float] = None
             for match in matches:
                 stats.matches += 1
                 record = (
@@ -259,14 +267,14 @@ def cover_cone(
                             )
                         continue
                     stats.hazard_accepts += 1
-                leaf_cost = sum(best_cost(leaf) for leaf in cluster.leaves)
-                if objective == "delay":
-                    own = match.cell.delay + max(
-                        (best_cost(leaf) for leaf in cluster.leaves), default=0.0
+                if leaf_cost is None:
+                    # Once per cluster, at its first accepted match.
+                    costs = (best_cost(leaf) for leaf in cluster.leaves)
+                    leaf_cost = (
+                        max(costs, default=0.0) if delay else sum(costs)
                     )
-                    total = own
-                else:
-                    total = match.cell.area + leaf_cost
+                own = match.cell.delay if delay else match.cell.area
+                total = own + leaf_cost
                 if record is not None:
                     record.cost = total
                 if total < champion_cost:

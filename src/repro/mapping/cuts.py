@@ -24,18 +24,17 @@ class Cluster:
     """A candidate match region.
 
     ``root`` is the cluster output node; ``leaves`` the ordered input
-    signals; ``members`` the gate nodes replaced when the cluster is
-    chosen; ``depth`` the gate depth between leaves and root.
+    signals; ``depth`` the gate depth between leaves and root.
 
     ``parts`` holds, per fanin of the root gate, the absorbed child
     cluster, or ``None`` where the cluster cuts (the fanin is a leaf);
-    :func:`cluster_expression` builds the expression from them.  Parts
-    and the cached expression take no part in equality or hashing.
+    :func:`cluster_expression` builds the expression from them, and
+    :attr:`members` is derived from them.  Parts and the cached
+    expression take no part in equality or hashing.
     """
 
     root: str
     leaves: tuple[str, ...]
-    members: frozenset[str]
     depth: int
     parts: tuple[Optional["Cluster"], ...] = field(
         default=(), compare=False, repr=False
@@ -47,6 +46,23 @@ class Cluster:
     @property
     def num_inputs(self) -> int:
         return len(self.leaves)
+
+    @property
+    def members(self) -> frozenset[str]:
+        """The gate nodes replaced when the cluster is chosen: the root
+        and the members of every absorbed part."""
+        members = {self.root}
+        for part in self.parts:
+            if part is not None:
+                members |= part.members
+        return frozenset(members)
+
+
+#: What a parent gate may take at one fanin: the absorbed cluster (or
+#: ``None`` for a cut there), its ordered leaves, their bitmask over the
+#: cone-local leaf index, and its depth.  A partial cluster has the same
+#: shape, with the tuple of parts chosen so far in the first place.
+_Option = tuple[Optional[Cluster], tuple[str, ...], int, int]
 
 
 def enumerate_clusters(
@@ -63,84 +79,79 @@ def enumerate_clusters(
     base gate with its fanins as leaves) is always present, so a cover
     exists whenever the library can realize the base functions.
 
+    A node's clusters are the product of its fanins' options — cut
+    there, or absorb one of the fanin's clusters of depth below
+    ``max_depth``, in that order — taken one fanin at a time, in
+    lexicographic order.  A partial cluster carries its leaf set as a
+    bitmask over a cone-local index, so a union is one ``|`` and the
+    input bound one ``bit_count``; leaf tuples are concatenated, and
+    filtered only where the masks overlap.  The product is lazy, so a
+    capped node stops as soon as its cap is passed.
+
     A node keeps its first ``max_clusters_per_node`` clusters; the name
     of each node that had more is appended to ``capped`` when a list is
     given.
     """
-    members = set(cone.members)
-    leaves = set(cone.leaves)
+    absorbable = set(cone.members).difference(cone.leaves)
+    bits: dict[str, int] = {}
     clusters: dict[str, list[Cluster]] = {}
+    # Per node, each of its clusters as a parent's option.
+    options: dict[str, list[_Option]] = {}
 
-    def node_clusters(name: str) -> list[Cluster]:
+    def node_clusters(name: str) -> None:
         if name in clusters:
-            return clusters[name]
-        node = netlist.nodes[name]
-        result: list[Cluster] = []
-        truncated = False
-        # Choice per fanin: stop (leaf) or absorb the fanin's clusters.
-        options: list[list[Optional[Cluster]]] = []
-        for fanin in node.fanins:
-            opts: list[Optional[Cluster]] = [None]  # None = cut here
-            if fanin in members and fanin not in leaves:
-                opts.extend(node_clusters(fanin))
-            options.append(opts)
-        # The option taken at each fanin on the current path: the parts.
-        chosen: list[Optional[Cluster]] = [None] * len(options)
-
-        def combine(index: int, leaf_acc: list[str], member_acc: set[str], depth_acc: int) -> None:
-            nonlocal truncated
-            if truncated:
-                return
-            if index == len(options):
-                ordered = tuple(dict.fromkeys(leaf_acc))
-                if len(ordered) > max_inputs:
-                    return
-                if (
-                    max_clusters_per_node is not None
-                    and len(result) >= max_clusters_per_node
-                ):
-                    # A cluster past the cap: stop the whole node here.
-                    truncated = True
-                    return
-                result.append(
-                    Cluster(
-                        root=name,
-                        leaves=ordered,
-                        members=frozenset(member_acc),
-                        depth=depth_acc + 1,
-                        parts=tuple(chosen),
-                    )
+            return
+        partials = iter([((), (), 0, 0)])
+        for fanin in netlist.nodes[name].fanins:
+            bit = bits.get(fanin)
+            if bit is None:
+                bit = bits[fanin] = 1 << len(bits)
+            fanin_options: list[_Option] = [(None, (fanin,), bit, 0)]
+            if fanin in absorbable:
+                node_clusters(fanin)
+                fanin_options.extend(
+                    option for option in options[fanin] if option[3] < max_depth
                 )
-                return
-            fanin = node.fanins[index]
-            for option in options[index]:
-                chosen[index] = option
-                if option is None:
-                    if len(set(leaf_acc) | {fanin}) > max_inputs:
-                        continue
-                    combine(index + 1, leaf_acc + [fanin], member_acc, depth_acc)
-                else:
-                    if option.depth + 1 > max_depth:
-                        continue
-                    merged = set(leaf_acc) | set(option.leaves)
-                    if len(merged) > max_inputs:
-                        continue
-                    combine(
-                        index + 1,
-                        leaf_acc + list(option.leaves),
-                        member_acc | set(option.members),
-                        max(depth_acc, option.depth),
-                    )
-
-        combine(0, [], {name}, 0)
-        if truncated and capped is not None:
-            capped.append(name)
+            partials = _extend(partials, fanin_options, bits, max_inputs)
+        result: list[Cluster] = []
+        own: list[_Option] = []
+        for parts, leaves, mask, depth in partials:
+            if len(result) == max_clusters_per_node:
+                # A cluster past the cap: stop the whole node here.
+                if capped is not None:
+                    capped.append(name)
+                break
+            cluster = Cluster(name, leaves, depth + 1, parts)
+            result.append(cluster)
+            own.append((cluster, leaves, mask, depth + 1))
         clusters[name] = result
-        return result
+        options[name] = own
 
     for member in cone.members:
         node_clusters(member)
     return clusters
+
+
+def _extend(
+    partials, fanin_options: list[_Option], bits: dict[str, int], max_inputs: int
+):
+    """Each partial cluster extended by each option of the next fanin,
+    in order, skipping those past ``max_inputs`` leaves."""
+    for parts, leaves, mask, depth in partials:
+        for part, part_leaves, part_mask, part_depth in fanin_options:
+            union = mask | part_mask
+            if union.bit_count() > max_inputs:
+                continue
+            if mask & part_mask:
+                part_leaves = tuple(
+                    leaf for leaf in part_leaves if not bits[leaf] & mask
+                )
+            yield (
+                parts + (part,),
+                leaves + part_leaves,
+                union,
+                depth if depth >= part_depth else part_depth,
+            )
 
 
 def cluster_expression(netlist: Netlist, cluster: Cluster) -> Expr:

@@ -30,7 +30,11 @@ async mapper under the paper's record-list filter
 (``MappingOptions(filter_mode="paper")``) and records the SHA-256 of
 each mapped BLIF (``paper[ACTEL][benchmark]``): the pin on the one
 path on which a standard library can read a cluster's section-4
-records.
+records.  Beside each of those digests (the 88 catalog maps and the
+ACTEL paper-filter maps) it records every ``CoverStats.COUNTER_FIELDS``
+value of the map (``counters[library][mode][benchmark]``, with mode
+``async``, ``sync`` or ``paper``): the pin on the covering DP's work,
+which a change can alter without altering a netlist.
 ``tests/integration/test_golden_mapping.py`` pins the mapper and the
 certifier against this file, so regenerate it ONLY when a change is
 meant to alter results — and say why in the commit that updates it.
@@ -51,6 +55,7 @@ from repro.burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
 from repro.conformance import certify_mapping
 from repro.conformance.certifier import DEFAULT_EXHAUSTIVE_LIMIT
 from repro.library.standard import load_library
+from repro.mapping.cover import CoverStats
 from repro.mapping.mapper import MappingOptions, async_tmap, map_network
 from repro.testing.faults import seed_hazard
 
@@ -77,25 +82,33 @@ def golden_entry(result, certificate) -> dict:
     }
 
 
-def mapped_digests(library, mode: str) -> dict[str, str]:
-    """SHA-256 of the mapped BLIF of every catalog benchmark."""
-    digests = {}
+def stats_counters(stats) -> dict[str, int]:
+    """Every ``CoverStats`` counter of one map, by field name."""
+    return {name: getattr(stats, name) for name in CoverStats.COUNTER_FIELDS}
+
+
+def mapped_digests(library, mode: str) -> tuple[dict[str, str], dict[str, dict]]:
+    """SHA-256 of the mapped BLIF of every catalog benchmark, and the
+    map's covering counters."""
+    digests, counters = {}, {}
     for name in TABLE5_ORDER:
         network = synthesize_benchmark(name).netlist(name)
         result = map_network(network, library, MappingOptions(), mode=mode)
         digests[name] = text_digest(netlist_blif(result.mapped))
-    return digests
+        counters[name] = stats_counters(result.stats)
+    return digests, counters
 
 
-def paper_digests(library) -> dict[str, str]:
+def paper_digests(library) -> tuple[dict[str, str], dict[str, dict]]:
     """SHA-256 of the async mapped BLIF of every catalog benchmark under
-    the paper's record-list filter."""
-    digests = {}
+    the paper's record-list filter, and the map's covering counters."""
+    digests, counters = {}, {}
     for name in TABLE5_ORDER:
         network = synthesize_benchmark(name).netlist(name)
         result = async_tmap(network, library, MappingOptions(filter_mode="paper"))
         digests[name] = text_digest(netlist_blif(result.mapped))
-    return digests
+        counters[name] = stats_counters(result.stats)
+    return digests, counters
 
 
 def evidence_digests(library) -> dict[str, str]:
@@ -174,12 +187,17 @@ def main() -> int:
             f"verify_ok={certificate.certified}"
         )
     digests: dict[str, dict[str, dict[str, str]]] = {}
+    counters: dict[str, dict[str, dict[str, dict]]] = {}
     annotations: dict[str, str] = {}
     for library_name in DIGEST_LIBRARIES:
         target = load_library(library_name)
         digests[library_name] = {}
+        counters[library_name] = {}
         for mode in MODES:
-            digests[library_name][mode] = mapped_digests(target, mode)
+            (
+                digests[library_name][mode],
+                counters[library_name][mode],
+            ) = mapped_digests(target, mode)
             print(f"{library_name} {mode}: {len(TABLE5_ORDER)} digests")
         # The async maps annotated the library.
         annotations[library_name] = annotation_digest(target)
@@ -193,13 +211,16 @@ def main() -> int:
         print(f"{library_name}: {len(TABLE5_ORDER)} rejection digests")
     paper = {}
     for library_name in PAPER_LIBRARIES:
-        paper[library_name] = paper_digests(load_library(library_name))
+        paper[library_name], counters[library_name]["paper"] = paper_digests(
+            load_library(library_name)
+        )
         print(f"{library_name}: {len(TABLE5_ORDER)} paper-filter digests")
     payload = {
         "annotations": annotations,
         "library": LIBRARY,
         "benchmarks": golden,
         "digests": digests,
+        "counters": counters,
         "certificates": certificates,
         "rejections": rejections,
         "paper": paper,

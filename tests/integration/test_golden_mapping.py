@@ -16,7 +16,9 @@ SHA-256 over its whole payload but the wall time, so new-hazard
 replays, their schedules, counterexamples and violation lines are
 pinned too.  So is each async ACTEL netlist mapped under the paper's
 record-list filter (``filter_mode="paper"``), the one path on which a
-standard library can read a cluster's section-4 records.  Any
+standard library can read a cluster's section-4 records.  Beside each
+of those netlists every ``CoverStats`` counter of its map is pinned, so
+a change to the covering DP must prove it did the same work.  Any
 intentional change that alters results must regenerate the file::
 
     PYTHONPATH=src python tests/data/regen_golden_mappings.py
@@ -39,6 +41,7 @@ from repro.burstmode.benchmarks import TABLE5_ORDER, synthesize_benchmark
 from repro.conformance import certify_mapping
 from repro.conformance.certifier import DEFAULT_EXHAUSTIVE_LIMIT
 from repro.library.standard import ALL_LIBRARIES, load_library
+from repro.mapping.cover import CoverStats
 from repro.mapping.mapper import MappingOptions, async_tmap, map_network
 from repro.testing.faults import seed_hazard
 
@@ -59,6 +62,11 @@ PAPER_LIBRARIES = ("ACTEL",)
 #: output classified, past the certifier's default of 6 support
 #: variables (pe-send-ifc, 7 inputs, is the one catalog design between).
 EXHAUSTIVE_INPUTS = 8
+
+
+def stats_counters(stats) -> dict[str, int]:
+    """Every ``CoverStats`` counter of one map, by field name."""
+    return {name: getattr(stats, name) for name in CoverStats.COUNTER_FIELDS}
 
 
 def exhaustive_limit(network) -> int:
@@ -97,6 +105,14 @@ def test_golden_file_covers_the_whole_catalog():
     assert sorted(GOLDEN["paper"]) == sorted(PAPER_LIBRARIES)
     for digests in GOLDEN["paper"].values():
         assert sorted(digests) == sorted(TABLE5_ORDER)
+    assert sorted(GOLDEN["counters"]) == sorted(ALL_LIBRARIES)
+    for library_name, modes in GOLDEN["counters"].items():
+        paper = ["paper"] if library_name in PAPER_LIBRARIES else []
+        assert sorted(modes) == sorted(["async", "sync"] + paper)
+        for counters in modes.values():
+            assert sorted(counters) == sorted(TABLE5_ORDER)
+            for values in counters.values():
+                assert sorted(values) == sorted(CoverStats.COUNTER_FIELDS)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +124,8 @@ def test_mapped_blifs_are_byte_identical(library_name, mode, libraries):
         libraries[library_name] = load_library(library_name)
     library = libraries[library_name]
     expected = GOLDEN["digests"][library_name][mode]
-    changed = []
+    expected_counters = GOLDEN["counters"][library_name][mode]
+    changed, recounted = [], []
     for bench in TABLE5_ORDER:
         network = synthesize_benchmark(bench).netlist(bench)
         result = map_network(network, library, MappingOptions(), mode=mode)
@@ -118,8 +135,14 @@ def test_mapped_blifs_are_byte_identical(library_name, mode, libraries):
         assert result.stats.cluster_analyses == 0, bench
         if text_digest(netlist_blif(result.mapped)) != expected[bench]:
             changed.append(bench)
+        if stats_counters(result.stats) != expected_counters[bench]:
+            recounted.append(bench)
     assert not changed, (
         f"{library_name} {mode}: mapped BLIF of {changed} changed — "
+        "regenerate tests/data/golden_mappings.json if this is intentional"
+    )
+    assert not recounted, (
+        f"{library_name} {mode}: covering counters of {recounted} changed — "
         "regenerate tests/data/golden_mappings.json if this is intentional"
     )
 
@@ -130,15 +153,23 @@ def test_paper_filter_blifs_are_byte_identical(library_name, libraries):
         libraries[library_name] = load_library(library_name)
     library = libraries[library_name]
     expected = GOLDEN["paper"][library_name]
-    changed = []
+    expected_counters = GOLDEN["counters"][library_name]["paper"]
+    changed, recounted = [], []
     for bench in TABLE5_ORDER:
         network = synthesize_benchmark(bench).netlist(bench)
         result = async_tmap(network, library, MappingOptions(filter_mode="paper"))
         if text_digest(netlist_blif(result.mapped)) != expected[bench]:
             changed.append(bench)
+        if stats_counters(result.stats) != expected_counters[bench]:
+            recounted.append(bench)
     assert not changed, (
         f"{library_name} paper filter: mapped BLIF of {changed} changed — "
         "regenerate tests/data/golden_mappings.json if this is intentional"
+    )
+    assert not recounted, (
+        f"{library_name} paper filter: covering counters of {recounted} "
+        "changed — regenerate tests/data/golden_mappings.json if this is "
+        "intentional"
     )
 
 

@@ -158,6 +158,14 @@ class TestDiskAnnotationCache:
         assert data["cache_version"] == anncache.CACHE_VERSION
         assert set(data["analyses"]) == {c.name for c in library.cells}
 
+    def test_fingerprint_is_computed_once_per_library(self):
+        library = cmos3.__wrapped__()
+        first = anncache.library_fingerprint(library)
+        assert anncache.library_fingerprint(cmos3.__wrapped__()) == first
+        # The hash is kept on the library: a later call renders no cell.
+        library.cells = []
+        assert anncache.library_fingerprint(library) == first
+
     def test_entries_and_clear(self, tmp_path):
         library = cmos3.__wrapped__()
         library.annotate_hazards(exhaustive=True, cache_dir=tmp_path)

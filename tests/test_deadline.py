@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.api import MapRequest, run_map
+from repro.api import MapRequest, facade, run_map
 from repro.burstmode.benchmarks import synthesize_benchmark
 from repro.deadline import Deadline, DeadlineExceeded, checked_sleep
 from repro.library import anncache
@@ -79,6 +79,23 @@ class TestSleep:
         assert time.monotonic() - started >= 0.009
 
 
+class HangClockDeadline(Deadline):
+    """A deadline whose clock runs only inside an injected hang.
+
+    Its budget starts when the hang begins, so covering, however slow
+    the host, can never use it up first: the only checkpoint that can
+    see it expire is the hang's own site.
+    """
+
+    def __init__(self, seconds: float) -> None:
+        super().__init__(seconds)
+        self._expires = float("inf")
+
+    def sleep(self, duration: float, site: str = "sleep") -> None:
+        self._expires = time.monotonic() + self.seconds
+        super().sleep(duration, site)
+
+
 class TestNetlistBuildCheckpoint:
     """Expiry at the last checkpoint before the mapped netlist exists."""
 
@@ -101,7 +118,7 @@ class TestNetlistBuildCheckpoint:
             options = MappingOptions(
                 max_depth=3,
                 annotation_cache_dir=anncache.DISABLED,
-                deadline=Deadline(0.05),
+                deadline=HangClockDeadline(0.05),
             )
             with pytest.raises(DeadlineExceeded) as excinfo:
                 map_network(source, library, options)
@@ -109,7 +126,8 @@ class TestNetlistBuildCheckpoint:
             faults.clear_plan()
         assert excinfo.value.site == "netlist.build"
 
-    def test_facade_degrades_to_trivial_cover(self, source, library):
+    def test_facade_degrades_to_trivial_cover(self, source, library, monkeypatch):
+        monkeypatch.setattr(facade, "Deadline", HangClockDeadline)
         faults.install_plan(
             FaultPlan.parse(["hang@netlist.build"]), job="t@L", attempt=1
         )
