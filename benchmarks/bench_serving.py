@@ -14,7 +14,10 @@ claim end to end:
   one-shot ``map_network`` run of the same request (same BLIF text,
   same SHA-256 digest);
 * warm responses report ``annotate_seconds == 0`` and no annotation
-  source.
+  source;
+* every request rides one kept-alive connection: the service's
+  ``service.connections`` counter must read exactly 1.  The median
+  latency of the warm requests is printed.
 
 The warm responses are also folded into a ``repro-bench-mapping/v1``
 snapshot (quality fields from the wire payloads) so CI can hold served
@@ -30,6 +33,7 @@ results to the committed baseline via ``check_regression.py --subset``::
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -89,6 +93,7 @@ def main(argv=None) -> int:
     rows = []
     snapshot_rows: dict[str, dict] = {}
     cold_annotate = 0.0
+    all_warm_walls = []
     with MappingService(config).running() as service:
         client = ServiceClient(service.url)
         client.wait_ready()
@@ -122,6 +127,7 @@ def main(argv=None) -> int:
                         f"({warm.annotate_seconds}s, "
                         f"source={warm.annotate_source!r})"
                     )
+            all_warm_walls.extend(warm_walls)
             if warm.blif != cold.blif or warm.digest != cold.digest:
                 _fail(f"warm response for {name} drifted from the cold one")
 
@@ -154,7 +160,14 @@ def main(argv=None) -> int:
         metrics = client.metrics()["metrics"]
         calls = metrics.get("library.annotate.calls", {}).get("value", 0)
         total = metrics.get("service.requests.map", {}).get("value", 0)
+        connections = service.metrics.counter("service.connections").value
+        client.close()
 
+    if connections != 1:
+        _fail(
+            f"{connections} connections carried the requests; one client "
+            "thread must keep a single connection open"
+        )
     if calls != 1:
         _fail(
             f"library.annotate.calls is {calls} after {total} requests; "
@@ -174,6 +187,10 @@ def main(argv=None) -> int:
     print(
         f"annotation: paid once ({cold_annotate:.3f}s on the cold request), "
         f"amortized over {total} requests; library.annotate.calls={calls}"
+    )
+    print(
+        f"warm requests: median {statistics.median(all_warm_walls) * 1e3:.1f} ms "
+        f"over {len(all_warm_walls)}, on {connections} connection"
     )
 
     if args.output:

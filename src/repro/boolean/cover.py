@@ -82,7 +82,12 @@ class Cover:
 
     def evaluate(self, point: int) -> bool:
         """Value of the function at a minterm."""
-        return any(cube.contains_point(point) for cube in self.cubes)
+        # ``Cube.contains_point`` inlined: the certifier tabulates its
+        # equivalence tables through this, once per point.
+        for cube in self.cubes:
+            if point & cube.used == cube.phase:
+                return True
+        return False
 
     def num_literals(self) -> int:
         """Total literal count — the paper's area proxy for CMOS cells."""

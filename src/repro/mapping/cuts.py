@@ -11,7 +11,6 @@ the classical recursive cut enumeration on a tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..boolean.expr import Expr, Var
@@ -19,7 +18,6 @@ from ..network.netlist import Netlist
 from ..network.partition import Cone
 
 
-@dataclass(frozen=True)
 class Cluster:
     """A candidate match region.
 
@@ -31,17 +29,43 @@ class Cluster:
     :func:`cluster_expression` builds the expression from them, and
     :attr:`members` is derived from them.  Parts and the cached
     expression take no part in equality or hashing.
+
+    Plain and slotted, not a frozen dataclass, whose ``__init__`` costs
+    several times as much: covering builds thousands per cone.  Treat
+    it as immutable all the same.
     """
 
-    root: str
-    leaves: tuple[str, ...]
-    depth: int
-    parts: tuple[Optional["Cluster"], ...] = field(
-        default=(), compare=False, repr=False
-    )
-    #: Set by :func:`cluster_expression`; a plain class attribute, not a
-    #: field, so outside the cluster's identity.
-    _expression = None
+    __slots__ = ("root", "leaves", "depth", "parts", "_expression")
+
+    def __init__(
+        self,
+        root: str,
+        leaves: tuple[str, ...],
+        depth: int,
+        parts: tuple[Optional["Cluster"], ...] = (),
+    ) -> None:
+        self.root = root
+        self.leaves = leaves
+        self.depth = depth
+        self.parts = parts
+        #: Set by :func:`cluster_expression`.
+        self._expression: Optional[Expr] = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cluster):
+            return NotImplemented
+        return (self.root, self.leaves, self.depth) == (
+            other.root, other.leaves, other.depth
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.leaves, self.depth))
+
+    def __repr__(self) -> str:
+        return (
+            f"Cluster(root={self.root!r}, leaves={self.leaves!r}, "
+            f"depth={self.depth!r})"
+        )
 
     @property
     def num_inputs(self) -> int:
@@ -177,8 +201,7 @@ def _expression(netlist: Netlist, cluster: Cluster) -> Expr:
         expr = _substitute_parts(netlist, cluster)
         if expr is None:
             expr = netlist.collapse(cluster.root, stop_at=set(cluster.leaves))
-        # The dataclass is frozen; ``_expression`` is no field of it.
-        object.__setattr__(cluster, "_expression", expr)
+        cluster._expression = expr
     return expr
 
 

@@ -3,16 +3,23 @@
 The service tests, the smoke harnesses, and the serving benchmark all
 talk to the daemon through this one class, so the wire contract
 (``repro-api/v1`` map and certify payloads over JSON/HTTP) is
-exercised the same way everywhere.  Built on ``urllib.request`` — the
+exercised the same way everywhere.  Built on ``http.client`` — the
 service stack adds no dependencies.
+
+Each thread that calls a client gets one persistent HTTP/1.1
+connection and sends every request over it, so a request pays no TCP
+handshake and the daemon no new handler thread.  When a kept
+connection turns out to be gone before any byte of the answer arrived
+(the daemon dropped it while it sat idle, say), the request is sent
+once more on a fresh connection; both work endpoints are idempotent.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Optional, Union
 
 from ..api.schema import (
@@ -41,7 +48,10 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """A thin, synchronous client for one service instance."""
+    """A thin, synchronous client for one service instance.
+
+    Safe to share between threads: each keeps a connection of its own.
+    """
 
     def __init__(
         self,
@@ -56,13 +66,40 @@ class ServiceClient:
         #: trace; responses then include the stitched subtree under a
         #: ``trace`` key for the caller to graft.
         self.trace_context = trace_context
+        #: ``HOST:PORT`` of the ``http://HOST:PORT`` base URL.
+        self._address = self.base_url.split("://", 1)[-1]
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close the connection of every thread that used the client.
+
+        Call it once no thread is sending; a later request opens a
+        fresh connection.
+        """
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
 
     # -- transport --------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (it opens on first use)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self._address, timeout=self.timeout
+            )
+            self._local.connection = connection
+            with self._lock:
+                self._connections.append(connection)
+        return connection
 
     def _request_raw(
         self, method: str, path: str, payload: Optional[dict]
     ) -> bytes:
-        url = f"{self.base_url}{path}"
         data = None
         headers = {"Accept": "application/json"}
         if self.trace_context is not None:
@@ -70,26 +107,40 @@ class ServiceClient:
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url, data=data, headers=headers, method=method
-        )
+        connection = self._connection()
+        # Only a connection kept from an earlier request can have been
+        # dropped under us; a fresh one that fails is a real failure.
+        reused = connection.sock is not None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return resp.read()
-        except urllib.error.HTTPError as exc:
-            body = exc.read().decode("utf-8", errors="replace")
+            while True:
+                try:
+                    connection.request(method, path, body=data, headers=headers)
+                    response = connection.getresponse()
+                    break
+                except ConnectionError:
+                    connection.close()
+                    if not reused:
+                        raise
+                    reused = False
+            raw = response.read()
+        except (http.client.HTTPException, OSError) as exc:
+            connection.close()
+            raise ServiceError(
+                0, f"cannot reach {self.base_url}{path}: {exc}"
+            ) from exc
+        if response.status >= 400:
+            body = raw.decode("utf-8", errors="replace")
             try:
                 message = json.loads(body).get("error", body)
             except ValueError:
-                message = body or exc.reason
-            retry_after = exc.headers.get("Retry-After")
+                message = body or response.reason
+            retry_after = response.getheader("Retry-After")
             raise ServiceError(
-                exc.code,
+                response.status,
                 str(message),
                 float(retry_after) if retry_after else None,
-            ) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(0, f"cannot reach {url}: {exc.reason}") from exc
+            )
+        return raw
 
     def _request(self, method: str, path: str, payload: Optional[dict]) -> dict:
         return json.loads(self._request_raw(method, path, payload).decode("utf-8"))

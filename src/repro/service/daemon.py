@@ -23,6 +23,11 @@ Operational contracts:
   inherit the service default; overruns degrade inside the facade to
   the trivial depth-1 cover (``fallback="trivial-cover"``), never to an
   error.
+* **Persistent connections** — one HTTP/1.1 connection carries any
+  number of requests.  The daemon closes it only where the stream
+  cannot be trusted (a ``400``/``413`` answered before the body was
+  read), where the client sends ``Connection: close``, or once it has
+  sat idle for :data:`SOCKET_TIMEOUT_SECONDS`.
 * **Bounded input** — a request body must declare a non-negative
   integer ``Content-Length`` (else ``400``) of at most
   :data:`MAX_BODY_BYTES` (else ``413``, body unread), and a client that
@@ -31,12 +36,17 @@ Operational contracts:
   thread.
 * **Graceful drain** — SIGTERM/SIGINT flips the service to draining
   (new requests get ``503``), waits for in-flight requests to finish,
-  then stops the listener and writes the trace/metrics artifacts.
+  stops the listener, ends every idle connection (so no handler waits
+  out its socket timeout) and writes the trace/metrics artifacts.
 * **Telemetry** — every request runs under a ``service.request`` span
   and bumps ``service.requests[.{endpoint}]`` counters plus a
-  ``service.request_seconds`` histogram; mapping work shares the
-  service registry on in-process backends, so warm-vs-cold annotation
-  behaviour is visible in ``/metrics`` (``library.annotate.*``).
+  ``service.request_seconds`` histogram; ``service.connections``
+  counts accepted connections, and the ``service.parse_seconds``,
+  ``service.queue_seconds``, ``service.execute_seconds`` and
+  ``service.serialize_seconds`` histograms split each executed
+  request's handling time.  Mapping work shares the service registry
+  on in-process backends, so warm-vs-cold annotation behaviour is
+  visible in ``/metrics`` (``library.annotate.*``).
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import signal
+import socket
 import threading
 import time
 import urllib.parse
@@ -84,7 +95,7 @@ RETRY_AFTER_SECONDS = 1
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Seconds a handler blocks on one socket read or write before it drops
-#: the connection.
+#: the connection; an idle kept-alive connection is dropped after it too.
 SOCKET_TIMEOUT_SECONDS = 30.0
 
 #: Endpoint path -> the request kind it accepts.
@@ -130,8 +141,9 @@ def _execute_request(
     fault_plan: Optional[FaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
     trace_context: Optional[SpanContext] = None,
-) -> dict:
-    """Run one parsed API request to its response payload.
+) -> tuple[dict, float]:
+    """Run one parsed API request to its response payload and the
+    seconds that took.
 
     Module-level and argument-picklable on purpose: this is the
     function the service submits to its executor backend, and on the
@@ -141,8 +153,11 @@ def _execute_request(
     ``trace_context`` carries the request's ``trace_id`` across that
     same fence: the worker maps under a same-id tracer and ships its
     span tree back as ``payload["trace"]`` for the dispatcher to graft
-    under the ``service.request`` span.
+    under the ``service.request`` span.  The time is a duration, taken
+    in the worker, because a worker process's clock is not the
+    dispatcher's.
     """
+    started = time.perf_counter()
     faults.install_plan(fault_plan, job=getattr(request, "design", None) or "-",
                         attempt=1)
     tracer = (
@@ -168,7 +183,7 @@ def _execute_request(
         payload = response.to_payload()
         if tracer is not None:
             payload["trace"] = tracer.to_dict()
-        return payload
+        return payload, time.perf_counter() - started
     finally:
         faults.clear_plan()
 
@@ -196,6 +211,8 @@ class MappingService:
         self._state_lock = threading.Lock()
         self._idle = threading.Condition(self._state_lock)
         self._draining = False
+        #: Open client connections; ``None`` once shutdown has ended them.
+        self._connections: Optional[set[socket.socket]] = set()
         self._server: Optional[ThreadingHTTPServer] = None
         self.started_at = time.time()
 
@@ -231,6 +248,7 @@ class MappingService:
         path: str,
         payload: Optional[dict],
         trace_header: Optional[str] = None,
+        phases: Optional[dict] = None,
     ):
         """Dispatch one request; returns ``(status, body, headers)``.
 
@@ -238,6 +256,11 @@ class MappingService:
         client sent one; a traced request runs under a per-request
         tracer that adopts the caller's ``trace_id`` and the full span
         tree is returned in the response body (``body["trace"]``).
+
+        ``phases``, when given, receives the ``perf_counter`` stamps of
+        a request that ran on the pool: ``submitted`` (parsed, admitted
+        and handed to the pool) and ``executed`` (its payload back), and
+        ``execute``, the seconds the worker spent on it.
         """
         parts = urllib.parse.urlsplit(path)
         endpoint = parts.path.rstrip("/") or "/"
@@ -261,7 +284,7 @@ class MappingService:
             kind = ENDPOINT_KINDS.get(endpoint)
             if kind is None or method != "POST":
                 return 404, {"error": f"no such endpoint: {method} {path}"}, {}
-            return self._dispatch(endpoint, kind, payload, context)
+            return self._dispatch(endpoint, kind, payload, context, phases)
         finally:
             self.metrics.histogram(
                 f"service.request.latency.{name}"
@@ -313,6 +336,7 @@ class MappingService:
         kind,
         payload: Optional[dict],
         context: Optional[SpanContext] = None,
+        phases: Optional[dict] = None,
     ):
         name = endpoint.rsplit("/", 1)[-1]
         self.metrics.counter("service.requests").inc()
@@ -364,6 +388,7 @@ class MappingService:
                 # A process pool cannot share the registry (or the fault
                 # plan's thread-local state) across the pickle fence.
                 in_process = not self.backend.supports_crash_isolation
+                submitted = time.perf_counter()
                 future = self.backend.submit_call(
                     _execute_request,
                     request,
@@ -374,7 +399,10 @@ class MappingService:
                     tracer.context(request_span) if context is not None
                     else None,
                 )
-                body = future.result()
+                body, execute = future.result()
+                if phases is not None:
+                    phases.update(submitted=submitted, execute=execute,
+                                  executed=time.perf_counter())
                 status = 200
             except ApiError:
                 status = 400
@@ -441,11 +469,35 @@ class MappingService:
                 self._idle.wait()
         self.backend.shutdown()
 
+    def _connection_opened(self, connection: socket.socket) -> None:
+        self.metrics.counter("service.connections").inc()
+        with self._state_lock:
+            if self._connections is not None:
+                self._connections.add(connection)
+                return
+        # Accepted while the listener stopped, after the sweep below.
+        _end_reading(connection)
+
+    def _connection_closed(self, connection: socket.socket) -> None:
+        with self._state_lock:
+            if self._connections is not None:
+                self._connections.discard(connection)
+
     def shutdown(self) -> None:
-        """Drain, stop the listener, and write the telemetry artifacts."""
+        """Drain, stop the listener, end the open connections and write
+        the telemetry artifacts."""
         self.drain()
         if self._server is not None:
             self._server.shutdown()
+        # No admitted request is in flight any more: a handler still
+        # open waits for its connection's next request, and
+        # ``server_close`` would join it only after the socket timeout.
+        # Ending the read side hands it EOF at once; a reply still being
+        # written goes out whole.
+        with self._state_lock:
+            connections, self._connections = self._connections or (), None
+        for connection in connections:
+            _end_reading(connection)
         if self.config.trace_path is not None:
             write_trace(self.config.trace_path, self.tracer, self.metrics)
         if self.config.metrics_path is not None:
@@ -467,15 +519,43 @@ class MappingService:
             thread.join(timeout=10)
 
 
+def _end_reading(connection: socket.socket) -> None:
+    """Shut a connection's read side, so its handler reads EOF."""
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:  # already closed by its handler or the client
+        pass
+
+
 def _make_handler(service: MappingService):
     class _Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         timeout = SOCKET_TIMEOUT_SECONDS
+        # A kept-alive reply goes out as two writes (head, body); with
+        # Nagle's algorithm the second waits for the client's delayed
+        # ACK of the first.
+        disable_nagle_algorithm = True
+
+        def setup(self) -> None:
+            super().setup()
+            service._connection_opened(self.connection)
+
+        def finish(self) -> None:
+            service._connection_closed(self.connection)
+            super().finish()
+
+        def parse_request(self) -> bool:
+            # Called as soon as the request line has been read, so an
+            # idle connection's wait is no part of the request's time.
+            self.received = time.perf_counter()
+            return super().parse_request()
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib name
             pass  # the tracer is the access log
 
-        def _reply(self, status: int, body, headers: dict) -> None:
+        def _reply(
+            self, status: int, body, headers: dict, close: bool = False
+        ) -> None:
             # A ``str`` body is preformatted text (Prometheus exposition);
             # anything else is a JSON document.
             if isinstance(body, str):
@@ -491,11 +571,11 @@ def _make_handler(service: MappingService):
             self.send_header("Content-Length", str(len(data)))
             for key, value in headers.items():
                 self.send_header(key, value)
+            if close:
+                # Also sets ``close_connection``.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(data)
-            # One request per connection: a drained server must not sit
-            # on idle keep-alive sockets waiting for a timeout.
-            self.close_connection = True
 
         def do_GET(self) -> None:  # noqa: N802 - stdlib dispatch name
             status, body, headers = service.handle(
@@ -522,7 +602,9 @@ def _make_handler(service: MappingService):
             service.metrics.counter(
                 "service.errors" if status == 400 else "service.rejected.413"
             ).inc()
-            self._reply(status, {"error": error}, {})
+            # The body is left unread, so the next request's bytes
+            # could not be told from it.
+            self._reply(status, {"error": error}, {}, close=True)
             return None
 
         def do_POST(self) -> None:  # noqa: N802 - stdlib dispatch name
@@ -536,11 +618,30 @@ def _make_handler(service: MappingService):
                     payload = None
             except (ValueError, UnicodeDecodeError):
                 payload = None
+            phases = {}
             status, body, headers = service.handle(
                 "POST", self.path, payload,
                 trace_header=self.headers.get(TRACE_HEADER),
+                phases=phases,
             )
             self._reply(status, body, headers)
+            if phases:
+                self._observe_phases(phases)
+
+        def _observe_phases(self, phases: dict) -> None:
+            """Split an executed request's handling time, from its
+            request line to its last byte written, into four parts."""
+            written = time.perf_counter()
+            submitted, executed = phases["submitted"], phases["executed"]
+            histogram = service.metrics.histogram
+            histogram("service.parse_seconds").observe(
+                submitted - self.received
+            )
+            histogram("service.queue_seconds").observe(
+                executed - submitted - phases["execute"]
+            )
+            histogram("service.execute_seconds").observe(phases["execute"])
+            histogram("service.serialize_seconds").observe(written - executed)
 
     return _Handler
 

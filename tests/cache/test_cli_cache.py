@@ -58,6 +58,7 @@ class TestMapResultCacheFlag:
                 "samples"
             ]
             health = client.health()
+            client.close()
         assert response.cached == "disk" and response.blif == cold
         assert samples["cache_result_hits_total"] >= 1
         assert 'cache_result_lookup_seconds_bucket{le="+Inf"}' in samples

@@ -26,10 +26,12 @@ def fresh_libraries():
 def make_service():
     """Factory for running in-process services (ephemeral ports).
 
-    Returns ``(service, client)`` pairs; every service is drained and
-    closed at teardown in reverse creation order.
+    Returns ``(service, client)`` pairs; at teardown every client's
+    connections are closed, and every service is drained and closed in
+    reverse creation order.
     """
     active = []
+    clients = []
 
     def _make(**kwargs):
         kwargs.setdefault("port", 0)
@@ -40,8 +42,11 @@ def make_service():
         context = service.running()
         context.__enter__()
         active.append(context)
-        return service, ServiceClient(service.url)
+        clients.append(ServiceClient(service.url))
+        return service, clients[-1]
 
     yield _make
+    for client in clients:
+        client.close()
     for context in reversed(active):
         context.__exit__(None, None, None)

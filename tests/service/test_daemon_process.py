@@ -1,11 +1,12 @@
-"""Real-process drain test: SIGTERM finishes in-flight requests.
+"""Real-process drain tests: SIGTERM finishes in-flight requests.
 
 Boots ``python -m repro serve`` as a subprocess, parks a slow request
 in flight (an injected covering hang cut short by the service's default
 deadline), delivers a real SIGTERM, and asserts the in-flight request
 still completes — degraded to the trivial cover, not dropped — before
 the daemon exits cleanly and writes its ``--trace``/``--metrics-file``
-artifacts.
+artifacts.  A client's idle kept-alive connection must not hold the
+exit up.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def daemon(tmp_path):
         if process.poll() is None:
             process.kill()
         process.wait(timeout=10)
+        process.stdout.close()
+        process.stderr.close()
 
 
 def test_sigterm_drains_inflight_requests(daemon, tmp_path):
@@ -76,6 +79,7 @@ def test_sigterm_drains_inflight_requests(daemon, tmp_path):
     process.send_signal(signal.SIGTERM)
     thread.join(timeout=30)
     assert not thread.is_alive()
+    client.close()
     assert "error" not in holder, f"in-flight request failed: {holder}"
     response = holder["response"]
     assert response.status == "ok"
@@ -91,3 +95,17 @@ def test_sigterm_drains_inflight_requests(daemon, tmp_path):
     metrics = json.loads((tmp_path / "metrics.json").read_text())
     assert metrics["schema"] == "repro-metrics/v1"
     assert metrics["metrics"]["service.requests.map"]["value"] == 1
+
+
+def test_sigterm_exits_promptly_past_an_idle_connection(daemon):
+    process, url = daemon
+    client = ServiceClient(url)
+    # The readiness poll leaves the client's connection open and idle.
+    client.wait_ready(timeout=10)
+    started = time.monotonic()
+    process.send_signal(signal.SIGTERM)
+    try:
+        assert process.wait(timeout=30) == 0
+        assert time.monotonic() - started < 5.0
+    finally:
+        client.close()

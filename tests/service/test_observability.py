@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 import urllib.request
 
 import pytest
@@ -112,6 +113,31 @@ def test_per_endpoint_latency_histograms(make_service):
     ):
         assert snapshot[name]["type"] == "histogram", name
         assert snapshot[name]["count"] >= 1, name
+
+
+def test_executed_requests_split_into_four_phases(make_service):
+    from repro.service.client import ServiceError
+
+    service, client = make_service()
+    started = time.perf_counter()
+    client.map(REQUEST)
+    client.map(REQUEST)
+    wall = time.perf_counter() - started
+    # Neither a report nor a request the worker refuses is split.
+    client.health()
+    with pytest.raises(ServiceError):
+        client.map(dataclasses.replace(REQUEST, design="no-such-design"))
+    snapshot = service.metrics.snapshot()
+    phases = [
+        snapshot[f"service.{phase}_seconds"]
+        for phase in ("parse", "queue", "execute", "serialize")
+    ]
+    assert [phase["count"] for phase in phases] == [2, 2, 2, 2]
+    assert all(phase["min"] >= 0 for phase in phases)
+    # Together they are the two requests' handling time, which the
+    # client's wall time around them includes.
+    assert sum(phase["sum"] for phase in phases) <= wall
+    assert snapshot["service.connections"]["value"] == 1
 
 
 def test_prometheus_endpoint_parses(make_service):
