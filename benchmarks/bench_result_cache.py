@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend",
         default="processes",
-        choices=("serial", "threads", "processes"),
+        choices=("serial", "processes"),
         help="batch executor backend (default: processes)",
     )
     parser.add_argument(

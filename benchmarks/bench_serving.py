@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     clear_library_cache()
 
     config = ServiceConfig(
-        port=0, backend="threads", workers=1, cache_dir=anncache.DISABLED
+        port=0, workers=1, cache_dir=anncache.DISABLED
     )
     rows = []
     snapshot_rows: dict[str, dict] = {}

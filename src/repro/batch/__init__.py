@@ -14,15 +14,8 @@ isolation, digest-verified ``repro-batch/v1`` checkpoint journal) and
 ``repro batch --help`` for the CLI.
 """
 
-from .backends import (  # noqa: F401
-    BACKEND_NAMES,
-    ExecutorBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    create_backend,
-)
 from .engine import (  # noqa: F401
+    BACKEND_NAMES,
     BatchConfig,
     BatchConfigError,
     BatchReport,
@@ -45,13 +38,8 @@ __all__ = [
     "BatchConfigError",
     "BatchJob",
     "BatchReport",
-    "ExecutorBackend",
     "JournalError",
-    "ProcessBackend",
-    "SerialBackend",
-    "ThreadBackend",
     "check_artifacts",
-    "create_backend",
     "execute_job",
     "file_digest",
     "netlist_blif",

@@ -1,8 +1,14 @@
 """The fault-tolerant batch mapping engine behind ``repro batch``.
 
-One coordinator loop schedules :class:`~repro.batch.jobs.BatchJob`
-specs onto an :class:`~repro.batch.backends.ExecutorBackend` and wraps
-every job in the robustness layer the catalog-scale workloads need:
+One coordinator loop runs :class:`~repro.batch.jobs.BatchJob` specs
+on one of two backends (:data:`BACKEND_NAMES`): ``serial`` runs each
+job inline on the coordinator thread, the deterministic reference;
+``processes`` runs them on a fork-context
+:class:`~concurrent.futures.ProcessPoolExecutor` the engine owns, for
+parallelism and crash isolation.  Job payloads and results are plain
+picklable data on both, so the backend never changes a result.  The
+loop wraps every job in the robustness layer the catalog-scale
+workloads need:
 
 * **deadlines** — each job runs under a cooperative
   :class:`~repro.deadline.Deadline`; a job past its budget degrades to
@@ -37,9 +43,16 @@ logs (``BatchJob.explain``) land next to the netlist artifacts.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -50,10 +63,11 @@ from ..obs.export import BENCH_SCHEMA, bench_row
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, SpanContext, Tracer
 from ..testing.faults import FaultInjected, FaultPlan
-from .backends import BrokenExecutor, ExecutorBackend, create_backend
-from .jobs import BatchJob, text_digest
+from .jobs import BatchJob, execute_job, text_digest
 from .journal import BATCH_SCHEMA, JournalWriter, file_digest, read_journal
 
+#: ``BatchConfig.backend`` values: jobs run inline, or on a process pool.
+BACKEND_NAMES = ("serial", "processes")
 #: Multiplier on the cooperative deadline giving the process backend's
 #: hard kill-and-respawn backstop.
 HARD_TIMEOUT_FACTOR = 4.0
@@ -206,10 +220,13 @@ class _Engine:
             config.metrics if config.metrics is not None else MetricsRegistry()
         )
         self.tracer = config.tracer or NULL_TRACER
+        if config.backend not in BACKEND_NAMES:
+            raise ValueError(
+                f"unknown backend {config.backend!r}; one of {BACKEND_NAMES}"
+            )
         self.workers = config.resolved_workers()
-        self.backend: ExecutorBackend = create_backend(
-            config.backend, self.workers
-        )
+        #: The ``processes`` backend's pool, up while :meth:`run` runs.
+        self.pool: Optional[ProcessPoolExecutor] = None
         self.output_dir = (
             Path(config.output_dir) if config.output_dir else None
         )
@@ -297,21 +314,50 @@ class _Engine:
             if self.tracer.trace_id is not None
             else None
         )
-        return self.backend.submit(
-            state.job,
+        kwargs = dict(
             attempt=state.attempt,
             deadline_seconds=self.config.deadline,
             cache_dir=self.config.cache_dir,
             fault_plan=self.config.fault_plan,
             trace_context=trace_context,
             result_cache=self.config.result_cache,
-            # In-process workers share the run's registry (same policy
-            # as the service daemon), so worker-side telemetry — the
-            # cache.result.* counters above all — lands in one place;
-            # a process-pool worker cannot share an in-memory registry,
-            # so it ships a snapshot of its own, merged on settlement.
-            metrics=(
-                self.metrics if self.backend.name != "processes" else None
+        )
+        if self.pool is not None:
+            # A process-pool worker cannot share the run's in-memory
+            # registry, so it ships a snapshot of its own, merged on
+            # settlement.
+            return self.pool.submit(execute_job, state.job, **kwargs)
+        # Inline, the job records into the run's registry directly, and
+        # its failure is classified like a pool worker's; an interrupt
+        # ends the run.
+        future: Future = Future()
+        try:
+            future.set_result(
+                execute_job(state.job, metrics=self.metrics, **kwargs)
+            )
+        except Exception as exc:  # noqa: BLE001 - mirrored into the future
+            future.set_exception(exc)
+        return future
+
+    def _start_pool(self) -> None:
+        """Bring up a fresh process pool.  A previous pool's live
+        workers are killed, so a hung one cannot outlive its job (a
+        broken pool's are dead already)."""
+        if self.pool is not None:
+            # ``shutdown`` forgets the pool's processes: take them first.
+            processes = list((self.pool._processes or {}).values())
+            self.pool.shutdown(wait=False, cancel_futures=True)
+            for process in processes:
+                if process.is_alive():
+                    process.terminate()
+        # fork is the fast path (workers inherit synthesized benchmarks
+        # and loaded libraries); fall back to the platform default where
+        # fork is unavailable.
+        methods = multiprocessing.get_all_start_methods()
+        self.pool = ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context(
+                "fork" if "fork" in methods else None
             ),
         )
 
@@ -455,7 +501,7 @@ class _Engine:
         """
         self.pool_breaks += 1
         self.metrics.counter("batch.pool_breaks").inc()
-        self.backend.restart()
+        self._start_pool()
         for state in sorted(survivors, key=lambda s: s.index):
             self._finish_span(state, "pool-break")
             future = self._submit(state, retry=False)
@@ -466,7 +512,7 @@ class _Engine:
                 continue
             self.pool_breaks += 1
             self.metrics.counter("batch.pool_breaks").inc()
-            self.backend.restart()
+            self._start_pool()
             if self._retry_or_fail(
                 state,
                 _Transient("worker process died", status="crashed"),
@@ -476,12 +522,12 @@ class _Engine:
     # -- main loop -------------------------------------------------------
     def run(self) -> BatchReport:
         started = time.perf_counter()
-        self.metrics.gauge("batch.backend").set(self.backend.name)
+        self.metrics.gauge("batch.backend").set(self.config.backend)
         self.metrics.gauge("batch.workers").set(self.workers)
         self.metrics.counter("batch.jobs").inc(len(self.jobs))
         self._span = self.tracer.start_span(
             "batch",
-            backend=self.backend.name,
+            backend=self.config.backend,
             workers=self.workers,
             jobs=len(self.jobs),
         )
@@ -491,12 +537,12 @@ class _Engine:
             self.pending: deque[_JobState] = deque(
                 s for s in self.states if s.index not in self.records
             )
-            self.backend.start()
+            if self.config.backend == "processes":
+                self._start_pool()
             inflight: dict[Future, _JobState] = {}
             hard_timeout = (
                 self.config.deadline * HARD_TIMEOUT_FACTOR
-                if self.config.deadline is not None
-                and self.backend.supports_crash_isolation
+                if self.config.deadline is not None and self.pool is not None
                 else None
             )
             while self.pending or inflight:
@@ -562,13 +608,15 @@ class _Engine:
                             ):
                                 self.pending.append(state)
                         inflight.clear()
-                        self.backend.restart()
+                        self._start_pool()
                         for state in survivors:
                             self._finish_span(state, "pool-restart")
                             state.next_eligible = 0.0
                             self.pending.append(state)
         finally:
-            self.backend.shutdown()
+            if self.pool is not None:
+                self.pool.shutdown(wait=True, cancel_futures=True)
+                self.pool = None
             self.tracer.finish_span(self._span)
 
         elapsed = time.perf_counter() - started
@@ -576,7 +624,7 @@ class _Engine:
         results = [self.records[index] for index in range(len(self.jobs))]
         return BatchReport(
             results=results,
-            backend=self.backend.name,
+            backend=self.config.backend,
             workers=self.workers,
             elapsed=elapsed,
             skipped=self.skipped,

@@ -16,8 +16,8 @@ job specs, CLI flags, and service payloads from there; a guard test
 Determinism contract: a worker maps through the facade and serializes
 the result with the same BLIF writer the CLI uses, so for a given job
 spec the returned BLIF text — and hence its SHA-256 digest — is
-byte-identical across backends, worker counts, attempt numbers, and
-processes.  The engine's digest verification and the checkpoint
+byte-identical whether the job runs inline or in a pool worker, and
+across worker counts, attempt numbers, and processes.  The engine's digest verification and the checkpoint
 journal both lean on that.
 """
 
@@ -142,14 +142,14 @@ def execute_job(
     trace_context: Optional[SpanContext] = None,
     result_cache: bool = False,
 ) -> dict:
-    """Run one job to a plain-dict result (the backend-agnostic worker).
+    """Run one job to a plain-dict result (inline or in a pool worker).
 
     Raises only for errors the engine classifies (``FaultInjected`` is
     transient; anything else is permanent); a deadline overrun is
     handled inside the facade by degrading to the trivial depth-1 cover
     and reporting ``fallback="trivial-cover"`` — graceful degradation,
-    not failure.  ``metrics`` (usable on in-process backends only)
-    routes the run's telemetry into a shared registry.  A worker given
+    not failure.  ``metrics`` (usable inline only) routes the run's
+    telemetry into a shared registry.  A worker given
     none (a process-pool worker cannot share the coordinator's) records
     into its own and ships its snapshot back as ``payload["metrics"]``
     for the engine to merge.

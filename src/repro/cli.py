@@ -17,7 +17,7 @@ Commands mirror the paper's workflows:
   ``repro-explain/v1`` log (or map a catalog benchmark on the fly and
   render its log the same way);
 * ``batch``   — map a whole catalog of (design, library) jobs through
-  the fault-tolerant batch engine (process/thread/serial backends,
+  the fault-tolerant batch engine (a process pool or inline jobs,
   deadlines, retries, resumable ``repro-batch/v1`` journal);
   ``--bench-snapshot`` writes the ``BENCH_mapping.json`` snapshot that
   ``benchmarks/check_regression.py`` gates against;
@@ -25,7 +25,7 @@ Commands mirror the paper's workflows:
 * ``serve``   — run the persistent mapping daemon (HTTP/JSON over the
   ``repro-api/v1`` contract, ``/v1/map`` and ``/v1/certify``):
   libraries, hazard annotations, and matching indexes stay warm across
-  requests;
+  requests, which execute on the daemon's connection threads;
 * ``cache``   — inspect or clear the on-disk caches: per-library hazard
   annotations and content-addressed whole-map results.
 
@@ -60,13 +60,13 @@ from .api import (
     run_map,
 )
 from .batch import (
+    BACKEND_NAMES,
     BatchConfig,
     BatchJob,
     check_artifacts,
     run_batch,
     validate_journal,
 )
-from .batch.backends import BACKEND_NAMES
 from .burstmode.benchmarks import CATALOG, TABLE5_ORDER, synthesize_benchmark
 from .library import anncache
 from .library.standard import ALL_LIBRARIES, load_library
@@ -610,7 +610,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        backend=args.backend,
         workers=args.workers,
         queue_limit=args.queue_limit,
         deadline_seconds=args.deadline,
@@ -984,18 +983,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=8347,
         help="listen port (0 = an ephemeral port, reported at startup)",
     )
+    # Requests execute on the connection threads; the one-value flag
+    # stays for command lines that still pass it (perfbench/serve.py's).
     serve_cmd.add_argument(
         "--backend",
-        choices=BACKEND_NAMES,
+        choices=("threads",),
         default="threads",
-        help="request-execution backend (default: threads — shares the "
-        "warm library cache and metrics registry)",
+        help="only 'threads': requests execute on the connection threads",
     )
     serve_cmd.add_argument(
         "--workers",
         type=_positive_int,
         default=2,
-        help="executor pool width (default: 2)",
+        help="requests executing at once (default: 2)",
     )
     serve_cmd.add_argument(
         "--queue-limit",

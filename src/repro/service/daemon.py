@@ -2,23 +2,23 @@
 
 Architecture: a :class:`MappingService` owns the warm state — the
 process-wide annotated libraries (:func:`repro.api.shared_library`),
-a :class:`~repro.obs.metrics.MetricsRegistry`, a tracer (a real one
-only when ``trace_path`` is set) — and an
-:class:`~repro.batch.backends.ExecutorBackend` pool that request
-handlers dispatch onto via the generic
-:meth:`~repro.batch.backends.ExecutorBackend.submit_call` hook.  The
-HTTP layer (:class:`_Handler` on a ``ThreadingHTTPServer``) is a thin
-shell: it decodes the body, hands ``(method, path, payload)`` to
-:meth:`MappingService.handle`, and writes the JSON verdict back.  Two
-POST endpoints carry work (:data:`ENDPOINT_KINDS`: ``/v1/map`` and
-``/v1/certify``); ``GET /healthz`` and ``GET /metrics`` report on it.
+a :class:`~repro.obs.metrics.MetricsRegistry` and a tracer (a real one
+only when ``trace_path`` is set).  The HTTP layer (:class:`_Handler` on
+a ``ThreadingHTTPServer``, one thread per connection) is a thin shell:
+it decodes the body, hands ``(method, path, payload)`` to
+:meth:`MappingService.handle`, and writes the JSON verdict back.  An
+admitted request executes on the handler thread that read it, once one
+of ``workers`` execution slots is free.  Two POST endpoints carry work
+(:data:`ENDPOINT_KINDS`: ``/v1/map`` and ``/v1/certify``); ``GET
+/healthz`` and ``GET /metrics`` report on it.
 
 Operational contracts:
 
 * **Admission control** — at most ``queue_limit`` requests are admitted
-  (queued + running); the next one is answered ``429`` with a
-  ``Retry-After`` header rather than piling onto the pool.  A pool
-  width or queue limit below 1 is refused at construction.
+  (waiting + executing); the next one is answered ``429`` with a
+  ``Retry-After`` header rather than piling up.  At most ``workers`` of
+  them execute at once; the others wait for a slot.  A width or queue
+  limit below 1 is refused at construction.
 * **Budgets** — requests without an explicit ``deadline_seconds``
   inherit the service default; overruns degrade inside the facade to
   the trivial depth-1 cover (``fallback="trivial-cover"``), never to an
@@ -42,11 +42,11 @@ Operational contracts:
   and bumps ``service.requests[.{endpoint}]`` counters plus a
   ``service.request_seconds`` histogram; ``service.connections``
   counts accepted connections, and the ``service.parse_seconds``,
-  ``service.queue_seconds``, ``service.execute_seconds`` and
-  ``service.serialize_seconds`` histograms split each executed
-  request's handling time.  Mapping work shares the service registry
-  on in-process backends, so warm-vs-cold annotation behaviour is
-  visible in ``/metrics`` (``library.annotate.*``).
+  ``service.queue_seconds`` (the wait for a slot),
+  ``service.execute_seconds`` and ``service.serialize_seconds``
+  histograms split each executed request's handling time.  Mapping
+  work records into the service registry, so warm-vs-cold annotation
+  behaviour is visible in ``/metrics`` (``library.annotate.*``).
 """
 
 from __future__ import annotations
@@ -113,11 +113,7 @@ class ServiceConfig:
     #: Port 0 binds an ephemeral port (tests); the bound port is
     #: reported by :attr:`MappingService.port` and the startup banner.
     port: int = 8347
-    #: Executor substrate for request work: ``serial|threads|processes``.
-    #: ``threads`` is the serving default — workers share the warm
-    #: library cache and the service metrics registry; ``processes``
-    #: trades both away for covering parallelism.
-    backend: str = "threads"
+    #: Requests executing at once; the other admitted ones wait.
     workers: int = 2
     #: Max requests admitted at once (queued + running); beyond it, 429.
     queue_limit: int = 8
@@ -134,60 +130,6 @@ class ServiceConfig:
     metrics_path: Optional[Union[str, Path]] = None
 
 
-def _execute_request(
-    request,
-    deadline_seconds: Optional[float] = None,
-    cache_dir: anncache.CacheDir = None,
-    fault_plan: Optional[FaultPlan] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    trace_context: Optional[SpanContext] = None,
-) -> tuple[dict, float]:
-    """Run one parsed API request to its response payload and the
-    seconds that took.
-
-    Module-level and argument-picklable on purpose: this is the
-    function the service submits to its executor backend, and on the
-    process backend it crosses a pickle boundary (``metrics`` must then
-    be ``None`` — a registry cannot be shared across processes).
-
-    ``trace_context`` carries the request's ``trace_id`` across that
-    same fence: the worker maps under a same-id tracer and ships its
-    span tree back as ``payload["trace"]`` for the dispatcher to graft
-    under the ``service.request`` span.  The time is a duration, taken
-    in the worker, because a worker process's clock is not the
-    dispatcher's.
-    """
-    started = time.perf_counter()
-    faults.install_plan(fault_plan, job=getattr(request, "design", None) or "-",
-                        attempt=1)
-    tracer = (
-        Tracer(trace_id=trace_context.trace_id)
-        if trace_context is not None
-        else None
-    )
-    try:
-        if isinstance(request, MapRequest):
-            if request.deadline_seconds is None and deadline_seconds is not None:
-                request = dataclasses.replace(
-                    request, deadline_seconds=deadline_seconds
-                )
-            response = execute_map(
-                request, cache_dir=cache_dir, metrics=metrics, tracer=tracer
-            )
-        elif isinstance(request, CertifyRequest):
-            response = execute_certify(
-                request, cache_dir=cache_dir, metrics=metrics, tracer=tracer
-            )
-        else:  # pragma: no cover - ENDPOINT_KINDS guards the dispatch
-            raise ApiError(f"unsupported request type {type(request).__name__}")
-        payload = response.to_payload()
-        if tracer is not None:
-            payload["trace"] = tracer.to_dict()
-        return payload, time.perf_counter() - started
-    finally:
-        faults.clear_plan()
-
-
 class MappingService:
     """Warm mapping state plus the request dispatcher (HTTP-agnostic)."""
 
@@ -197,16 +139,14 @@ class MappingService:
             value = getattr(self.config, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        from ..batch.backends import create_backend
-
         self.metrics = MetricsRegistry()
         # Untraced requests leave a root span here only when a trace
         # file will be written; otherwise nothing would ever read them.
         self.tracer = (
             Tracer() if self.config.trace_path is not None else NULL_TRACER
         )
-        self.backend = create_backend(self.config.backend, self.config.workers)
         self._admission = threading.BoundedSemaphore(self.config.queue_limit)
+        self._slots = threading.BoundedSemaphore(self.config.workers)
         self._inflight = 0
         self._state_lock = threading.Lock()
         self._idle = threading.Condition(self._state_lock)
@@ -258,9 +198,9 @@ class MappingService:
         tree is returned in the response body (``body["trace"]``).
 
         ``phases``, when given, receives the ``perf_counter`` stamps of
-        a request that ran on the pool: ``submitted`` (parsed, admitted
-        and handed to the pool) and ``executed`` (its payload back), and
-        ``execute``, the seconds the worker spent on it.
+        a request that executed: ``admitted`` (parsed and admitted),
+        ``executing`` (an execution slot acquired) and ``executed`` (its
+        payload built).
         """
         parts = urllib.parse.urlsplit(path)
         endpoint = parts.path.rstrip("/") or "/"
@@ -285,6 +225,11 @@ class MappingService:
             if kind is None or method != "POST":
                 return 404, {"error": f"no such endpoint: {method} {path}"}, {}
             return self._dispatch(endpoint, kind, payload, context, phases)
+        except Exception as exc:  # noqa: BLE001 - answered, not raised
+            # Any endpoint's internal fault is a 500; an escaping
+            # exception would close the connection without a reply.
+            self.metrics.counter("service.errors").inc()
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
         finally:
             self.metrics.histogram(
                 f"service.request.latency.{name}"
@@ -310,8 +255,7 @@ class MappingService:
             "queue_depth": inflight,
             "queue_limit": self.config.queue_limit,
             "queue_available": max(self.config.queue_limit - inflight, 0),
-            "backend": self.backend.name,
-            "workers": self.backend.workers,
+            "workers": self.config.workers,
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "libraries": loaded_libraries(),
             "result_cache": self._result_cache_health(),
@@ -321,13 +265,18 @@ class MappingService:
         """Result-cache occupancy for load balancers and smoke tests."""
         from ..cache.resultcache import MEMORY, result_entries
 
-        entries = result_entries(self.config.cache_dir)
+        # An entry may vanish between listing and stat (a concurrent
+        # store's eviction, ``repro cache --clear``): count the rest.
+        sizes = []
+        for path in result_entries(self.config.cache_dir):
+            try:
+                sizes.append(path.stat().st_size)
+            except OSError:
+                pass
         return {
             "memory_entries": len(MEMORY),
-            "disk_entries": len(entries),
-            "disk_bytes": sum(
-                path.stat().st_size for path in entries if path.exists()
-            ),
+            "disk_entries": len(sizes),
+            "disk_bytes": sum(sizes),
         }
 
     def _dispatch(
@@ -369,7 +318,8 @@ class MappingService:
         started = time.perf_counter()
         # A traced request adopts the caller's trace_id on a tracer of
         # its own (the service tracer aggregates only untraced work, so
-        # concurrent traced requests never interleave in one tree).
+        # concurrent traced requests never interleave in one tree); the
+        # mapping spans open under its service.request span.
         tracer = (
             Tracer(trace_id=context.trace_id)
             if context is not None
@@ -385,24 +335,9 @@ class MappingService:
                 request_span.set_attr(remote_parent=context.span_id)
             status = 500
             try:
-                # A process pool cannot share the registry (or the fault
-                # plan's thread-local state) across the pickle fence.
-                in_process = not self.backend.supports_crash_isolation
-                submitted = time.perf_counter()
-                future = self.backend.submit_call(
-                    _execute_request,
-                    request,
-                    self.config.deadline_seconds,
-                    self.config.cache_dir,
-                    self.config.fault_plan if in_process else None,
-                    self.metrics if in_process else None,
-                    tracer.context(request_span) if context is not None
-                    else None,
+                body = self._execute(
+                    request, tracer if context is not None else None, phases
                 )
-                body, execute = future.result()
-                if phases is not None:
-                    phases.update(submitted=submitted, execute=execute,
-                                  executed=time.perf_counter())
                 status = 200
             except ApiError:
                 status = 400
@@ -410,10 +345,9 @@ class MappingService:
             finally:
                 request_span.set_attr(status=status)
                 tracer.finish_span(request_span)
-            if context is not None and isinstance(body, dict):
-                worker_trace = body.pop("trace", None)
-                if worker_trace:
-                    tracer.graft(worker_trace, parent=request_span)
+            if context is not None:
+                # Last, after the response's own fields, as always served.
+                body.pop("trace", None)
                 body["trace"] = tracer.to_dict()
             if body.get("fallback"):
                 self.metrics.counter("service.fallbacks").inc()
@@ -421,9 +355,6 @@ class MappingService:
         except ApiError as exc:
             self.metrics.counter("service.errors").inc()
             return 400, {"error": str(exc)}, {}
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
-            self.metrics.counter("service.errors").inc()
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
         finally:
             self.metrics.histogram("service.request_seconds").observe(
                 time.perf_counter() - started
@@ -433,6 +364,44 @@ class MappingService:
                 self._inflight -= 1
                 if self._inflight == 0:
                     self._idle.notify_all()
+
+    def _execute(self, request, tracer, phases: Optional[dict]) -> dict:
+        """Run one admitted request to its response payload on this
+        thread, once an execution slot is free."""
+        admitted = time.perf_counter()
+        with self._slots:
+            executing = time.perf_counter()
+            faults.install_plan(
+                self.config.fault_plan,
+                job=getattr(request, "design", None) or "-",
+                attempt=1,
+            )
+            try:
+                if isinstance(request, MapRequest):
+                    if (
+                        request.deadline_seconds is None
+                        and self.config.deadline_seconds is not None
+                    ):
+                        request = dataclasses.replace(
+                            request,
+                            deadline_seconds=self.config.deadline_seconds,
+                        )
+                    response = execute_map(
+                        request, cache_dir=self.config.cache_dir,
+                        metrics=self.metrics, tracer=tracer,
+                    )
+                else:
+                    response = execute_certify(
+                        request, cache_dir=self.config.cache_dir,
+                        metrics=self.metrics, tracer=tracer,
+                    )
+                payload = response.to_payload()
+            finally:
+                faults.clear_plan()
+        if phases is not None:
+            phases.update(admitted=admitted, executing=executing,
+                          executed=time.perf_counter())
+        return payload
 
     # -- lifecycle --------------------------------------------------
 
@@ -467,7 +436,6 @@ class MappingService:
             self._draining = True
             while self._inflight:
                 self._idle.wait()
-        self.backend.shutdown()
 
     def _connection_opened(self, connection: socket.socket) -> None:
         self.metrics.counter("service.connections").inc()
@@ -632,15 +600,15 @@ def _make_handler(service: MappingService):
             """Split an executed request's handling time, from its
             request line to its last byte written, into four parts."""
             written = time.perf_counter()
-            submitted, executed = phases["submitted"], phases["executed"]
+            admitted, executing, executed = (
+                phases["admitted"], phases["executing"], phases["executed"]
+            )
             histogram = service.metrics.histogram
             histogram("service.parse_seconds").observe(
-                submitted - self.received
+                admitted - self.received
             )
-            histogram("service.queue_seconds").observe(
-                executed - submitted - phases["execute"]
-            )
-            histogram("service.execute_seconds").observe(phases["execute"])
+            histogram("service.queue_seconds").observe(executing - admitted)
+            histogram("service.execute_seconds").observe(executed - executing)
             histogram("service.serialize_seconds").observe(written - executed)
 
     return _Handler

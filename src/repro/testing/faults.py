@@ -6,8 +6,8 @@ behaviours instead of asserting them.  A :class:`FaultPlan` names the
 sites at which faults fire, what kind of fault each is, and on which
 job/attempt it triggers — everything is keyed on the (job id, attempt
 number) pair the engine passes to its workers, so a plan replays
-identically across the ``serial``, ``threads``, and ``processes``
-backends and across engine restarts.
+identically on the ``serial`` and ``processes`` backends and across
+engine restarts.
 
 Sites instrumented in the mapper (one ``fire()`` call each, a no-op
 ``is None`` check when no plan is installed):
@@ -154,11 +154,12 @@ class _Runtime:
     fired: set = field(default_factory=set)
 
 
-# Thread-local, not process-global: on the threads backend several jobs
-# execute concurrently in one process and each worker thread installs
-# its own (job, attempt)-scoped runtime — a shared global would let one
-# job's install clobber another's mid-flight.  Serial and process
-# workers run one job per thread, so they see the same semantics.
+# Thread-local, not process-global: ``repro serve`` executes concurrent
+# requests on its connection threads, each installing its own
+# (job, attempt)-scoped runtime — a shared global would let one
+# request's install clobber another's mid-flight.  Batch jobs run one
+# per thread (inline or in a pool process), so they see the same
+# semantics.
 _STATE = threading.local()
 
 

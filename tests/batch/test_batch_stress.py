@@ -97,7 +97,7 @@ class TestFullCatalog:
 class TestCrossBackendIdentity:
     @pytest.mark.parametrize(
         "backend,workers",
-        [("serial", 1), ("threads", 1), ("threads", 4), ("processes", 4)],
+        [("serial", 1), ("processes", 4)],
     )
     def test_backend_and_worker_count_never_change_bytes(
         self, references, ann_cache, backend, workers

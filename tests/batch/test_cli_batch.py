@@ -114,9 +114,9 @@ class TestHappyPath:
         self, tmp_path, ann_cache, capsys
     ):
         """A process-pool worker's ``cover.*`` and ``conformance.*``
-        counters reach the run's metrics, as a thread worker's do."""
+        counters reach the run's metrics, as an inline job's do."""
         printed = {}
-        for backend in ("threads", "processes"):
+        for backend in ("serial", "processes"):
             code = batch(
                 tmp_path / backend, ann_cache,
                 "--backend", backend, "--workers", "2",
@@ -130,7 +130,7 @@ class TestHappyPath:
                 line.strip().split(" = ", 1) for line in lines if " = " in line
             )
         for name in ("cover.clusters", "conformance.certificates"):
-            assert printed["processes"][name] == printed["threads"][name]
+            assert printed["processes"][name] == printed["serial"][name]
         assert printed["processes"]["conformance.certificates"] == "1"
         assert int(printed["processes"]["cover.clusters"]) > 0
 

@@ -7,11 +7,11 @@ worker process is isolated without poisoning its neighbours — is
 demonstrated here by injecting the corresponding fault through
 :mod:`repro.testing.faults` and asserting the engine's observable
 behaviour (statuses, attempt counts, backoff schedules, ``batch.*``
-metrics) on all three backends.
+metrics) on both backends.
 
 Fault plans are keyed on (job id, attempt number), so the same plan
-replays identically on the ``serial``, ``threads``, and ``processes``
-backends — which the determinism test pins down explicitly.
+replays identically on the ``serial`` and ``processes`` backends —
+which the determinism test pins down explicitly.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.testing.faults import FaultInjected, FaultPlan, FaultSpec
 
 from tests.batch.util import SMALL, by_id, make_jobs, run
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 CHU = f"{SMALL[0]}@CMOS3"
 VAN = f"{SMALL[1]}@CMOS3"
 
@@ -104,9 +104,10 @@ class TestFaultPrimitives:
         assert faults.corrupt("netlist.build", "payload") == torn
 
     def test_plans_are_thread_local(self):
-        """Regression: a process-global runtime let one thread-pool job's
-        install clobber another's mid-flight, silently disarming faults
-        on the threads backend."""
+        """Regression: a process-global runtime let one thread's install
+        clobber another's mid-flight, silently disarming faults on
+        concurrent daemon requests, which run on their connection
+        threads."""
         import threading
 
         plan = FaultPlan((FaultSpec(site="cover.cone", job="mine"),))
@@ -307,7 +308,7 @@ class TestDeterminism:
                     for r in report.results
                 ]
             )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
 
 
 class TestCrashIsolation:
@@ -341,3 +342,41 @@ class TestCrashIsolation:
         assert van["status"] == "ok" and van["attempts"] == 1
         assert report.pool_breaks >= 2
         assert report.counts()["crashed"] == 1
+
+    def test_hard_timeout_kills_a_worker_that_never_checks_in(
+        self, ann_cache, monkeypatch, tmp_path
+    ):
+        """A job that never reaches a deadline checkpoint times out at
+        4× its budget, and its worker is killed with the old pool."""
+        import os
+
+        import repro.batch.jobs as jobs
+
+        pid_file = tmp_path / "stuck.pid"
+        execute_map = jobs.execute_map
+
+        def stuck(request, **kwargs):
+            if request.design == SMALL[0]:
+                pid_file.write_text(str(os.getpid()))
+                time.sleep(60)  # no checkpoint: the deadline cannot fire
+            return execute_map(request, **kwargs)
+
+        # Forked pool workers inherit the patch.
+        monkeypatch.setattr(jobs, "execute_map", stuck)
+        report, _ = run(
+            make_jobs(), "processes", ann_cache, deadline=0.5, retries=0
+        )
+        chu, van = by_id(report, CHU), by_id(report, VAN)
+        assert chu["status"] == "timeout"
+        assert "hard deadline exceeded" in chu["error"]
+        assert van["status"] == "ok"
+        pid = int(pid_file.read_text())
+        waited = time.monotonic() + 10.0
+        while True:
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0]:
+                    break
+            except ChildProcessError:  # already reaped by its pool
+                break
+            assert time.monotonic() < waited, "the stuck worker outlived its run"
+            time.sleep(0.05)

@@ -28,7 +28,7 @@ def _stitched(tracer: Tracer):
     return roots[0], [c for c in roots[0].children if c.name == "batch_job"]
 
 
-@pytest.mark.parametrize("backend", ["processes", "threads", "serial"])
+@pytest.mark.parametrize("backend", ["processes", "serial"])
 def test_batch_produces_one_stitched_tree(backend, ann_cache):
     tracer = Tracer()
     report, metrics = run(

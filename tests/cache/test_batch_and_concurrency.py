@@ -37,7 +37,7 @@ def _digests(report) -> dict:
 
 
 class TestBatchByteIdentity:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_cached_batch_matches_uncached_across_backends(
         self, backend, tmp_path, ann_cache
     ):
@@ -81,7 +81,7 @@ class TestBatchByteIdentity:
         cache_dir = str(tmp_path / "cache")
         metrics = MetricsRegistry()
         config = BatchConfig(
-            backend="threads", workers=2, cache_dir=cache_dir,
+            backend="serial", workers=2, cache_dir=cache_dir,
             result_cache=True, metrics=metrics,
         )
         run_batch(_jobs(), config)

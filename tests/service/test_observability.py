@@ -2,9 +2,9 @@
 
 The distributed-tracing contract under test: a client that sends
 ``X-Repro-Trace`` gets back its own ``trace_id`` with the daemon's
-``service.request`` span and the worker's full mapping tree already
-stitched together — grafting the response under the client's root span
-yields ONE well-formed tree spanning three processes.
+``service.request`` span and the full mapping tree beneath it —
+grafting the response under the client's root span yields ONE
+well-formed tree spanning client and daemon.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ def _traced_map(client, request=REQUEST):
     return tracer, root, response
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
-def test_traced_request_round_trips_one_tree(make_service, backend):
-    service, client = make_service(backend=backend)
+def test_traced_request_round_trips_one_tree(make_service):
+    service, client = make_service()
     tracer, root, response = _traced_map(client)
 
     assert response.trace is not None
@@ -45,8 +44,10 @@ def test_traced_request_round_trips_one_tree(make_service, backend):
 
     spans = {span.name: span for span in tracer.all_spans()}
     assert "service.request" in spans, "daemon span missing from the stitch"
-    assert "async_tmap" in spans, "worker mapping tree missing"
+    assert "async_tmap" in spans, "mapping tree missing"
     request_span = spans["service.request"]
+    # The mapping spans open under service.request directly.
+    assert spans["async_tmap"].parent_id == request_span.span_id
     assert request_span.attrs["remote_parent"] == root.span_id
     assert request_span.attrs["status"] == 200
     # One root: the client's; everything else hangs beneath it.
@@ -98,6 +99,56 @@ def test_healthz_reports_queue_and_libraries(make_service):
     assert health["queue_available"] == service.config.queue_limit
     assert health["uptime_seconds"] >= 0
     assert health["libraries"] == ["CMOS3"]
+
+
+def test_healthz_counts_only_cache_entries_still_there(
+    make_service, monkeypatch, tmp_path
+):
+    """Regression: an entry removed between listing and stat (a
+    concurrent store's eviction, ``repro cache --clear``) made
+    ``/healthz`` close the connection without a reply."""
+    from repro.cache import resultcache
+
+    kept = tmp_path / "kept.json"
+    kept.write_text("{}")
+
+    class Vanished:
+        def exists(self) -> bool:
+            return True
+
+        def stat(self):
+            raise FileNotFoundError("removed since it was listed")
+
+    monkeypatch.setattr(
+        resultcache, "result_entries", lambda cache_dir=None: [Vanished(), kept]
+    )
+    service, client = make_service()
+    health = client.health()
+    assert health["status"] == "ok"
+    assert health["result_cache"]["disk_entries"] == 1
+    assert health["result_cache"]["disk_bytes"] == 2
+
+
+def test_an_internal_fault_answers_500_on_any_endpoint(
+    make_service, monkeypatch
+):
+    import repro.service.daemon as daemon
+    from repro.service.client import ServiceError
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    service, client = make_service()
+    monkeypatch.setattr(service, "_health", broken)
+    monkeypatch.setattr(daemon, "execute_map", broken)
+    for call in (client.health, lambda: client.map(REQUEST)):
+        with pytest.raises(ServiceError) as excinfo:
+            call()
+        assert excinfo.value.status == 500
+        assert "RuntimeError: boom" in str(excinfo.value)
+    # Both were answered, so one connection carried every request.
+    assert client.metrics()["metrics"]["service.errors"]["value"] == 2
+    assert service.metrics.snapshot()["service.connections"]["value"] == 1
 
 
 def test_per_endpoint_latency_histograms(make_service):

@@ -11,6 +11,7 @@ finishes in-flight work while refusing new work with ``503``.
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -102,6 +103,55 @@ class TestAdmissionAndDeadlines:
         assert response.fallback == "trivial-cover"
         metrics = client.metrics()["metrics"]
         assert metrics["service.rejected.429"]["value"] == 1
+
+    def test_at_most_workers_requests_execute_at_once(
+        self, make_service, monkeypatch
+    ):
+        """Admitted requests beyond ``workers`` wait for a slot; they
+        are not refused."""
+        import repro.service.daemon as daemon
+
+        hold = 0.2
+        lock = threading.Lock()
+        running = peak = 0
+        execute_map = daemon.execute_map
+
+        def held(*args, **kwargs):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            try:
+                time.sleep(hold)
+                return execute_map(*args, **kwargs)
+            finally:
+                with lock:
+                    running -= 1
+
+        monkeypatch.setattr(daemon, "execute_map", held)
+        service, client = make_service(
+            workers=2, queue_limit=8, preload=("CMOS3",)
+        )
+        request = MapRequest(design="chu-ad-opt", library="CMOS3", max_depth=3)
+        start = threading.Barrier(6)
+
+        def _call(_):
+            start.wait()
+            response = client.map(request)
+            # The handler records a request's phases after replying; the
+            # next request on its connection is read only after that.
+            client.health()
+            return response
+
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            responses = list(pool.map(_call, range(6)))
+        assert len({response.digest for response in responses}) == 1
+        assert peak == 2
+        metrics = client.metrics()["metrics"]
+        assert "service.rejected.429" not in metrics
+        queue = metrics["service.queue_seconds"]
+        assert queue["count"] == 6
+        assert queue["max"] >= hold
 
     def test_deadline_overrun_degrades_over_http(self, make_service):
         plan = FaultPlan.parse(["hang@cover.cone"], hang_seconds=30.0)
@@ -201,8 +251,8 @@ class TestProtocol:
         assert health["status"] == "ok"
         assert health["inflight"] == 0
         assert health["queue_limit"] == 5
-        assert health["backend"] == "threads"
-        assert health["workers"] == 3 == service.backend.workers
+        assert "backend" not in health
+        assert health["workers"] == 3
 
 
 class TestConfigValidation:

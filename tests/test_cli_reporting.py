@@ -180,6 +180,37 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--backend", "serial"],
+            ["serve", "--backend", "processes"],
+            ["batch", "dme", "--backend", "threads"],
+        ],
+    )
+    def test_removed_backend_values_are_rejected(self, argv, capsys):
+        # The daemon executes requests on its connection threads; a batch
+        # runs its jobs inline or on a process pool.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_serve_parses_the_benchmark_daemon_command_line(self, tmp_path):
+        # perfbench/serve.py launches the serve-mixed daemon with exactly
+        # this command line.  It is why the one-value ``--backend`` flag
+        # stays: deleting the flag would break that benchmark until its
+        # command line drops it.
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args([
+            "serve", "--port", "0", "--backend", "threads", "--workers", "2",
+            "--preload", "ACTEL", "CMOS3", "--cache-dir", str(tmp_path),
+        ])
+        assert (args.command, args.port, args.workers) == ("serve", 0, 2)
+        assert args.preload == ["ACTEL", "CMOS3"]
+        assert args.cache_dir == str(tmp_path)
+
     def test_map_cache_dir_cold_then_warm(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "ann")
         # Fresh (uncached) library instances so annotation really runs.
