@@ -56,7 +56,6 @@ def test_certify_cost_within_budget(annotated_libraries):
         response, result = run_map(
             MapRequest(library=library.name, design=name, max_depth=DEPTH),
             library=library,
-            network=network,
             cache_dir=anncache.DISABLED,
         )
         map_seconds = response.map_seconds

@@ -15,6 +15,10 @@ claim end to end:
   same SHA-256 digest);
 * warm responses report ``annotate_seconds == 0`` and no annotation
   source;
+* with ``result_cache`` on, each benchmark is sent by name and inline
+  (its catalog network as BLIF), then each of those requests again:
+  every repeat must be a memory-tier hit (``cached == "memory"``)
+  byte-identical to its first answer;
 * every request rides one kept-alive connection: the service's
   ``service.connections`` counter must read exactly 1.  The median
   latency of the warm requests is printed.
@@ -36,13 +40,14 @@ import argparse
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import MapRequest, netlist_blif  # noqa: E402
-from repro.api.facade import clear_library_cache  # noqa: E402
+from repro.api.facade import clear_library_cache, request_netlist  # noqa: E402
 from repro.library import anncache  # noqa: E402
 from repro.mapping.mapper import MappingOptions, map_network  # noqa: E402
 from repro.obs.export import (  # noqa: E402
@@ -62,6 +67,38 @@ DESIGNS = ("chu-ad-opt", "vanbek-opt")
 def _fail(message: str) -> None:
     print(f"serving benchmark FAILED: {message}", file=sys.stderr)
     raise SystemExit(1)
+
+
+def _result_cache_pass(client: ServiceClient, args) -> int:
+    """Send each benchmark by name and inline with ``result_cache`` on,
+    then repeat every request; returns the number of repeats."""
+    firsts = []
+    for name in args.benchmarks:
+        blif = netlist_blif(
+            request_netlist(MapRequest(design=name, library=args.library))
+        )
+        for where in ({"design": name}, {"network": {"blif": blif}}):
+            request = MapRequest(
+                library=args.library,
+                max_depth=args.depth,
+                result_cache=True,
+                **where,
+            )
+            firsts.append((name, request, client.map(request)))
+    for name, request, first in firsts:
+        form = "by name" if request.design else "inline"
+        repeat = client.map(request)
+        if repeat.cached != "memory":
+            _fail(
+                f"repeated {form} request for {name} answered "
+                f"cached={repeat.cached!r}, expected 'memory'"
+            )
+        if replace(repeat, cached=None) != replace(first, cached=None):
+            _fail(
+                f"repeated {form} request for {name} differs from its "
+                "first answer"
+            )
+    return len(firsts)
 
 
 def main(argv=None) -> int:
@@ -157,6 +194,8 @@ def main(argv=None) -> int:
             )
             snapshot_rows[name] = bench_row(warm.to_payload())
 
+        hits = _result_cache_pass(client, args)
+
         metrics = client.metrics()["metrics"]
         calls = metrics.get("library.annotate.calls", {}).get("value", 0)
         total = metrics.get("service.requests.map", {}).get("value", 0)
@@ -191,6 +230,10 @@ def main(argv=None) -> int:
     print(
         f"warm requests: median {statistics.median(all_warm_walls) * 1e3:.1f} ms "
         f"over {len(all_warm_walls)}, on {connections} connection"
+    )
+    print(
+        f"result cache: {hits} repeated requests (by name and inline) "
+        "served from the memory tier, byte-identical to their first answers"
     )
 
     if args.output:

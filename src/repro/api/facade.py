@@ -24,7 +24,9 @@ import threading
 from dataclasses import replace
 from typing import Optional, Union
 
+from ..burstmode.benchmarks import CATALOG, synthesize_benchmark
 from ..deadline import Deadline, DeadlineExceeded
+from ..io import read_blif, write_blif
 from ..library import anncache
 from ..library.library import Library
 from ..network.netlist import Netlist
@@ -46,8 +48,6 @@ FALLBACK_DEPTH = 1
 
 def netlist_blif(netlist: Netlist) -> str:
     """The canonical BLIF text of a netlist (the byte-identity form)."""
-    from ..io import write_blif
-
     buffer = io.StringIO()
     write_blif(netlist, buffer)
     return buffer.getvalue()
@@ -96,8 +96,6 @@ def request_netlist(
 ) -> Netlist:
     """Resolve a request's design — catalog name or inline network."""
     if request.design is not None:
-        from ..burstmode.benchmarks import CATALOG, synthesize_benchmark
-
         if request.design not in CATALOG:
             raise ApiError(f"unknown catalog benchmark {request.design!r}")
         return synthesize_benchmark(request.design).netlist(request.design)
@@ -105,8 +103,6 @@ def request_netlist(
     assert network is not None
     try:
         if "blif" in network:
-            from ..io import read_blif
-
             netlist = read_blif(io.StringIO(network["blif"]))
         else:
             netlist = Netlist.from_equations(
@@ -148,7 +144,6 @@ def _mapping_options(
 
     input_bursts = None
     if request.dont_cares:
-        from ..burstmode.benchmarks import synthesize_benchmark
         from ..mapping.dontcare import synthesis_bursts
 
         assert request.design is not None  # enforced by MapRequest
@@ -171,7 +166,6 @@ def run_map(
     request: MapRequest,
     *,
     library: Optional[Library] = None,
-    network: Optional[Netlist] = None,
     cache_dir: anncache.CacheDir = None,
     metrics=None,
     tracer=None,
@@ -181,11 +175,13 @@ def run_map(
     The raw :class:`~repro.mapping.mapper.MappingResult` carries the
     in-memory objects (netlists, cover stats, annotation report) the
     CLI prints from; remote callers only ever see the
-    :class:`MapResponse`.  ``library``/``network`` short-circuit
-    resolution when the caller already holds the objects.
+    :class:`MapResponse`.  ``library`` short-circuits library
+    resolution when the caller already holds it; the network is always
+    the one :func:`request_netlist` makes of the request.
 
     With ``request.result_cache`` on, the content-addressed result
-    cache (:mod:`repro.cache.resultcache`) is consulted first; a hit
+    cache (:mod:`repro.cache.resultcache`) is consulted first, under a
+    key read off the request itself, so a hit builds no network; a hit
     replays the stored response verbatim (tagged ``cached="memory"`` or
     ``"disk"``) and the raw result is ``None`` — callers that print
     from the in-memory objects must fall back to the response fields.
@@ -193,7 +189,6 @@ def run_map(
     from ..mapping.mapper import map_network
     from ..obs.tracer import NULL_TRACER
 
-    net = network if network is not None else request_netlist(request)
     lib = _resolve_library(request, library)
     result_cache = cache_key = None
     trc = tracer if tracer is not None else NULL_TRACER
@@ -201,7 +196,7 @@ def run_map(
         from ..cache.resultcache import ResultCache, request_cache_key
 
         result_cache = ResultCache(cache_dir)
-        cache_key = request_cache_key(request, netlist_blif(net), lib)
+        cache_key = request_cache_key(request, lib)
         with trc.span(
             "result_cache",
             op="lookup",
@@ -216,6 +211,7 @@ def run_map(
                 response = MapResponse.from_payload(payload)
                 return replace(response, cached=tier), None
             span.set_attr(tier="miss")
+    net = request_netlist(request)
     deadline = (
         Deadline(request.deadline_seconds)
         if request.deadline_seconds is not None
@@ -280,7 +276,6 @@ def execute_map(
     request: MapRequest,
     *,
     library: Optional[Library] = None,
-    network: Optional[Netlist] = None,
     cache_dir: anncache.CacheDir = None,
     metrics=None,
     tracer=None,
@@ -289,7 +284,6 @@ def execute_map(
     response, _ = run_map(
         request,
         library=library,
-        network=network,
         cache_dir=cache_dir,
         metrics=metrics,
         tracer=tracer,
@@ -421,8 +415,6 @@ def execute_certify(
 
 def read_blif_text(text: str) -> Netlist:
     """Parse BLIF text into a netlist (the inverse of ``netlist_blif``)."""
-    from ..io import read_blif
-
     return read_blif(io.StringIO(text))
 
 

@@ -260,6 +260,29 @@ class _Payload:
         return payload
 
     @classmethod
+    def _field_checks(cls) -> tuple[frozenset, tuple]:
+        """The payload keys this class accepts, and per field its
+        (name, required, accepted types or ``None``, annotation),
+        built on first use and kept on the class."""
+        checks = cls.__dict__.get("_checks")
+        if checks is None:
+            table = tuple(
+                (
+                    field.name,
+                    field.default is dataclasses.MISSING
+                    and field.default_factory is dataclasses.MISSING,
+                    _TYPE_MAP.get(_normalize(str(field.type))),
+                    field.type,
+                )
+                for field in fields(cls)
+            )
+            accepted = frozenset(
+                [name for name, *_ in table] + ["schema", "kind"]
+            )
+            checks = cls._checks = (accepted, table)
+        return checks
+
+    @classmethod
     def from_payload(cls, payload: Mapping) -> "_Payload":
         if not isinstance(payload, Mapping):
             raise ApiError(
@@ -274,32 +297,28 @@ class _Payload:
         kind = payload.get("kind")
         if kind != cls.kind:
             raise ApiError(f"payload kind {kind!r} is not {cls.kind!r}")
-        spec = {field.name: field for field in fields(cls)}
-        unknown = sorted(set(payload) - set(spec) - {"schema", "kind"})
+        accepted, table = cls._field_checks()
+        unknown = sorted(set(payload) - accepted)
         if unknown:
             raise ApiError(
                 f"unknown {cls.kind} field(s): {', '.join(unknown)}"
             )
         values: dict[str, Any] = {}
-        for name, field in spec.items():
+        for name, required, expected, annotation in table:
             if name not in payload:
-                if (
-                    field.default is dataclasses.MISSING
-                    and field.default_factory is dataclasses.MISSING
-                ):
+                if required:
                     raise ApiError(f"missing required field {name!r}")
                 continue
             value = payload[name]
-            expected = _TYPE_MAP.get(_normalize(str(field.type)))
             if expected is not None:
                 if not isinstance(value, expected):
                     raise ApiError(
-                        f"field {name!r} must be {field.type}, "
+                        f"field {name!r} must be {annotation}, "
                         f"got {type(value).__name__}"
                     )
                 if isinstance(value, bool) and bool not in expected:
                     raise ApiError(
-                        f"field {name!r} must be {field.type}, got bool"
+                        f"field {name!r} must be {annotation}, got bool"
                     )
             if isinstance(value, list):
                 value = tuple(value)

@@ -102,8 +102,12 @@ class BatchConfig:
     result_cache: bool = False
 
     def resolved_workers(self) -> int:
+        """Jobs that run at once: one on ``serial``, ``workers`` on
+        ``processes`` (0 = one per CPU)."""
         import os
 
+        if self.backend == "serial":
+            return 1
         if self.workers == 0:
             return os.cpu_count() or 1
         return max(1, self.workers)

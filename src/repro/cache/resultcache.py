@@ -4,11 +4,20 @@ Mapping is deterministic given its inputs — the CI byte-identity gates
 pin that — so the *entire* result of a map request can be memoized the
 way SIS and cut-based LUT mappers memoize at the result level.  This
 module keys a full :class:`~repro.api.schema.MapResponse` payload by a
-SHA-256 digest over everything that can change the result:
+SHA-256 digest over what the request says, so a lookup builds and
+writes no network::
 
-* the **canonical network serialization** — the BLIF text of the
-  resolved source netlist (so two spellings of the same design, say a
-  catalog name and its inline BLIF, share a key);
+    sha256(version | network as the request names it
+                   | library fingerprint | normalized options)
+
+* the **network, as the request names it** — ``"design:" + name`` for
+  a catalog design, or the inline network dict as JSON in its own key
+  order.  A catalog entry is code, like the mapper, so the package
+  version inside the library fingerprint covers it.  Inline text is
+  keyed as sent: equation order decides gate order, and a ``name``
+  names the mapped model.  Two spellings of one network are two keys,
+  and so are a catalog name and its inline BLIF, which on the catalog
+  never resolved to the same canonical BLIF anyway;
 * the **library digest** — :func:`repro.library.anncache.
   library_fingerprint`, which already covers the cache version, the
   package version, and every cell's (name, expression, pins, area,
@@ -79,8 +88,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: meaning of a stored field changes.  Version 2: the ``verify`` verdict
 #: comes from the certifier, so no earlier verdict is replayed as one.
 #: Version 3: map responses have no ``workers`` field, which a stored
-#: version-2 response still carries.
-RESULT_CACHE_VERSION = 3
+#: version-2 response still carries.  Version 4: the key reads the
+#: request's own design name or inline network, not the BLIF of the
+#: network it resolves to.
+RESULT_CACHE_VERSION = 4
 
 #: Version stamp carried inside every on-disk entry.
 RESULT_SCHEMA = "repro-result-cache/v1"
@@ -155,15 +166,14 @@ def normalized_options(values: dict) -> dict:
     }
 
 
-def result_cache_key(
-    network_blif: str, library: "Library", options: dict
-) -> str:
-    """SHA-256 key of one (network, library, options) mapping triple."""
+def result_cache_key(network: str, library: "Library", options: dict) -> str:
+    """SHA-256 key of one (network, library, options) mapping triple;
+    ``network`` is spelled as :func:`request_cache_key` spells it."""
     canonical = normalized_options(options)
     hasher = hashlib.sha256()
     hasher.update(f"result-cache-v{RESULT_CACHE_VERSION}".encode())
     hasher.update(b"|network|")
-    hasher.update(network_blif.encode("utf-8"))
+    hasher.update(network.encode("utf-8"))
     hasher.update(b"|library|")
     hasher.update(library_fingerprint(library).encode())
     hasher.update(b"|options|")
@@ -173,12 +183,20 @@ def result_cache_key(
     return hasher.hexdigest()
 
 
-def request_cache_key(
-    request: "MapRequest", network_blif: str, library: "Library"
-) -> str:
-    """The cache key a ``repro-api/v1`` map request denotes."""
+def request_cache_key(request: "MapRequest", library: "Library") -> str:
+    """The cache key a ``repro-api/v1`` map request denotes.
+
+    It reads only the request and the library, so a lookup builds no
+    network: ``"design:" + name`` for a catalog design, otherwise the
+    inline network dict as JSON in its own key order (equation order
+    decides gate order, so sorting it would give two networks one key).
+    """
+    if request.design is not None:
+        network = f"design:{request.design}"
+    else:
+        network = json.dumps(request.network, separators=(",", ":"))
     values = {name: getattr(request, name) for name in RESULT_KEY_FIELDS}
-    return result_cache_key(network_blif, library, values)
+    return result_cache_key(network, library, values)
 
 
 # ----------------------------------------------------------------------

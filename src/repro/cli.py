@@ -32,8 +32,8 @@ Commands mirror the paper's workflows:
 ``map`` persists library hazard annotations to a disk cache by default
 (pass ``--no-cache`` to disable, ``--cache-dir`` to relocate).
 ``--result-cache`` additionally replays whole map responses from the
-content-addressed result cache when the exact (network, library,
-options) triple was mapped before (see ``docs/caching.md``).  ``map
+content-addressed result cache when the same request (design or file,
+library, options) was mapped before (see ``docs/caching.md``).  ``map
 --trace out.json`` records the run as a span tree (``repro-trace/v1``)
 and ``--metrics`` prints the run's counter/gauge/histogram snapshot;
 both are also available on ``batch``.  ``map --explain [FILE]`` writes the
@@ -54,18 +54,9 @@ from .api import (
     MapRequest,
     add_option_arguments,
     execute_map,
-    netlist_blif,
     option_values_from_args,
     read_blif_text,
     run_map,
-)
-from .batch import (
-    BACKEND_NAMES,
-    BatchConfig,
-    BatchJob,
-    check_artifacts,
-    run_batch,
-    validate_journal,
 )
 from .burstmode.benchmarks import CATALOG, TABLE5_ORDER, synthesize_benchmark
 from .library import anncache
@@ -187,14 +178,30 @@ def _resolved_cache_dir(args: argparse.Namespace) -> anncache.CacheDir:
     )
 
 
-def _map_request(args: argparse.Namespace, network) -> MapRequest:
+def _file_network(path: str) -> dict:
+    """A design file as an inline ``repro-api/v1`` network: a BLIF
+    file's own text, or an equation file's parsed equations."""
+    from .io import parse_equations
+
+    with open(path) as handle:
+        if path.endswith(".blif"):
+            return {"blif": handle.read()}
+        equations, inputs = parse_equations(handle)
+    # The name read_equations gives an equation file's network; it
+    # names the mapped model.
+    network = {"equations": equations, "name": "net"}
+    if inputs is not None:
+        network["inputs"] = inputs
+    return network
+
+
+def _map_request(args: argparse.Namespace) -> MapRequest:
     """The ``repro-api/v1`` request a ``repro map`` invocation denotes."""
     design = args.design if args.design in CATALOG else None
-    payload = None if design else {"blif": netlist_blif(network)}
     return MapRequest(
         library=args.library,
         design=design,
-        network=payload,
+        network=None if design else _file_network(args.design),
         dont_cares=args.dont_cares,
         explain=args.explain is not None,
         verify=args.verify,
@@ -204,22 +211,11 @@ def _map_request(args: argparse.Namespace, network) -> MapRequest:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    if args.design in CATALOG:
-        network = synthesize_benchmark(args.design).netlist(args.design)
-    else:
-        from .io import read_blif, read_equations
-
-        with open(args.design) as handle:
-            if args.design.endswith(".blif"):
-                network = read_blif(handle)
-            else:
-                network = read_equations(handle)
-        if args.dont_cares:
-            print("--dont-cares requires a catalog benchmark", file=sys.stderr)
-            return 2
-
+    if args.dont_cares and args.design not in CATALOG:
+        print("--dont-cares requires a catalog benchmark", file=sys.stderr)
+        return 2
     try:
-        request = _map_request(args, network)
+        request = _map_request(args)
     except ApiError as exc:
         print(f"bad request: {exc}", file=sys.stderr)
         return 2
@@ -230,14 +226,17 @@ def _cmd_map(args: argparse.Namespace) -> int:
     # A one-shot CLI process resolves its library directly (annotation
     # warmth comes from the disk cache); only long-lived callers — the
     # service, batch workers — go through the process-wide warm cache.
-    response, result = run_map(
-        request,
-        library=load_library(args.library),
-        network=network,
-        cache_dir=cache_dir,
-        metrics=metrics,
-        tracer=tracer,
-    )
+    try:
+        response, result = run_map(
+            request,
+            library=load_library(args.library),
+            cache_dir=cache_dir,
+            metrics=metrics,
+            tracer=tracer,
+        )
+    except ApiError as exc:
+        print(f"bad request: {exc}", file=sys.stderr)
+        return 2
     if result is None:
         # Result-cache hit: the stored response is replayed verbatim and
         # there are no in-memory mapping objects to print from.
@@ -250,7 +249,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         print(f"cells: {response.cell_usage}")
     else:
         print(
-            f"{result.mode} mapping of {network.name} onto "
+            f"{result.mode} mapping of {result.source.name} onto "
             f"{result.library.name}: "
             f"area={result.area:.0f} delay={result.delay:.2f} "
             f"cpu={result.elapsed:.2f}s"
@@ -284,8 +283,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
         write_trace(args.trace, tracer, metrics=metrics)
         print(f"trace written to {args.trace}")
     if args.explain is not None and response.explain is not None:
-        _write_explain(args.explain or f"{network.name}_explain.json",
-                       response.explain)
+        _write_explain(
+            args.explain or f"{response.explain['design']}_explain.json",
+            response.explain,
+        )
     if args.metrics:
         print("metrics:")
         for line in _format_metrics(metrics):
@@ -378,7 +379,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             _, result = run_map(
                 request,
                 library=library,
-                network=source,
                 cache_dir=cache_dir,
                 metrics=metrics,
             )
@@ -414,7 +414,15 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from .batch.journal import JournalError
+    # The engine loads multiprocessing; only this command needs it.
+    from .batch import (
+        BatchConfig,
+        BatchJob,
+        JournalError,
+        check_artifacts,
+        run_batch,
+        validate_journal,
+    )
 
     designs = args.designs or list(TABLE5_ORDER)
     unknown = sorted(set(designs) - set(CATALOG))
@@ -789,7 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--backend",
-        choices=BACKEND_NAMES,
+        # repro.batch.engine.BACKEND_NAMES, spelled out so that building
+        # the parser does not import the engine.
+        choices=("serial", "processes"),
         default="processes",
         help="execution backend (default: processes)",
     )

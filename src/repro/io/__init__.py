@@ -2,6 +2,7 @@
 
 from .formats import (
     FormatError,
+    parse_equations,
     read_blif,
     read_equations,
     write_blif,
@@ -10,6 +11,7 @@ from .formats import (
 
 __all__ = [
     "FormatError",
+    "parse_equations",
     "read_blif",
     "read_equations",
     "write_blif",

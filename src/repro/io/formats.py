@@ -38,6 +38,13 @@ def write_equations(netlist: Netlist, stream: TextIO) -> None:
 
 def read_equations(stream: TextIO, name: str = "net") -> Netlist:
     """Read a ``name = expression;`` file back into a network."""
+    equations, inputs = parse_equations(stream)
+    return Netlist.from_equations(equations, name=name, inputs=inputs)
+
+
+def parse_equations(stream: TextIO) -> tuple[dict[str, str], list[str] | None]:
+    """The equations of a ``name = expression;`` file, in file order,
+    and its ``.inputs`` names (``None`` when it declares none)."""
     equations: dict[str, str] = {}
     declared_inputs: list[str] | None = None
     buffer = ""
@@ -64,7 +71,7 @@ def read_equations(stream: TextIO, name: str = "net") -> Netlist:
         raise FormatError("trailing input without ';'")
     if not equations:
         raise FormatError("no equations found")
-    return Netlist.from_equations(equations, name=name, inputs=declared_inputs)
+    return equations, declared_inputs
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,18 @@ class TestHappyPath:
         for row in rows.values():
             assert row["verify"]["ok"] is True and row["cell_usage"]
 
+    def test_serial_backend_reports_one_worker(
+        self, tmp_path, ann_cache, capsys
+    ):
+        # Serial runs one job at a time, whatever --workers says.
+        snapshot = tmp_path / "snap.json"
+        assert batch(
+            tmp_path, ann_cache, "--workers", "4",
+            "--bench-snapshot", str(snapshot),
+        ) == 0
+        assert "on the serial backend, workers=1" in capsys.readouterr().out
+        assert json.loads(snapshot.read_text())["batch_workers"] == 1
+
     def test_bench_snapshot_and_trace_export(self, tmp_path, ann_cache, capsys):
         snapshot = tmp_path / "snap.json"
         trace = tmp_path / "trace.json"

@@ -88,6 +88,39 @@ class TestMapResultCacheFlag:
         assert "conformance.certificates" not in out
 
 
+class TestMapFileResultCache:
+    def test_blif_file_hits_and_matches_its_inline_request(
+        self, tmp_path, capsys
+    ):
+        from repro.api import execute_map
+        from repro.api.facade import netlist_blif, request_netlist
+        from repro.library import anncache
+
+        text = netlist_blif(
+            request_netlist(MapRequest(library="CMOS3", design="vanbek-opt"))
+        )
+        path = tmp_path / "design.blif"
+        path.write_text(text)
+
+        def run(out_name):
+            out = tmp_path / out_name
+            assert main([
+                "map", str(path), "CMOS3", "--depth", "3", "--result-cache",
+                "--cache-dir", str(tmp_path / "cache"), "--output", str(out),
+            ]) == 0
+            return out.read_text()
+
+        cold = run("a.blif")
+        assert "result cache" not in capsys.readouterr().out
+        warm = run("b.blif")
+        assert "(result cache: memory hit)" in capsys.readouterr().out
+        plain = execute_map(
+            MapRequest(library="CMOS3", network={"blif": text}, max_depth=3),
+            cache_dir=anncache.DISABLED,
+        )
+        assert cold == warm == plain.blif
+
+
 class TestCacheSubcommand:
     def test_reports_and_clears_both_caches(self, tmp_path, capsys):
         _map(tmp_path, "a.blif", "--result-cache")

@@ -95,9 +95,7 @@ class TestRunMapCaching:
             MapResponse.from_payload(stale)
         with monkeypatch.context() as patch:
             patch.setattr(resultcache, "RESULT_CACHE_VERSION", 2)
-            key = resultcache.request_cache_key(
-                _request(), netlist_blif(request_netlist(_request())), library
-            )
+            key = resultcache.request_cache_key(_request(), library)
             path = resultcache.result_path(tmp_path, key)
         assert path.parent.name == "v2"
         path.parent.mkdir(parents=True)

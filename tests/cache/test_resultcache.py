@@ -86,8 +86,8 @@ class TestKeyDerivation:
             library="CMOS3", design="chu-ad-opt", max_depth=3,
             result_cache=True,
         )
-        assert request_cache_key(request, BLIF, library) == result_cache_key(
-            BLIF, library, {"max_depth": 3}
+        assert request_cache_key(request, library) == result_cache_key(
+            "design:chu-ad-opt", library, {"max_depth": 3}
         )
 
 

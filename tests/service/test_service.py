@@ -283,7 +283,7 @@ class TestConfigValidation:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["batch", "--workers", "0"])
-        config = BatchConfig(workers=args.workers)
+        config = BatchConfig(backend="processes", workers=args.workers)
         assert config.resolved_workers() == (os.cpu_count() or 1)
 
 

@@ -196,6 +196,56 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_importing_the_cli_leaves_the_batch_engine_unloaded(self):
+        # The engine loads multiprocessing and the process pool; only
+        # ``repro batch`` needs them, not every ``repro map`` and every
+        # ``repro serve`` boot.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys, repro.cli; print(sorted(set(sys.modules) & "
+            "{'repro.batch', 'concurrent.futures.process'}))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(
+                os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1])
+            ),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert result.stdout.strip() == "[]"
+
+    def test_batch_backend_choices_are_the_engines(self):
+        # The parser spells the choices out so that it need not import
+        # the engine; they must stay the engine's.
+        import argparse
+
+        from repro.batch import BACKEND_NAMES
+        from repro.cli import build_parser
+
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        backend = next(
+            action for action in commands.choices["batch"]._actions
+            if action.dest == "backend"
+        )
+        assert tuple(backend.choices) == BACKEND_NAMES
+
+    def test_map_malformed_blif_file_is_a_bad_request(self, tmp_path, capsys):
+        path = tmp_path / "bad.blif"
+        path.write_text(
+            ".model t\n.inputs a\n.outputs y\n.names a y\n0 1 1\n.end\n"
+        )
+        assert main(["map", str(path), "CMOS3", "--no-cache"]) == 2
+        assert "bad request: bad inline network" in capsys.readouterr().err
+
     def test_serve_parses_the_benchmark_daemon_command_line(self, tmp_path):
         # perfbench/serve.py launches the serve-mixed daemon with exactly
         # this command line.  It is why the one-value ``--backend`` flag

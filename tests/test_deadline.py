@@ -126,7 +126,7 @@ class TestNetlistBuildCheckpoint:
             faults.clear_plan()
         assert excinfo.value.site == "netlist.build"
 
-    def test_facade_degrades_to_trivial_cover(self, source, library, monkeypatch):
+    def test_facade_degrades_to_trivial_cover(self, library, monkeypatch):
         monkeypatch.setattr(facade, "Deadline", HangClockDeadline)
         faults.install_plan(
             FaultPlan.parse(["hang@netlist.build"]), job="t@L", attempt=1
@@ -140,7 +140,6 @@ class TestNetlistBuildCheckpoint:
                     deadline_seconds=0.05,
                 ),
                 library=library,
-                network=source,
                 cache_dir=anncache.DISABLED,
             )
         finally:
